@@ -40,7 +40,13 @@ from .asymptotics import derivative_ratio, derivative_report, normal_sweep
 from .domain_spec import load_domain_spec
 from .errors import InvalidInputError, NumericalError, PoisskernError
 from .geometry import Domain, Halfspace, boundary_frame
-from .harmonic_measure import WosConfig, WosKernel, estimate_cap_measure, estimate_kernel_density
+from .harmonic_measure import (
+    WosConfig,
+    WosKernel,
+    _density_from_cap,
+    cap_surface_measure,
+    estimate_cap_measure,
+)
 from .model_kernels import (
     harmonic_extend,
     halfspace_truncation_tail,
@@ -358,18 +364,15 @@ def _cmd_wos(config: RunConfig, domain: Domain):
         truncation_radius=config.truncation,
     )
     result = {"cap_measure": _estimate_record(cap)}
+    # The density divides this cap measure by the cap area, which not every
+    # domain and cap has; the report then says why instead of giving one.
     try:
-        density = estimate_kernel_density(
-            domain,
-            np.asarray(config.x),
-            np.asarray(config.cap_center),
-            config.cap_radius,
-            wos,
-            truncation_radius=config.truncation,
-        )
-        result["density"] = _estimate_record(density)
-    except PoisskernError:
+        area = cap_surface_measure(domain, np.asarray(config.cap_center), config.cap_radius)
+    except InvalidInputError as exc:
         result["density"] = None
+        result["density_unavailable"] = str(exc)
+    else:
+        result["density"] = _estimate_record(_density_from_cap(cap, area))
     _emit(config, _json_report(config, result), config.output)
 
 

@@ -69,11 +69,25 @@ def _as_batch(X, dim: int, name: str = "points") -> np.ndarray:
     return arr
 
 
+def _direction(tie_break, dim: int) -> np.ndarray:
+    t = as_point(tie_break, dim, name="tie_break")
+    if np.linalg.norm(t) < 1e-300:
+        raise InvalidInputError("tie_break direction must be nonzero")
+    return t
+
+
 class Domain:
     """Open set ``{x : rho(x) < 0}`` described by a defining function.
 
-    Subclasses provide ``rho``, its gradient (and Hessian where an iterative
-    projection solver needs it), signed distance, and boundary projection.
+    Subclasses implement the batch queries ``rho_batch``,
+    ``signed_distance_batch`` and ``project_batch`` on ``(n, d)`` arrays, plus
+    ``rho_grad`` (and ``rho_hess`` where an iterative projection solver needs
+    it), ``diameter`` and ``descriptor``.  Each row of a batch result depends
+    only on the same row of the input, so a batch of one, any subset of a
+    batch and the whole batch agree bit for bit.  The one-point queries
+    ``rho``, ``contains``, ``signed_distance`` and ``project_to_boundary`` are
+    row 0 of a batch of one.
+
     ``exact_distance`` marks domains whose signed distance is computed to full
     precision (models and the ellipse) as opposed to an iterative solver with
     its own tolerance (implicit domains).
@@ -82,8 +96,24 @@ class Domain:
     dim: int
     exact_distance: bool = True
 
-    # -- defining function ------------------------------------------------
-    def rho(self, x) -> float:
+    # -- batch queries: the one implementation of each ---------------------
+    def rho_batch(self, X) -> np.ndarray:
+        raise NotImplementedError
+
+    def signed_distance_batch(self, X) -> np.ndarray:
+        """Euclidean distances to the boundary, negative inside."""
+        raise NotImplementedError
+
+    def project_batch(self, X, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest boundary points and the inward unit normals there.
+
+        Intended for points inside the collar where the nearest boundary point
+        is unique.  If a row has two candidate feet equidistant within 1e-8 a
+        :class:`ProjectionAmbiguityError` naming the first such point is
+        raised, unless ``tie_break`` (a direction vector) is supplied, in which
+        case each tied row takes the foot with the larger projection onto
+        ``tie_break``.
+        """
         raise NotImplementedError
 
     def rho_grad(self, x) -> np.ndarray:
@@ -92,41 +122,22 @@ class Domain:
     def rho_hess(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def rho_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
-        return np.array([self.rho(row) for row in X])
+    # -- one-point queries: row 0 of a batch of one ------------------------
+    def rho(self, x) -> float:
+        return float(self.rho_batch(as_point(x, self.dim)[None, :])[0])
 
-    # -- metric queries ----------------------------------------------------
     def contains(self, x) -> bool:
         """Strict interior membership (boundary points are not interior)."""
-        return self.rho(as_point(x, self.dim)) < 0.0
+        return self.rho(x) < 0.0
 
     def signed_distance(self, x) -> float:
         """Euclidean distance to the boundary, negative inside."""
-        raise NotImplementedError
-
-    def signed_distance_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
-        return np.array([self.signed_distance(row) for row in X])
+        return float(self.signed_distance_batch(as_point(x, self.dim)[None, :])[0])
 
     def project_to_boundary(self, x, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest boundary point and the inward unit normal there.
-
-        Intended for points inside the collar where the nearest boundary point
-        is unique.  If two candidate feet are equidistant within 1e-8 a
-        :class:`ProjectionAmbiguityError` is raised unless ``tie_break`` (a
-        direction vector) is supplied, in which case the foot with the larger
-        projection onto ``tie_break`` is chosen.
-        """
-        raise NotImplementedError
-
-    def project_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        X = _as_batch(X, self.dim)
-        feet = np.empty_like(X)
-        normals = np.empty_like(X)
-        for i, row in enumerate(X):
-            feet[i], normals[i] = self.project_to_boundary(row)
-        return feet, normals
+        """Nearest boundary point and the inward unit normal there (see :meth:`project_batch`)."""
+        feet, normals = self.project_batch(as_point(x, self.dim)[None, :], tie_break=tie_break)
+        return feet[0], normals[0]
 
     def diameter(self) -> float:
         """Diameter of the domain (``inf`` for unbounded domains)."""
@@ -154,10 +165,6 @@ class Ball(Domain):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise InvalidInputError(f"ball radius must be positive and finite, got {radius}")
 
-    def rho(self, x) -> float:
-        x = as_point(x, self.dim)
-        return float(np.linalg.norm(x - self.center) - self.radius)
-
     def rho_grad(self, x) -> np.ndarray:
         x = as_point(x, self.dim)
         v = x - self.center
@@ -179,38 +186,24 @@ class Ball(Domain):
         X = _as_batch(X, self.dim)
         return np.linalg.norm(X - self.center, axis=1) - self.radius
 
-    def signed_distance(self, x) -> float:
-        return self.rho(x)
-
     def signed_distance_batch(self, X) -> np.ndarray:
         return self.rho_batch(X)
 
-    def project_to_boundary(self, x, tie_break=None):
-        x = as_point(x, self.dim)
-        v = x - self.center
-        r = np.linalg.norm(v)
-        if r < _TIE_TOL:
-            # Every boundary point is (nearly) equidistant from the center.
-            if tie_break is None:
-                raise ProjectionAmbiguityError(
-                    "projection from the ball center is ambiguous: all boundary points are equidistant"
-                )
-            t = as_point(tie_break, self.dim, name="tie_break")
-            tn = np.linalg.norm(t)
-            if tn < 1e-300:
-                raise InvalidInputError("tie_break direction must be nonzero")
-            u = t / tn
-        else:
-            u = v / r
-        foot = self.center + self.radius * u
-        return foot, -u
-
-    def project_batch(self, X):
+    def project_batch(self, X, tie_break=None):
         X = _as_batch(X, self.dim)
         V = X - self.center
         r = np.linalg.norm(V, axis=1)
-        if np.any(r < _TIE_TOL):
-            raise ProjectionAmbiguityError("projection from the ball center is ambiguous")
+        tied = r < _TIE_TOL
+        if np.any(tied):
+            # Every boundary point is (nearly) equidistant from the center.
+            if tie_break is None:
+                raise ProjectionAmbiguityError(
+                    f"point {X[np.argmax(tied)].tolist()} is at the ball center, where all "
+                    "boundary points are equidistant; supply a tie_break direction"
+                )
+            t = _direction(tie_break, self.dim)
+            V[tied] = t
+            r[tied] = np.linalg.norm(t)
         U = V / r[:, None]
         return self.center + self.radius * U, -U
 
@@ -234,10 +227,6 @@ class Halfspace(Domain):
         if self.dim < 2:
             raise DimensionMismatchError(f"halfspace dimension must be >= 2, got {dim}")
 
-    def rho(self, x) -> float:
-        x = as_point(x, self.dim)
-        return float(-x[-1])
-
     def rho_grad(self, x) -> np.ndarray:
         as_point(x, self.dim)
         g = np.zeros(self.dim)
@@ -252,21 +241,10 @@ class Halfspace(Domain):
         X = _as_batch(X, self.dim)
         return -X[:, -1]
 
-    def signed_distance(self, x) -> float:
-        return self.rho(x)
-
     def signed_distance_batch(self, X) -> np.ndarray:
         return self.rho_batch(X)
 
-    def project_to_boundary(self, x, tie_break=None):
-        x = as_point(x, self.dim)
-        foot = x.copy()
-        foot[-1] = 0.0
-        normal = np.zeros(self.dim)
-        normal[-1] = 1.0
-        return foot, normal
-
-    def project_batch(self, X):
+    def project_batch(self, X, tie_break=None):
         X = _as_batch(X, self.dim)
         feet = X.copy()
         feet[:, -1] = 0.0
@@ -295,8 +273,9 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     root; the foot is then ``(a^2 p / (u + a^2 - b^2), b^2 q / u)``.  Working
     in ``u`` rather than ``t`` avoids the catastrophic cancellation of
     ``t + b^2`` for points near the major axis, where the root has tiny ``u``.
-    Points exactly on the major axis with ``|p| < (a^2 - b^2)/a`` take the
-    closed-form off-axis branch instead.
+    Each row stops updating once it has converged, so its result does not
+    depend on the other rows.  Points exactly on the major axis with
+    ``|p| < (a^2 - b^2)/a`` take the closed-form off-axis branch instead.
     """
     P = np.asarray(P, dtype=float)
     p = np.abs(P[:, 0])
@@ -329,22 +308,19 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
         qg = q[generic]
         shift = a * a - b * b
         u = b * qg
-        converged = False
+        done = np.zeros(u.shape, dtype=bool)
         for _ in range(100):
             ra = a * pg / (u + shift)
             rb = b * qg / u
             F = ra * ra + rb * rb - 1.0
-            if np.all(np.abs(F) < 1e-13):
-                converged = True
-                break
             dF = -2.0 * (ra * ra / (u + shift) + rb * rb / u)
             step = F / dF
-            # Monotone increasing sequence; a sub-ulp step means we are done.
-            if np.all(np.abs(step) <= np.finfo(float).eps * u):
-                converged = True
+            # Monotone increasing sequence; a sub-ulp step means the row is done.
+            done |= (np.abs(F) < 1e-13) | (np.abs(step) <= np.finfo(float).eps * u)
+            if np.all(done):
                 break
-            u = u - step
-        if not converged:
+            u = np.where(done, u, u - step)
+        else:
             raise ConvergenceError("ellipse nearest-point iteration did not converge")
         fx[generic] = a * a * pg / (u + shift)
         fy[generic] = b * b * qg / u
@@ -389,11 +365,6 @@ class Ellipse(Domain):
             return float(a), float(b), False
         return float(b), float(a), True
 
-    def rho(self, x) -> float:
-        x = as_point(x, 2)
-        a, b = self.semi_axes
-        return float((x[0] / a) ** 2 + (x[1] / b) ** 2 - 1.0)
-
     def rho_grad(self, x) -> np.ndarray:
         x = as_point(x, 2)
         a, b = self.semi_axes
@@ -418,45 +389,26 @@ class Ellipse(Domain):
             mirror = mirror[:, ::-1]
         return feet, mirror, dist, mdist
 
-    def signed_distance(self, x) -> float:
-        x = as_point(x, 2)
-        _, _, dist, _ = self._feet(x[None, :])
-        return float(-dist[0] if self.rho(x) < 0.0 else dist[0])
-
     def signed_distance_batch(self, X) -> np.ndarray:
         X = _as_batch(X, 2)
         _, _, dist, _ = self._feet(X)
         return np.where(self.rho_batch(X) < 0.0, -dist, dist)
 
-    def project_to_boundary(self, x, tie_break=None):
-        x = as_point(x, 2)
-        feet, mirror, dist, mdist = self._feet(x[None, :])
-        foot, twin = feet[0], mirror[0]
-        distinct = np.linalg.norm(foot - twin) > _TIE_TOL
-        if distinct and (mdist[0] - dist[0]) < _TIE_TOL:
-            if tie_break is None:
-                raise ProjectionAmbiguityError(
-                    f"point {x.tolist()} is equidistant from boundary feet "
-                    f"{foot.tolist()} and {twin.tolist()}; supply a tie_break direction"
-                )
-            t = as_point(tie_break, 2, name="tie_break")
-            if np.linalg.norm(t) < 1e-300:
-                raise InvalidInputError("tie_break direction must be nonzero")
-            if np.dot(t, twin) > np.dot(t, foot):
-                foot = twin
-        g = self.rho_grad(foot)
-        return foot, -g / np.linalg.norm(g)
-
-    def project_batch(self, X):
+    def project_batch(self, X, tie_break=None):
         X = _as_batch(X, 2)
         feet, mirror, dist, mdist = self._feet(X)
         distinct = np.linalg.norm(feet - mirror, axis=1) > _TIE_TOL
         ties = distinct & ((mdist - dist) < _TIE_TOL)
         if np.any(ties):
-            raise ProjectionAmbiguityError(
-                f"{int(ties.sum())} points have equidistant boundary feet; "
-                "project them individually with a tie_break direction"
-            )
+            if tie_break is None:
+                i = int(np.argmax(ties))
+                raise ProjectionAmbiguityError(
+                    f"point {X[i].tolist()} is equidistant from boundary feet "
+                    f"{feet[i].tolist()} and {mirror[i].tolist()}; supply a tie_break direction"
+                )
+            t = _direction(tie_break, 2)
+            swap = ties & (np.sum(mirror * t, axis=1) > np.sum(feet * t, axis=1))
+            feet[swap] = mirror[swap]
         a, b = self.semi_axes
         G = np.stack([2.0 * feet[:, 0] / (a * a), 2.0 * feet[:, 1] / (b * b)], axis=1)
         return feet, -G / np.linalg.norm(G, axis=1)[:, None]
@@ -496,7 +448,8 @@ class Implicit(Domain):
     Signed distance and projection solve the nearest-point conditions
     ``y - x + lam * grad(y) = 0, rho(y) = 0`` with a damped Newton iteration
     (cap 100 iterations, tolerance 1e-12 on the residual), multi-started from
-    a coarse grid over the bounding box flowed onto the zero level set.
+    a coarse grid over the bounding box flowed onto the zero level set.  The
+    batch queries run this solver row by row.
     """
 
     exact_distance = False
@@ -530,25 +483,33 @@ class Implicit(Domain):
                 f"defining function is not negative at the declared interior point (rho = {witness})"
             )
 
-    def rho(self, x) -> float:
-        return float(self._rho(as_point(x, self.dim)))
+    def rho_batch(self, X) -> np.ndarray:
+        X = _as_batch(X, self.dim)
+        return np.array([float(self._rho(row)) for row in X])
 
     def rho_grad(self, x) -> np.ndarray:
-        return np.asarray(self._grad(as_point(x, self.dim)), dtype=float)
+        return self._grad_at(as_point(x, self.dim))
 
     def rho_hess(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
+        return self._hess_at(as_point(x, self.dim))
+
+    # -- nearest-point solver ---------------------------------------------
+    # The solver evaluates the stored callables on its own iterates: they are
+    # finite d-vectors already, and the solver makes thousands of such calls.
+    def _grad_at(self, y: np.ndarray) -> np.ndarray:
+        return np.asarray(self._grad(y), dtype=float)
+
+    def _hess_at(self, y: np.ndarray) -> np.ndarray:
         if self._hess is not None:
-            return np.asarray(self._hess(x), dtype=float)
+            return np.asarray(self._hess(y), dtype=float)
         h = 1e-6
         H = np.empty((self.dim, self.dim))
         for j in range(self.dim):
             step = np.zeros(self.dim)
             step[j] = h
-            H[:, j] = (self.rho_grad(x + step) - self.rho_grad(x - step)) / (2.0 * h)
+            H[:, j] = (self._grad_at(y + step) - self._grad_at(y - step)) / (2.0 * h)
         return 0.5 * (H + H.T)
 
-    # -- nearest-point solver ---------------------------------------------
     def _seed_candidates(self, x: np.ndarray) -> list[np.ndarray]:
         lo, hi = self.bounding_box
         m = max(6, min(16, int(round(4096 ** (1.0 / self.dim)))))
@@ -558,10 +519,10 @@ class Implicit(Domain):
         y = grid.copy()
         for _ in range(8):
             for i in range(y.shape[0]):
-                g = self.rho_grad(y[i])
+                g = self._grad_at(y[i])
                 g2 = float(np.dot(g, g))
                 if g2 > 1e-20:
-                    y[i] = y[i] - self.rho(y[i]) * g / g2
+                    y[i] = y[i] - float(self._rho(y[i])) * g / g2
         order = np.argsort(np.linalg.norm(y - x, axis=1))
         picked: list[np.ndarray] = []
         for idx in order:
@@ -580,20 +541,20 @@ class Implicit(Domain):
     def _newton_foot(self, x: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
         scale = max(1.0, float(np.linalg.norm(x)))
         y = y0.astype(float).copy()
-        g = self.rho_grad(y)
+        g = self._grad_at(y)
         g2 = float(np.dot(g, g))
         lam = float(np.dot(x - y, g) / g2) if g2 > 1e-20 else 0.0
 
         def residual(yv, lv):
-            gv = self.rho_grad(yv)
-            return np.concatenate([yv - x + lv * gv, [self.rho(yv)]])
+            gv = self._grad_at(yv)
+            return np.concatenate([yv - x + lv * gv, [float(self._rho(yv))]])
 
         r = residual(y, lam)
         for _ in range(100):
             if np.linalg.norm(r) <= 1e-12 * scale:
                 return y
-            g = self.rho_grad(y)
-            H = self.rho_hess(y)
+            g = self._grad_at(y)
+            H = self._hess_at(y)
             J = np.zeros((self.dim + 1, self.dim + 1))
             J[: self.dim, : self.dim] = np.eye(self.dim) + lam * H
             J[: self.dim, self.dim] = g
@@ -630,31 +591,35 @@ class Implicit(Domain):
         feet.sort(key=lambda pair: pair[0])
         return feet
 
-    def signed_distance(self, x) -> float:
-        x = as_point(x, self.dim)
-        dist = self._feet_candidates(x)[0][0]
-        return -dist if self.rho(x) < 0.0 else dist
+    def signed_distance_batch(self, X) -> np.ndarray:
+        X = _as_batch(X, self.dim)
+        dist = np.array([self._feet_candidates(x)[0][0] for x in X])
+        return np.where(self.rho_batch(X) < 0.0, -dist, dist)
 
-    def project_to_boundary(self, x, tie_break=None):
-        x = as_point(x, self.dim)
-        feet = self._feet_candidates(x)
-        best_d, best = feet[0]
-        if len(feet) > 1:
-            next_d, nxt = feet[1]
-            if next_d - best_d < _TIE_TOL and np.linalg.norm(nxt - best) > 1e-6:
-                if tie_break is None:
-                    raise ProjectionAmbiguityError(
-                        f"point {x.tolist()} has equidistant boundary feet "
-                        f"{best.tolist()} and {nxt.tolist()}; supply a tie_break direction"
-                    )
-                t = as_point(tie_break, self.dim, name="tie_break")
-                if np.dot(t, nxt) > np.dot(t, best):
-                    best = nxt
-        g = self.rho_grad(best)
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
-            raise InvalidInputError("degenerate gradient at the projected boundary point")
-        return best, -g / gn
+    def project_batch(self, X, tie_break=None):
+        X = _as_batch(X, self.dim)
+        feet = np.empty_like(X)
+        normals = np.empty_like(X)
+        for i, x in enumerate(X):
+            candidates = self._feet_candidates(x)
+            best_d, best = candidates[0]
+            if len(candidates) > 1:
+                next_d, nxt = candidates[1]
+                if next_d - best_d < _TIE_TOL and np.linalg.norm(nxt - best) > 1e-6:
+                    if tie_break is None:
+                        raise ProjectionAmbiguityError(
+                            f"point {x.tolist()} is equidistant from boundary feet "
+                            f"{best.tolist()} and {nxt.tolist()}; supply a tie_break direction"
+                        )
+                    t = _direction(tie_break, self.dim)
+                    if np.dot(t, nxt) > np.dot(t, best):
+                        best = nxt
+            g = self._grad_at(best)
+            gn = np.linalg.norm(g)
+            if gn < 1e-12:
+                raise InvalidInputError("degenerate gradient at the projected boundary point")
+            feet[i], normals[i] = best, -g / gn
+        return feet, normals
 
     def diameter(self) -> float:
         lo, hi = self.bounding_box
@@ -700,7 +665,7 @@ class ImplicitPolynomial(Implicit):
         self._poly_terms = items
 
         def rho(x: np.ndarray) -> float:
-            return float(np.sum(self._coeffs * np.prod(x[None, :] ** self._exponents, axis=1)))
+            return float(self._polynomial(x))
 
         def grad(x: np.ndarray) -> np.ndarray:
             g = np.empty(d)
@@ -726,9 +691,12 @@ class ImplicitPolynomial(Implicit):
 
         super().__init__(rho, grad, bounding_box, interior_point, hess=hess, kind="implicit_polynomial")
 
+    def _polynomial(self, X: np.ndarray) -> np.ndarray:
+        """Polynomial values at the points along the last axis of ``X``."""
+        return np.sum(self._coeffs * np.prod(X[..., None, :] ** self._exponents, axis=-1), axis=-1)
+
     def rho_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
-        return np.sum(self._coeffs * np.prod(X[:, None, :] ** self._exponents[None, :, :], axis=2), axis=1)
+        return self._polynomial(_as_batch(X, self.dim))
 
     def descriptor(self) -> dict:
         desc = super().descriptor()

@@ -30,7 +30,6 @@ from .errors import (
     WalkTruncatedError,
 )
 from .geometry import Ball, Domain, Ellipse, Halfspace, as_point
-from .model_kernels import gamma
 
 __all__ = [
     "WosConfig",
@@ -291,7 +290,7 @@ def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
     if isinstance(domain, Halfspace):
         d = domain.dim
         k = d - 1  # boundary dimension
-        return math.pi ** (k / 2.0) * c**k / gamma(k / 2.0 + 1.0)
+        return math.pi ** (k / 2.0) * c**k / math.gamma(k / 2.0 + 1.0)
     if isinstance(domain, Ellipse):
         return _ellipse_cap_arc_length(domain, center, c)
     raise DomainUnsupportedError(

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import poisskern as pk
 from poisskern import __version__
 from poisskern.cli import main
 
@@ -15,6 +17,7 @@ def specs(tmp_path):
     documents = {
         "disc": {"kind": "ball", "dim": 2},
         "ball3": {"kind": "ball", "dim": 3},
+        "ball4": {"kind": "ball", "dim": 4},
         "ellipse": {"kind": "ellipse", "semi_axes": [2.0, 1.0]},
         "halfplane": {"kind": "halfspace", "dim": 2},
     }
@@ -104,7 +107,27 @@ def test_wos_report(specs, capsys):
     assert abs(cap["estimate"] - exact) < 4 * cap["std_error"]
     assert cap["walkers"] == 4000
     assert cap["truncated"] == 0
-    assert result["density"]["estimate"] > 0
+    # the density comes from the same walks, equal to the library call bit for bit
+    density = pk.estimate_kernel_density(
+        pk.Ball(2), np.zeros(2), np.array([1.0, 0.0]), 0.4,
+        pk.WosConfig(walkers=4000, seed=11, stop_tolerance=1e-4),
+    )
+    assert result["density"]["estimate"] == density.estimate > 0
+    assert result["density"]["std_error"] == density.std_error
+    assert "density_unavailable" not in result
+
+
+def test_wos_density_unavailable_reports_why(specs, capsys):
+    # no cap area on spheres in d = 4: the cap estimate stands, the density says why
+    code = main(["wos", "--domain", specs["ball4"], "--x", "0,0,0,0",
+                 "--cap-center", "0,0,0,1", "--cap-radius", "0.5",
+                 "--walkers", "500", "--seed", "3"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["cap_measure"]["walkers"] == 500
+    assert 0.0 < result["cap_measure"]["estimate"] < 1.0
+    assert result["density"] is None
+    assert "d = 4" in result["density_unavailable"]
 
 
 def test_wos_requires_seed(specs, capsys):

@@ -1,6 +1,7 @@
 """Domains: defining functions, signed distance, projection, frames, quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,19 +53,6 @@ def test_ball_projection_and_center_tie():
         b.project_to_boundary([0.0, 0.0])
     foot, _ = b.project_to_boundary([0.0, 0.0], tie_break=[0.0, -2.0])
     np.testing.assert_allclose(foot, [0.0, -1.0])
-
-
-def test_ball_batch_matches_scalar():
-    b = pk.Ball(3, center=[0.0, 1.0, 0.0], radius=2.0)
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(40, 3))
-    feet, nus = b.project_batch(X)
-    sd = b.signed_distance_batch(X)
-    for i in range(40):
-        f, n = b.project_to_boundary(X[i])
-        np.testing.assert_allclose(feet[i], f)
-        np.testing.assert_allclose(nus[i], n)
-        assert sd[i] == pytest.approx(b.signed_distance(X[i]), abs=1e-14)
 
 
 def test_ball_validation():
@@ -407,3 +395,51 @@ def test_domain_descriptors_round_trip_core_fields():
     assert pk.Halfspace(3).descriptor() == {"kind": "halfspace", "dim": 3}
     desc = pk.Ellipse([2.0, 1.0]).descriptor()
     assert desc["kind"] == "ellipse" and desc["semi_axes"] == [2.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# one-point queries are rows of batch queries
+
+
+def _implicit_disc():
+    # No Hessian: the projection solver takes finite differences of the gradient.
+    return pk.Implicit(
+        rho=lambda x: float(x[0] ** 2 + x[1] ** 2 - 1.0),
+        grad=lambda x: 2.0 * np.asarray(x, dtype=float),
+        bounding_box=[[-1.5, -1.5], [1.5, 1.5]],
+        interior_point=[0.0, 0.0],
+    )
+
+
+def _batch_case(kind):
+    """(domain, points, a point whose projection ties or None)."""
+    rng = np.random.default_rng(0)
+    if kind == "ball":
+        return pk.Ball(3, center=[0.0, 1.0, 0.0], radius=2.0), rng.normal(size=(40, 3)), [0.0, 1.0, 0.0]
+    if kind == "halfspace":
+        return pk.Halfspace(3), rng.normal(size=(40, 3)), None
+    if kind == "ellipse":
+        X = np.vstack([rng.uniform([-2.5, -1.5], [2.5, 1.5], size=(40, 2)), [[1.7, 0.0], [-3.0, 0.0]]])
+        return pk.Ellipse([2.0, 1.0]), X, [0.5, 0.0]
+    if kind == "implicit":
+        return _implicit_disc(), np.array([[0.3, 0.4], [-0.9, 0.1], [1.2, -0.5]]), [0.0, 0.0]
+    # the README's implicit ellipse
+    return _ellipse_implicit(), np.array([[0.5, 0.3], [-1.9, -0.2], [1.0, 1.2]]), [0.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", ["ball", "halfspace", "ellipse", "implicit", "implicit_polynomial"])
+def test_one_point_queries_equal_batch_rows(kind):
+    domain, X, tied = _batch_case(kind)
+    rho = domain.rho_batch(X)
+    sd = domain.signed_distance_batch(X)
+    feet, normals = domain.project_batch(X)
+    for i, x in enumerate(X):
+        assert domain.rho(x) == rho[i]
+        assert domain.contains(x) == (rho[i] < 0.0)
+        assert domain.signed_distance(x) == sd[i]
+        foot, nu = domain.project_to_boundary(x)
+        np.testing.assert_array_equal(foot, feet[i])
+        np.testing.assert_array_equal(nu, normals[i])
+    if tied is not None:
+        with pytest.raises(pk.ProjectionAmbiguityError, match=re.escape(f"point {tied}")):
+            domain.project_batch(np.vstack([X[:2], tied]))

@@ -6,32 +6,10 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern.model_kernels import gamma
 
 
 # ---------------------------------------------------------------------------
-# gamma and dimensional constants
-
-
-@pytest.mark.parametrize(
-    "x,expected",
-    [
-        (1.0, 1.0),
-        (2.0, 1.0),
-        (5.0, 24.0),
-        (0.5, math.sqrt(math.pi)),
-        (1.5, math.sqrt(math.pi) / 2.0),
-        (2.5, 3.0 * math.sqrt(math.pi) / 4.0),
-        (7.5, math.gamma(7.5)),
-    ],
-)
-def test_gamma_integer_and_half_integer_values(x, expected):
-    assert gamma(x) == pytest.approx(expected, rel=1e-15)
-
-
-def test_gamma_generic_matches_stdlib():
-    for x in (0.3, 1.234, 4.9):
-        assert gamma(x) == math.gamma(x)
+# dimensional constants
 
 
 def test_dimensional_constants():

@@ -49,21 +49,38 @@ def test_run_walks_deterministic_and_on_boundary():
     assert steps1.min() >= 1
 
 
-def test_single_walker_matches_batch_row():
-    d = pk.Ball(2)
-    x = np.array([0.1, 0.55])
-    feet, _, _ = pk.run_walks(d, x, _cfg())
+# (domain, start point, truncation radius) for the batching-invariance tests
+WALK_CASES = {
+    "disc": (pk.Ball(2), [0.1, 0.55], None),
+    "ball3": (pk.Ball(3), [0.1, 0.3, -0.2], None),
+    "halfplane": (pk.Halfspace(2), [0.2, 0.7], 20.0),
+    "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.3], None),
+}
+
+
+@pytest.mark.parametrize("kind", list(WALK_CASES))
+def test_single_walker_matches_batch_row(kind):
+    d, x, radius = WALK_CASES[kind]
+    feet, _, _ = pk.run_walks(d, x, _cfg(), truncation_radius=radius)
     for idx in (0, 17, 999):
-        np.testing.assert_array_equal(pk.wos_exit(d, x, _cfg(), walker_index=idx), feet[idx])
+        one, _, _ = pk.run_walks(d, x, _cfg(), truncation_radius=radius, walker_indices=[idx])
+        np.testing.assert_array_equal(one[0], feet[idx])
+        if radius is None:  # wos_exit takes no truncation radius
+            np.testing.assert_array_equal(pk.wos_exit(d, x, _cfg(), walker_index=idx), feet[idx])
 
 
-def test_walker_count_independence_of_batching():
-    # the first 100 walkers of a 1000-walk batch equal a 100-walk batch
-    d = pk.Ball(2)
-    x = np.array([0.0, 0.4])
-    big, _, _ = pk.run_walks(d, x, _cfg(walkers=1000))
-    small, _, _ = pk.run_walks(d, x, _cfg(walkers=100))
+@pytest.mark.parametrize("kind", list(WALK_CASES))
+def test_walker_count_independence_of_batching(kind):
+    # the first 100 walkers of a 1000-walk batch equal a 100-walk batch, and
+    # any subset of walker indices equals the same rows of the full batch
+    d, x, radius = WALK_CASES[kind]
+    big, _, big_steps = pk.run_walks(d, x, _cfg(walkers=1000), truncation_radius=radius)
+    small, _, _ = pk.run_walks(d, x, _cfg(walkers=100), truncation_radius=radius)
     assert np.array_equal(big[:100], small)
+    subset = np.arange(3, 1000, 7)
+    part, _, part_steps = pk.run_walks(d, x, _cfg(), truncation_radius=radius, walker_indices=subset)
+    assert np.array_equal(big[subset], part)
+    assert np.array_equal(big_steps[subset], part_steps)
 
 
 def test_run_walks_on_ellipse_lands_on_boundary():
