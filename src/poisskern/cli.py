@@ -24,12 +24,10 @@ variable ``POISSKERN_OUT_DIR`` prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,42 +53,9 @@ from .model_kernels import (
 )
 from .scaling import linearization_gap, transfer_defining_function
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
+__all__ = ["run", "main", "build_parser"]
 
 _OUT_DIR_ENV = "POISSKERN_OUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Parsed run configuration; fields mirror the CLI flags."""
-
-    command: str
-    domain_spec: str
-    output: str | None = None
-    summary_output: str | None = None
-    seed: int | None = None
-    # numeric knobs
-    resolution: int = 256
-    walkers: int | None = None
-    stop_tolerance: float | None = None
-    max_steps: int = 10_000
-    cap_radius: float | None = None
-    deltas: tuple | None = None
-    truncation: float | None = None
-    # geometric inputs
-    x: tuple | None = None
-    t: tuple | None = None
-    y: tuple | None = None
-    base: tuple | None = None
-    targets: tuple | None = None
-    cap_center: tuple | None = None
-    direction: tuple | None = None
-    order: int = 1
-    offsets: tuple | None = None
-    probe_height: float | None = None
-    radius: float = 1.0
-    data: str = "one"
-    kernel_kind: str = "model"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,8 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, seed_required: bool = False):
-        p.add_argument("--domain", required=True, help="path to a JSON domain-spec file")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--domain", dest="domain_spec", metavar="DOMAIN", required=True,
+                       help="path to a JSON domain-spec file")
+        p.add_argument("--out", dest="output", metavar="OUT", default=None,
+                       help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=None, required=seed_required,
                        help="random seed (recorded in every report)")
 
@@ -160,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-center", required=True, type=_point)
     p.add_argument("--cap-radius", required=True, type=float)
     p.add_argument("--walkers", required=True, type=int)
-    p.add_argument("--stop-tol", type=float, default=None)
+    p.add_argument("--stop-tol", dest="stop_tolerance", metavar="STOP_TOL", type=float,
+                   default=None)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--truncation", type=float, default=None,
                    help="truncation ball radius (required for halfspaces)")
@@ -172,9 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=_points, default=None,
                    help="semicolon-separated boundary points (default: the base point)")
     p.add_argument("--kernel", dest="kernel_kind", choices=("model", "wos"), default="model")
-    p.add_argument("--summary-out", default=None, help="optional JSON summary file")
+    p.add_argument("--summary-out", dest="summary_output", metavar="SUMMARY_OUT", default=None,
+                   help="optional JSON summary file")
     p.add_argument("--walkers", type=int, default=None)
-    p.add_argument("--stop-tol", type=float, default=None)
+    p.add_argument("--stop-tol", dest="stop_tolerance", metavar="STOP_TOL", type=float,
+                   default=None)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--cap-radius", type=float, default=None)
     p.add_argument("--truncation", type=float, default=None)
@@ -193,39 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        domain_spec=ns.domain,
-        output=ns.out,
-        summary_output=getattr(ns, "summary_out", None),
-        seed=ns.seed,
-        resolution=getattr(ns, "resolution", 256),
-        walkers=getattr(ns, "walkers", None),
-        stop_tolerance=getattr(ns, "stop_tol", None),
-        max_steps=getattr(ns, "max_steps", 10_000),
-        cap_radius=getattr(ns, "cap_radius", None),
-        deltas=getattr(ns, "deltas", None),
-        truncation=getattr(ns, "truncation", None),
-        x=getattr(ns, "x", None),
-        t=getattr(ns, "t", None),
-        y=getattr(ns, "y", None),
-        base=getattr(ns, "base", None),
-        targets=getattr(ns, "targets", None),
-        cap_center=getattr(ns, "cap_center", None),
-        direction=getattr(ns, "direction", None),
-        order=getattr(ns, "order", 1),
-        offsets=getattr(ns, "offsets", None),
-        probe_height=getattr(ns, "probe_height", None),
-        radius=getattr(ns, "radius", 1.0),
-        data=getattr(ns, "data", "one"),
-        kernel_kind=getattr(ns, "kernel_kind", "model"),
-    )
-
-
-def _config_dict(config: RunConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in raw.items()}
+def _config_dict(config: argparse.Namespace) -> dict:
+    """The parsed options of the run's subcommand, as JSON-ready values."""
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()}
 
 
 def _resolve_out_path(path: str) -> Path:
@@ -253,14 +193,14 @@ def _write_text(path: str, text: str):
         raise
 
 
-def _emit(config: RunConfig, text: str, path: str | None):
+def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
         _write_text(path, text)
 
 
-def _json_report(config: RunConfig, result: dict) -> str:
+def _json_report(config: argparse.Namespace, result: dict) -> str:
     payload = {
         "version": __version__,
         "seed": config.seed,
@@ -271,7 +211,7 @@ def _json_report(config: RunConfig, result: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_report(config: RunConfig, body: str) -> str:
+def _csv_report(config: argparse.Namespace, body: str) -> str:
     header = (
         f"# version: {__version__}\n"
         f"# seed: {json.dumps(config.seed)}\n"
@@ -292,7 +232,7 @@ def _boundary_data(spec: str):
     raise InvalidInputError(f"unknown boundary data '{spec}' (expected 'one' or 'coord:K')")
 
 
-def _wos_config(config: RunConfig) -> WosConfig:
+def _wos_config(config: argparse.Namespace) -> WosConfig:
     if config.seed is None:
         raise InvalidInputError("--seed is required for walk-on-spheres runs")
     if config.walkers is None:
@@ -315,13 +255,13 @@ def _estimate_record(est) -> dict:
     }
 
 
-def _cmd_kernel(config: RunConfig, domain: Domain):
+def _cmd_kernel(config: argparse.Namespace, domain: Domain):
     kern = model_kernel(domain)
     value = float(kern(np.asarray(config.x), np.asarray(config.t)))
-    _emit(config, _json_report(config, {"value": value}), config.output)
+    _emit(_json_report(config, {"value": value}), config.output)
 
 
-def _cmd_extend(config: RunConfig, domain: Domain):
+def _cmd_extend(config: argparse.Namespace, domain: Domain):
     data = _boundary_data(config.data)
     value = harmonic_extend(
         domain, data, np.asarray(config.x), config.resolution, truncation=config.truncation
@@ -334,10 +274,10 @@ def _cmd_extend(config: RunConfig, domain: Domain):
         result["truncation_tail_bound"] = halfspace_truncation_tail(
             domain.dim, np.asarray(config.x), config.truncation
         )
-    _emit(config, _json_report(config, result), config.output)
+    _emit(_json_report(config, result), config.output)
 
 
-def _cmd_scale(config: RunConfig, domain: Domain):
+def _cmd_scale(config: argparse.Namespace, domain: Domain):
     gaps = []
     for eps in config.deltas:
         frame = boundary_frame(domain, np.asarray(config.base), eps)
@@ -350,10 +290,10 @@ def _cmd_scale(config: RunConfig, domain: Domain):
         }
         for i in range(len(gaps) - 1)
     ]
-    _emit(config, _json_report(config, {"gaps": gaps, "halving_ratios": ratios}), config.output)
+    _emit(_json_report(config, {"gaps": gaps, "halving_ratios": ratios}), config.output)
 
 
-def _cmd_wos(config: RunConfig, domain: Domain):
+def _cmd_wos(config: argparse.Namespace, domain: Domain):
     wos = _wos_config(config)
     cap = estimate_cap_measure(
         domain,
@@ -373,10 +313,10 @@ def _cmd_wos(config: RunConfig, domain: Domain):
         result["density_unavailable"] = str(exc)
     else:
         result["density"] = _estimate_record(_density_from_cap(cap, area))
-    _emit(config, _json_report(config, result), config.output)
+    _emit(_json_report(config, result), config.output)
 
 
-def _cmd_ratio(config: RunConfig, domain: Domain):
+def _cmd_ratio(config: argparse.Namespace, domain: Domain):
     if config.kernel_kind == "wos":
         wos = _wos_config(config)
         if config.cap_radius is None:
@@ -392,19 +332,13 @@ def _cmd_ratio(config: RunConfig, domain: Domain):
         list(config.deltas),
         [np.asarray(t) for t in targets],
     )
-    _emit(config, _csv_report(config, report.to_csv_text()), config.output)
+    _emit(_csv_report(config, report.to_csv_text()), config.output)
     if config.summary_output is not None:
-        summary = {
-            "version": __version__,
-            "seed": config.seed,
-            "config": _config_dict(config),
-            "result": report.to_json_summary(seed=config.seed),
-            "meta": {"created": datetime.now(timezone.utc).isoformat()},
-        }
-        _write_text(config.summary_output, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary = report.to_json_summary(seed=config.seed)
+        _write_text(config.summary_output, _json_report(config, summary))
 
 
-def _cmd_derivative(config: RunConfig, domain: Domain):
+def _cmd_derivative(config: argparse.Namespace, domain: Domain):
     kernel = model_kernel(domain)
     sweep_mode = config.base is not None
     if sweep_mode:
@@ -418,7 +352,7 @@ def _cmd_derivative(config: RunConfig, domain: Domain):
             list(config.offsets),
             orders=(config.order,),
         )
-        _emit(config, _json_report(config, report.to_json_summary()), config.output)
+        _emit(_json_report(config, report.to_json_summary()), config.output)
         return
     if config.x is None or config.y is None or config.direction is None:
         raise InvalidInputError("point mode requires --x, --y and --direction")
@@ -430,7 +364,7 @@ def _cmd_derivative(config: RunConfig, domain: Domain):
         config.order,
         np.asarray(config.direction),
     )
-    _emit(config, _json_report(config, {"ratio": ratio, "order": config.order}), config.output)
+    _emit(_json_report(config, {"ratio": ratio, "order": config.order}), config.output)
 
 
 _DISPATCH = {
@@ -443,8 +377,8 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed run configuration; returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Execute parsed command-line options; returns the process exit code."""
     try:
         domain = load_domain_spec(config.domain_spec)
         _DISPATCH[config.command](config, domain)
@@ -460,8 +394,7 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        config = config_from_args(ns)
+        config = parser.parse_args(argv)
     except InvalidInputError as exc:
         print(f"poisskern: error: {exc}", file=sys.stderr)
         return 1

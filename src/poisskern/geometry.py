@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -510,19 +511,28 @@ class Implicit(Domain):
             H[:, j] = (self._grad_at(y + step) - self._grad_at(y - step)) / (2.0 * h)
         return 0.5 * (H + H.T)
 
-    def _seed_candidates(self, x: np.ndarray) -> list[np.ndarray]:
+    @functools.cached_property
+    def _flowed_grid(self) -> np.ndarray:
+        """Bounding-box grid flowed a few first-order steps toward the zero set.
+
+        It does not depend on the query point, so it is computed once per
+        domain and kept read-only.
+        """
         lo, hi = self.bounding_box
         m = max(6, min(16, int(round(4096 ** (1.0 / self.dim)))))
         axes = [np.linspace(lo[j], hi[j], m) for j in range(self.dim)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        # Flow each sample a few first-order steps toward the zero level set.
-        y = grid.copy()
+        y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         for _ in range(8):
             for i in range(y.shape[0]):
                 g = self._grad_at(y[i])
                 g2 = float(np.dot(g, g))
                 if g2 > 1e-20:
                     y[i] = y[i] - float(self._rho(y[i])) * g / g2
+        y.setflags(write=False)
+        return y
+
+    def _seed_candidates(self, x: np.ndarray) -> list[np.ndarray]:
+        y = self._flowed_grid
         order = np.argsort(np.linalg.norm(y - x, axis=1))
         picked: list[np.ndarray] = []
         for idx in order:

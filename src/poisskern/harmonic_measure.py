@@ -201,19 +201,31 @@ def run_walks(
     return feet, truncated, steps
 
 
-def wos_exit(domain: Domain, x, config: WosConfig, walker_index: int) -> np.ndarray:
+def wos_exit(
+    domain: Domain,
+    x,
+    config: WosConfig,
+    walker_index: int,
+    truncation_radius: float | None = None,
+) -> np.ndarray:
     """Exit point of the single walk with the given counter-stream index.
 
     Deterministic given ``(config.seed, walker_index)`` and identical to row
-    ``walker_index`` of a batched run.  Raises :class:`WalkTruncatedError` if
-    this walk exhausts its step budget (use the estimators to count truncated
-    walks instead of failing).
+    ``walker_index`` of a batched run with the same ``truncation_radius``.
+    Raises :class:`WalkTruncatedError`, naming the cause, if this walk
+    exhausts its step budget or leaves the truncation ball (use the
+    estimators to count truncated walks instead of failing).
     """
-    feet, truncated, _ = run_walks(domain, x, config, walker_indices=[int(walker_index)])
+    feet, truncated, steps = run_walks(
+        domain, x, config, truncation_radius=truncation_radius,
+        walker_indices=[int(walker_index)],
+    )
     if truncated[0]:
-        raise WalkTruncatedError(
-            f"walk {walker_index} exceeded {config.max_steps} steps without exiting"
-        )
+        if steps[0] == config.max_steps:
+            cause = f"exceeded {config.max_steps} steps without exiting"
+        else:
+            cause = f"left the truncation ball of radius {truncation_radius} after {steps[0]} steps"
+        raise WalkTruncatedError(f"walk {walker_index} {cause}")
     return feet[0]
 
 
@@ -274,8 +286,9 @@ def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
     (exact for chordal caps), halfspace boundary ball (length ``2c`` in d=2,
     area ``pi c^2`` in d=3, and the general (d-1)-ball volume above).  Ellipse
     caps bracket the two arc endpoints and integrate the arc-length element
-    (Brent root-finding plus Gauss-Legendre); the cap radius must stay below
-    the minimum radius of curvature so the cap is a single arc.
+    (bisection to full double precision plus Gauss-Legendre); the cap radius
+    must stay below the minimum radius of curvature so the cap is a single
+    arc.
     """
     center, c = _validate_cap(domain, cap_center, cap_radius)
     if isinstance(domain, Ball):
@@ -298,20 +311,30 @@ def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
     )
 
 
-def _ellipse_cap_arc_length(domain: Ellipse, center: np.ndarray, c: float) -> float:
-    from scipy.optimize import brentq
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in ``[lo, hi]`` given ``f(lo) < 0 <= f(hi)``, to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
+
+def _ellipse_cap_arc_length(domain: Ellipse, center: np.ndarray, c: float) -> float:
     if c >= domain.min_curvature_radius():
         raise InvalidInputError(
             f"cap radius {c} is not small relative to the minimum curvature radius "
             f"{domain.min_curvature_radius():.6g}"
         )
     a, b = domain.semi_axes
-    theta0 = math.atan2(center[1] / b, center[0] / a)
+    cx, cy = float(center[0]), float(center[1])
+    theta0 = math.atan2(cy / b, cx / a)
 
-    def h(theta: float) -> float:
-        p = domain.boundary_point(theta)
-        return float(np.sum((p - center) ** 2)) - c * c
+    def h(theta: float) -> float:  # squared chord to boundary_point(theta), minus c^2
+        return (a * math.cos(theta) - cx) ** 2 + (b * math.sin(theta) - cy) ** 2 - c * c
 
     # Bracket the two endpoints by marching outward from the center parameter.
     step = c / (2.0 * max(a, b))
@@ -324,7 +347,7 @@ def _ellipse_cap_arc_length(domain: Ellipse, center: np.ndarray, c: float) -> fl
             cur += step
             if cur > math.pi:
                 raise InvalidInputError("cap covers more than half the boundary")
-        ends.append(brentq(lambda u: h(theta0 + sign * u), prev, cur, xtol=1e-15, rtol=8.9e-16))
+        ends.append(_bisect(lambda u: h(theta0 + sign * u), prev, cur))
     lo, hi = theta0 - ends[1], theta0 + ends[0]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -377,6 +400,7 @@ class WosKernel:
     ratio sweep over many boundary targets costs one Monte Carlo run per
     source point.  Estimates sharing an ``x`` are therefore correlated across
     targets; estimates for different ``x`` are independent.
+    The cap area of each target is computed once as well.
 
     Calling the object returns the density estimate as a float;
     :meth:`estimate` returns the full :class:`MeasureEstimate`.
@@ -396,6 +420,7 @@ class WosKernel:
             raise InvalidInputError(f"cap_radius must be positive and finite, got {cap_radius}")
         self.truncation_radius = truncation_radius
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._areas: dict[bytes, float] = {}  # cap area per target; the radius is fixed
 
     def _exits(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = x.tobytes()
@@ -409,7 +434,10 @@ class WosKernel:
     def estimate(self, x, y) -> MeasureEstimate:
         x = as_point(x, self.domain.dim, name="x")
         center, radius = _validate_cap(self.domain, y, self.cap_radius)
-        area = cap_surface_measure(self.domain, center, radius)
+        key = center.tobytes()
+        if key not in self._areas:
+            self._areas[key] = cap_surface_measure(self.domain, center, radius)
+        area = self._areas[key]
         feet, truncated = self._exits(x)
         cap = _cap_estimate_from_feet(feet, truncated, center, radius, self.config)
         return _density_from_cap(cap, area)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import DomainUnsupportedError, InvalidInputError
 from .geometry import Ball, BoundaryFrame, Domain, Halfspace, as_point
@@ -116,37 +115,63 @@ def transfer_defining_function(frame: BoundaryFrame, domain: Domain) -> Transfer
     return TransferredDefiningFunction(frame=frame, domain=domain, gradient_scale=gn)
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(n: int, dim: int) -> np.ndarray:
+    """First ``n`` points of the unscrambled Halton sequence in ``[0, 1)^dim``.
+
+    Column ``j`` is the radical inverse of ``0 .. n-1`` in the ``j``-th prime
+    base (Halton, Numer. Math. 2, 1960); row 0 is the origin.
+    """
+    out = np.zeros((n, dim))
+    for j, base in enumerate(_primes(dim)):
+        digits = np.arange(n)
+        scale = 1.0 / base
+        while np.any(digits):
+            out[:, j] += (digits % base) * scale
+            digits //= base
+            scale /= base
+    return out
+
+
+def _unit_directions(u: np.ndarray) -> np.ndarray:
+    """Rows of ``(0, 1)^d`` mapped to unit vectors through the normal quantile."""
+    inv_cdf = NormalDist().inv_cdf
+    g = np.array([inv_cdf(v) for v in u.ravel()]).reshape(u.shape)
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms < 1e-14] = 1.0
+    return g / norms[:, None]
+
+
 @lru_cache(maxsize=32)
 def _gap_grid(dim: int, radius: float) -> np.ndarray:
     """Deterministic low-discrepancy sample of the closed ball |s| <= radius.
 
     4096 points total: 3584 interior points from an unscrambled Halton
-    sequence (inverse-Gaussian directions, radii ~ u^{1/d} for uniformity in
-    volume) plus 512 points exactly on the bounding sphere, where
-    curvature-dominated gaps attain their supremum.
+    sequence, generated by radical inverses (inverse-Gaussian directions,
+    radii ~ u^{1/d} for uniformity in volume), plus 512 points exactly on the
+    bounding sphere, where curvature-dominated gaps attain their supremum.
     """
     inner = _GRID_SIZE - _GRID_SHELL
-    halton = qmc.Halton(d=dim + 1, scramble=False)
-    raw = halton.random(inner + 64)
-    good = raw[np.all((raw > 0.0) & (raw < 1.0), axis=1)][:inner]
-    dirs = ndtri(good[:, :dim])
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms < 1e-14] = 1.0
-    dirs = dirs / norms[:, None]
-    radii = radius * good[:, dim] ** (1.0 / dim)
-    interior = dirs * radii[:, None]
+    raw = _halton(inner + 64, dim + 1)
+    good = raw[np.all((raw > 0.0) & (raw < 1.0), axis=1)]
+    radii = radius * good[:inner, dim] ** (1.0 / dim)
+    interior = _unit_directions(good[:inner, :dim]) * radii[:, None]
 
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(_GRID_SHELL) / _GRID_SHELL
         shell_dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        halton_s = qmc.Halton(d=dim, scramble=False)
-        raw_s = halton_s.random(_GRID_SHELL + 64)
-        good_s = raw_s[np.all((raw_s > 0.0) & (raw_s < 1.0), axis=1)][:_GRID_SHELL]
-        shell_dirs = ndtri(good_s)
-        ns = np.linalg.norm(shell_dirs, axis=1)
-        ns[ns < 1e-14] = 1.0
-        shell_dirs = shell_dirs / ns[:, None]
+        shell_dirs = _unit_directions(good[:_GRID_SHELL, :dim])
     shell = radius * shell_dirs
     grid = np.concatenate([interior, shell], axis=0)
     grid.setflags(write=False)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +281,16 @@ def test_derivative_mode_validation(specs, capsys):
     code = main(["derivative", "--domain", specs["halfplane"], "--base", "0,0"])
     assert code == 1
     assert "sweep mode requires" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # package and its CLI must not pull in any scipy module.
+    code = (
+        "import sys, poisskern, poisskern.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pk.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -202,6 +202,17 @@ def test_implicit_polynomial_gradient_and_hessian_are_exact():
     )
 
 
+def test_implicit_seed_grid_is_flowed_once_and_read_only():
+    imp = _ellipse_implicit()
+    x = np.array([0.4, 0.2])
+    first = imp.signed_distance(x)
+    grid = imp._flowed_grid
+    assert not grid.flags.writeable
+    assert imp.signed_distance(x) == first
+    assert imp._flowed_grid is grid
+    assert _ellipse_implicit().signed_distance(x) == first
+
+
 def test_implicit_detects_ambiguous_projection():
     imp = _ellipse_implicit()
     with pytest.raises(pk.ProjectionAmbiguityError):

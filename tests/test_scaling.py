@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
+from poisskern import scaling
 
 
 def _disc_frame(eps=0.1, base=(0.0, -1.0)):
@@ -126,6 +127,44 @@ def test_linearization_gap_halves_on_ellipse_at_every_base():
         g1 = pk.linearization_gap(pk.transfer_defining_function(fr1, e), 1.0)
         g2 = pk.linearization_gap(pk.transfer_defining_function(fr2, e), 1.0)
         assert 0.4 <= g2 / g1 <= 0.6
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_halton_equals_scipy_unscrambled_halton(dim):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    reference = qmc.Halton(d=dim, scramble=False).random(3700)
+    np.testing.assert_array_equal(scaling._halton(3700, dim), reference)
+
+
+def _scipy_gap_grid(dim, radius):
+    """The gap grid as built with scipy's Halton sequence and normal quantile."""
+    qmc = pytest.importorskip("scipy.stats").qmc
+    ndtri = pytest.importorskip("scipy.special").ndtri
+
+    def directions(n, d):
+        raw = qmc.Halton(d=d, scramble=False).random(n + 64)
+        good = raw[np.all((raw > 0.0) & (raw < 1.0), axis=1)][:n]
+        g = ndtri(good[:, :dim])
+        return g / np.linalg.norm(g, axis=1)[:, None], good
+
+    dirs, good = directions(3584, dim + 1)
+    interior = dirs * (radius * good[:, dim] ** (1.0 / dim))[:, None]
+    if dim == 2:
+        angles = 2.0 * np.pi * np.arange(512) / 512
+        shell_dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        shell_dirs, _ = directions(512, dim)
+    return np.concatenate([interior, radius * shell_dirs], axis=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_gap_grid_matches_scipy_construction(dim, radius):
+    grid = scaling._gap_grid(dim, radius)
+    reference = _scipy_gap_grid(dim, radius)
+    assert grid.shape == reference.shape == (4096, dim)
+    assert np.abs(grid - reference).max() <= 1e-15
+    assert not grid.flags.writeable
 
 
 def test_linearization_gap_input_validation():

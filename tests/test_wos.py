@@ -65,8 +65,16 @@ def test_single_walker_matches_batch_row(kind):
     for idx in (0, 17, 999):
         one, _, _ = pk.run_walks(d, x, _cfg(), truncation_radius=radius, walker_indices=[idx])
         np.testing.assert_array_equal(one[0], feet[idx])
-        if radius is None:  # wos_exit takes no truncation radius
-            np.testing.assert_array_equal(pk.wos_exit(d, x, _cfg(), walker_index=idx), feet[idx])
+        single = pk.wos_exit(d, x, _cfg(), walker_index=idx, truncation_radius=radius)
+        np.testing.assert_array_equal(single, feet[idx])
+
+
+def test_wos_exit_names_the_truncation_cause():
+    h, x, radius = WALK_CASES["halfplane"]
+    _, truncated, _ = pk.run_walks(h, x, _cfg(), truncation_radius=radius)
+    escaped = int(np.flatnonzero(truncated)[0])
+    with pytest.raises(pk.WalkTruncatedError, match="left the truncation ball of radius 20.0"):
+        pk.wos_exit(h, x, _cfg(), walker_index=escaped, truncation_radius=radius)
 
 
 @pytest.mark.parametrize("kind", list(WALK_CASES))
@@ -106,7 +114,7 @@ def test_truncation_and_wos_exit_error():
     x = np.array([0.0, 0.0])
     feet, trunc, _ = pk.run_walks(d, x, _cfg(max_steps=1, stop_tolerance=1e-9))
     assert trunc.all()
-    with pytest.raises(pk.WalkTruncatedError):
+    with pytest.raises(pk.WalkTruncatedError, match="exceeded 1 steps"):
         pk.wos_exit(d, x, _cfg(max_steps=1, stop_tolerance=1e-9), walker_index=0)
 
 
@@ -261,6 +269,28 @@ def test_wos_kernel_caches_and_reproduces():
     assert est.estimate == first
     fresh = pk.WosKernel(d, _cfg(walkers=5000, seed=42), cap_radius=0.1)
     assert fresh(x, y) == first
+
+
+def test_wos_kernel_computes_each_cap_area_once(monkeypatch):
+    from poisskern import harmonic_measure
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pk.cap_surface_measure(*args)
+
+    e = pk.Ellipse([2.0, 1.0])
+    cfg = _cfg(walkers=200)
+    targets = [e.boundary_point(th) for th in (0.3, 1.2)]
+    expected = [pk.estimate_kernel_density(e, [0.5, 0.3], y, 0.1, cfg) for y in targets]
+    monkeypatch.setattr(harmonic_measure, "cap_surface_measure", counting)
+    kern = pk.WosKernel(e, cfg, cap_radius=0.1)
+    assert [kern.estimate([0.5, 0.3], y) for y in targets] == expected
+    for x in ([0.2, -0.4], [-1.0, 0.1]):
+        for y in targets:
+            kern.estimate(x, y)
+    assert len(calls) == len(targets)
 
 
 def test_wos_kernel_descriptor_and_validation():
