@@ -70,9 +70,18 @@ def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     """
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
+    return _ratio_record(domain, kernel, x, y, _interior_distance(domain, x))
+
+
+def _interior_distance(domain: Domain, x: np.ndarray) -> float:
     delta = -domain.signed_distance(x)
     if not delta > 0.0:
         raise InvalidInputError("x must be strictly inside the domain")
+    return delta
+
+
+def _ratio_record(domain: Domain, kernel, x: np.ndarray, y: np.ndarray, delta: float) -> RatioRecord:
+    # x and y are validated points and delta = delta(x) > 0.
     separation = float(np.linalg.norm(x - y))
     if separation == 0.0:
         raise InvalidInputError("x and y must be distinct")
@@ -161,8 +170,9 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
         x = base + delta * nu
         if not domain.contains(x):
             raise InvalidInputError(f"delta = {delta} leaves the domain from base {base.tolist()}")
+        dist = _interior_distance(domain, x)
         for y in target_pts:
-            records.append(kernel_ratio(domain, kernel, x, y))
+            records.append(_ratio_record(domain, kernel, x, y, dist))
     ratios = [rec.ratio for rec in records]
     return SweepReport(
         records=tuple(records),

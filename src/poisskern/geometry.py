@@ -866,10 +866,45 @@ def _circle_rule(center: np.ndarray, radius: float, n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, spacing=2.0 * np.pi * radius / n)
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``n``-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence for P_n, vectorised over the
+    nodes in [0, 1) and started from Tricomi's asymptotic guesses: O(n^2) time
+    and O(n) memory (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The
+    other half follows by symmetry; the middle node of an odd rule is exactly 0.
+    """
+    m = n // 2
+    k = np.arange(1, n - m + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(10):  # 3-5 steps reach 1e-16 for every n tested up to 16384
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        if np.max(np.abs(dx)) <= 1e-16:
+            break
+        x -= dx
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes for n = {n} did not converge in 10 Newton steps")
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate([-x, x[:m][::-1]])
+    if n % 2:
+        nodes[m] = 0.0
+    weights = np.concatenate([w, w[:m][::-1]])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _sphere_rule(center: np.ndarray, radius: float, resolution: int) -> QuadratureRule:
     # Gauss-Legendre in cos(polar) x uniform azimuth: exact total area, spectral
     # accuracy for smooth integrands.
-    mu, w = np.polynomial.legendre.leggauss(resolution)
+    mu, w = _gauss_legendre(resolution)
     m = 2 * resolution
     phi = 2.0 * np.pi * np.arange(m) / m
     s = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
@@ -895,7 +930,7 @@ def _ellipse_rule(domain: Ellipse, n: int) -> QuadratureRule:
 def _halfspace_rule(domain: Halfspace, resolution: int, truncation: float) -> QuadratureRule:
     if not (truncation and truncation > 0.0 and math.isfinite(truncation)):
         raise InvalidInputError("halfspace quadrature requires a positive truncation radius")
-    t, w = np.polynomial.legendre.leggauss(resolution)
+    t, w = _gauss_legendre(resolution)
     if domain.dim == 2:
         nodes = np.stack([truncation * t, np.zeros(resolution)], axis=1)
         weights = truncation * w
@@ -927,7 +962,9 @@ def boundary_quadrature(domain: Domain, resolution: int, truncation: float | Non
     Supports circles (trapezoidal, equal weights), spheres (Gauss-Legendre in
     the polar cosine times uniform azimuth), ellipses (trapezoidal against the
     arc-length element), and truncated halfspace boundaries in d = 2, 3
-    (Gauss-Legendre; ``truncation`` is the required cutoff radius).  Weights
+    (Gauss-Legendre; ``truncation`` is the required cutoff radius).  The
+    Gauss-Legendre rules come from Newton iteration on the Legendre
+    recurrence, O(resolution^2), and are cached per resolution.  Weights
     sum to the surface area (circle 2*pi*r, sphere 4*pi*r^2, ellipse
     perimeter) to well below 1e-8 at moderate resolution.
     """

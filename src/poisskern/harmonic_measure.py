@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     WalkTruncatedError,
 )
-from .geometry import Ball, Domain, Ellipse, Halfspace, as_point
+from .geometry import Ball, Domain, Ellipse, Halfspace, _gauss_legendre, as_point
 
 __all__ = [
     "WosConfig",
@@ -349,7 +349,7 @@ def _ellipse_cap_arc_length(domain: Ellipse, center: np.ndarray, c: float) -> fl
                 raise InvalidInputError("cap covers more than half the boundary")
         ends.append(_bisect(lambda u: h(theta0 + sign * u), prev, cur))
     lo, hi = theta0 - ends[1], theta0 + ends[0]
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = _gauss_legendre(64)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return float(half * np.sum(weights * domain.boundary_speed(mid + half * nodes)))
 

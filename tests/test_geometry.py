@@ -2,12 +2,13 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern.geometry import _ellipse_feet, as_point
+from poisskern.geometry import _ellipse_feet, _gauss_legendre, as_point
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,63 @@ def test_quadrature_resolution_floor_and_unsupported_domains():
         pk.boundary_quadrature(_ellipse_implicit(), 64)
     with pytest.raises(pk.DomainUnsupportedError):
         pk.boundary_quadrature(pk.Ball(4), 16)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 1024, 1025, 2048])
+def test_gauss_legendre_matches_numpy_and_is_exact(n):
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 2e-16
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    if n % 2:
+        assert nodes[n // 2] == 0.0
+    assert abs(np.sum(weights) - 2.0) <= 1e-15
+    for j in range(min(n, 40)):
+        assert abs(np.sum(weights * nodes ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-14
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    nodes, weights = _gauss_legendre(64)
+    again = _gauss_legendre(64)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_halfspace_weights_match_extended_precision_reference():
+    mpmath = pytest.importorskip("mpmath")
+    n = 2048
+    rule = pk.boundary_quadrature(pk.Halfspace(2), n, truncation=1.0)
+    with mpmath.workdps(40):
+        for i in (0, n // 2):
+            # Newton on the recurrence for P_n in 40-digit arithmetic.
+            x = mpmath.mpf(float(rule.nodes[i, 0]))
+            for _ in range(10):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(2, n + 1):
+                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+                dp = n * (x * p - p_prev) / (x * x - 1)
+                dx = p / dp
+                x -= dx
+                if abs(dx) < mpmath.mpf("1e-35"):
+                    break
+            exact = 2 / ((1 - x * x) * dp * dp)
+            assert float(abs(rule.weights[i] - exact) / exact) <= 1e-9
+
+
+def test_halfspace_quadrature_builds_without_a_dense_matrix():
+    # A dense 2048 x 2048 eigenproblem alone would take 32 MB.
+    _gauss_legendre.cache_clear()
+    tracemalloc.start()
+    try:
+        rule = pk.boundary_quadrature(pk.Halfspace(2), 2048, truncation=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rule) == 2048
+    assert peak < 4 * 2**20
 
 
 def test_domain_descriptors_round_trip_core_fields():
