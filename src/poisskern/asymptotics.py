@@ -8,6 +8,12 @@ Closed ratio laws on model domains (disc: ``(1 + |x|)/(2 pi)`` independent of
 ``y``; halfspace: identically ``Gamma(d/2)/pi^{d/2}``) make exact tests
 possible; on other domains the kernel is estimated by walk-on-spheres.
 
+Kernels are batch evaluators: ``kernel(x, T)`` takes one interior point and an
+``(m, d)`` batch of boundary points and returns ``m`` values (an evaluator
+with an ``estimate`` method returns ``m`` Monte Carlo estimates instead).  A
+sweep evaluates each source point once, over all of its targets; a single
+ratio is the same computation with one target.
+
 The derivative analogue ``|D^k P(x, y)| |x - y|^{d+k} / delta(x)`` is exposed
 as a direction-resolved *report*, not an assertion: exact halfspace algebra
 shows the normal-direction ratio grows without bound when ``delta << |x - y|``
@@ -64,45 +70,73 @@ class RatioRecord:
 def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     """Evaluate the ratio ``P(x, y) |x - y|^d / delta(x)`` as a record.
 
-    ``kernel`` is any evaluator ``(x, y) -> value``; evaluators exposing an
-    ``estimate`` method returning a ``MeasureEstimate`` (such as the
-    walk-on-spheres kernel) also populate the record's standard error.
+    ``kernel`` is a batch evaluator ``(x, T) -> m values``, called here with
+    the one-row batch ``T = [y]``; evaluators exposing an ``estimate`` method
+    returning ``MeasureEstimate``s (such as the walk-on-spheres kernel) also
+    populate the record's standard error.
     """
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
-    return _ratio_record(domain, kernel, x, y, _interior_distance(domain, x))
-
-
-def _interior_distance(domain: Domain, x: np.ndarray) -> float:
     delta = -domain.signed_distance(x)
     if not delta > 0.0:
         raise InvalidInputError("x must be strictly inside the domain")
-    return delta
+    return _ratio_records(domain, kernel, x, delta, y[None, :], name="y")[0]
 
 
-def _ratio_record(domain: Domain, kernel, x: np.ndarray, y: np.ndarray, delta: float) -> RatioRecord:
-    # x and y are validated points and delta = delta(x) > 0.
-    separation = float(np.linalg.norm(x - y))
-    if separation == 0.0:
-        raise InvalidInputError("x and y must be distinct")
+def _kernel_batch(kernel, x: np.ndarray, T: np.ndarray) -> tuple[list, list | None]:
+    """One kernel call at ``x`` over the rows of ``T``: values and standard errors."""
+    m = T.shape[0]
     if hasattr(kernel, "estimate"):
-        est = kernel.estimate(x, y)
-        value = est.estimate
-        se_ratio = est.std_error * separation**domain.dim / delta
-    else:
-        value = float(kernel(x, y))
-        se_ratio = 0.0
-    ratio = value * separation**domain.dim / delta
-    return RatioRecord(
-        x=tuple(x.tolist()),
-        y=tuple(y.tolist()),
-        delta=float(delta),
-        separation=separation,
-        kernel=float(value),
-        ratio=float(ratio),
-        far_field=bool(separation > FAR_FIELD_SEPARATION_FACTOR * delta),
-        std_error=float(se_ratio),
-    )
+        ests = kernel.estimate(x, T)
+        is_sequence = isinstance(ests, (list, tuple))
+        if not is_sequence or len(ests) != m:
+            got = f"{len(ests)} estimates" if is_sequence else type(ests).__name__
+            raise InvalidInputError(
+                f"kernel.estimate returned {got} for {m} targets; expected {m} estimates"
+            )
+        return [e.estimate for e in ests], [e.std_error for e in ests]
+    return _kernel_values(kernel, x, T).tolist(), None
+
+
+def _kernel_values(kernel, x: np.ndarray, T: np.ndarray) -> np.ndarray:
+    values = np.asarray(kernel(x, T), dtype=float)
+    if values.shape != (T.shape[0],):
+        raise InvalidInputError(
+            f"kernel returned shape {values.shape} for {T.shape[0]} targets; expected ({T.shape[0]},)"
+        )
+    return values
+
+
+def _ratio_records(
+    domain: Domain, kernel, x: np.ndarray, delta: float, T: np.ndarray, name: str = "targets"
+) -> list:
+    # x is a validated interior point with delta = delta(x) > 0 and T an
+    # (m, d) batch of validated points; ``name`` labels T's rows in errors.
+    # The separation is the 1-D norm of each difference: an axis-1 norm can
+    # differ from it in the last bit.
+    separations = [float(np.linalg.norm(x - t)) for t in T]
+    if 0.0 in separations:
+        j = separations.index(0.0)
+        raise InvalidInputError(f"x and {name}[{j}] must be distinct: both are {T[j].tolist()}")
+    values, errors = _kernel_batch(kernel, x, T)
+    d = domain.dim
+    x_tuple = tuple(x.tolist())
+    records = []
+    for j, (y, separation, value) in enumerate(zip(T.tolist(), separations, values)):
+        se_ratio = 0.0 if errors is None else errors[j] * separation**d / delta
+        records.append(
+            RatioRecord(
+                x=x_tuple,
+                y=tuple(y),
+                delta=float(delta),
+                separation=separation,
+                kernel=float(value),
+                ratio=float(value * separation**d / delta),
+                far_field=bool(separation > FAR_FIELD_SEPARATION_FACTOR * delta),
+                std_error=float(se_ratio),
+            )
+        )
+    return records
 
 
 @dataclass(frozen=True)
@@ -148,13 +182,14 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     For each ``delta`` the source point is ``x = base + delta * nu`` (``nu``
     the inward unit normal at ``base``); each boundary target contributes one
     :class:`RatioRecord`.  The report's ``c1_hat``/``c2_hat`` are the observed
-    extremes over the whole grid, including far-field records.
+    extremes over the whole grid, including far-field records.  The kernel is
+    called once per source point, with all targets as one batch.
     """
     base = as_point(base, domain.dim, name="base")
     if abs(domain.rho(base)) > 1e-10:
         raise InvalidInputError("sweep base point is not on the boundary")
     deltas = [float(d) for d in deltas]
-    target_pts = [as_point(t, domain.dim, name="target") for t in targets]
+    target_pts = [as_point(t, domain.dim, name=f"targets[{j}]") for j, t in enumerate(targets)]
     if not deltas:
         raise InvalidInputError("normal_sweep requires at least one delta")
     if not target_pts:
@@ -165,14 +200,23 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
         raise InvalidInputError("degenerate gradient at the sweep base point")
     nu = -g / gn
 
+    T = np.stack(target_pts)
+    X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
+    outside = np.flatnonzero(~(domain.rho_batch(X) < 0.0))
+    if outside.size:
+        raise InvalidInputError(
+            f"delta = {deltas[outside[0]]} leaves the domain from base {base.tolist()}"
+        )
+    dist = -domain.signed_distance_batch(X)
+    shallow = np.flatnonzero(~(dist > 0.0))
+    if shallow.size:
+        k = int(shallow[0])
+        raise InvalidInputError(
+            f"x = {X[k].tolist()} (delta = {deltas[k]}) is not strictly inside the domain"
+        )
     records = []
-    for delta in deltas:
-        x = base + delta * nu
-        if not domain.contains(x):
-            raise InvalidInputError(f"delta = {delta} leaves the domain from base {base.tolist()}")
-        dist = _interior_distance(domain, x)
-        for y in target_pts:
-            records.append(_ratio_record(domain, kernel, x, y, dist))
+    for x, delta in zip(X, dist.tolist()):
+        records.extend(_ratio_records(domain, kernel, x, delta, T))
     ratios = [rec.ratio for rec in records]
     return SweepReport(
         records=tuple(records),
@@ -182,7 +226,7 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
         grid_descriptor={
             "base": base.tolist(),
             "deltas": deltas,
-            "targets": [t.tolist() for t in target_pts],
+            "targets": T.tolist(),
             "far_field_rule": f"separation > {FAR_FIELD_SEPARATION_FACTOR:g} * delta",
         },
     )
@@ -203,12 +247,15 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
     u = u / un
     if not (step > 0.0 and math.isfinite(step)):
         raise InvalidInputError(f"difference step must be positive, got {step}")
+    return float(_difference_quotient(lambda p: kernel(p, y), x, u, order, step))
+
+
+def _difference_quotient(values, x: np.ndarray, u: np.ndarray, order: int, step: float):
+    """Central difference of ``p -> values(p)`` at ``x`` along the unit vector ``u``."""
     if order == 1:
-        return float((kernel(x + step * u, y) - kernel(x - step * u, y)) / (2.0 * step))
+        return (values(x + step * u) - values(x - step * u)) / (2.0 * step)
     if order == 2:
-        return float(
-            (kernel(x + step * u, y) - 2.0 * kernel(x, y) + kernel(x - step * u, y)) / (step * step)
-        )
+        return (values(x + step * u) - 2.0 * values(x) + values(x - step * u)) / (step * step)
     raise InvalidInputError(f"derivative order must be 1 or 2, got {order}")
 
 
@@ -325,31 +372,38 @@ def derivative_report(
     offsets = [float(t) for t in tangential_offsets]
     if not offsets:
         raise InvalidInputError("at least one tangential offset is required")
+    Y = base[None, :] + np.array(offsets)[:, None] * tangents[0][None, :]
+    on = np.abs(domain.rho_batch(Y)) <= 1e-10
+    if not np.all(on):
+        Y[~on] = domain.project_batch(Y[~on])[0]
+
+    # Each (direction, order) stencil is evaluated over all targets at once.
+    step = max(1e-6, 1e-4 * h)
+    directions = [(t, "tangential") for t in tangents] + [(nu, "normal")]
+    derivs = {}
+    for i, (direction, _) in enumerate(directions):
+        u = direction / np.linalg.norm(direction)
+        for order in orders:
+            derivs[i, order] = _difference_quotient(
+                lambda p: _kernel_values(kernel, p, Y), x, u, order, step
+            ).tolist()
+    delta = -domain.signed_distance(x)
+    x_tuple = tuple(x.tolist())
     records = []
-    for offset in offsets:
-        y_raw = base + offset * tangents[0]
-        if abs(domain.rho(y_raw)) <= 1e-10:
-            y = y_raw
-        else:
-            y, _ = domain.project_to_boundary(y_raw)
-        directions = [(t, "tangential") for t in tangents] + [(nu, "normal")]
-        for direction, label in directions:
+    for j, y in enumerate(Y):
+        separation = float(np.linalg.norm(x - y))
+        for i, (direction, label) in enumerate(directions):
             for order in orders:
-                deriv = directional_derivative(
-                    kernel, x, y, order, direction, step=max(1e-6, 1e-4 * h)
-                )
-                delta = -domain.signed_distance(x)
-                separation = float(np.linalg.norm(x - y))
-                ratio = abs(deriv) * separation ** (domain.dim + order) / delta
+                deriv = derivs[i, order][j]
                 records.append(
                     DerivativeRecord(
-                        x=tuple(x.tolist()),
+                        x=x_tuple,
                         y=tuple(y.tolist()),
-                        direction=tuple(np.asarray(direction).tolist()),
+                        direction=tuple(direction.tolist()),
                         direction_label=label,
                         order=int(order),
-                        derivative=float(deriv),
-                        ratio=float(ratio),
+                        derivative=deriv,
+                        ratio=float(abs(deriv) * separation ** (domain.dim + order) / delta),
                         delta=float(delta),
                         separation=separation,
                     )

@@ -229,11 +229,14 @@ def wos_exit(
     return feet[0]
 
 
-def _validate_cap(domain: Domain, cap_center, cap_radius: float) -> tuple[np.ndarray, float]:
-    center = as_point(cap_center, domain.dim, name="cap_center")
-    if abs(domain.rho(center)) > 1e-8:
+def _validate_cap(
+    domain: Domain, cap_center, cap_radius: float, name: str = "cap_center"
+) -> tuple[np.ndarray, float]:
+    center = as_point(cap_center, domain.dim, name=name)
+    rho = domain.rho(center)
+    if abs(rho) > 1e-8:
         raise InvalidInputError(
-            f"cap center is not on the boundary (rho = {domain.rho(center):.3e})"
+            f"{name} = {center.tolist()} is not on the boundary (rho = {rho:.3e})"
         )
     radius = float(cap_radius)
     if not (radius > 0.0 and math.isfinite(radius)):
@@ -402,8 +405,10 @@ class WosKernel:
     targets; estimates for different ``x`` are independent.
     The cap area of each target is computed once as well.
 
-    Calling the object returns the density estimate as a float;
-    :meth:`estimate` returns the full :class:`MeasureEstimate`.
+    Targets are a single boundary point or an ``(m, d)`` batch.  Calling the
+    object returns the density estimate as a float for one point and an array
+    of ``m`` estimates for a batch; :meth:`estimate` returns the full
+    :class:`MeasureEstimate` (a list of ``m`` for a batch).
     """
 
     def __init__(
@@ -431,19 +436,35 @@ class WosKernel:
             self._cache[key] = (feet, truncated)
         return self._cache[key]
 
-    def estimate(self, x, y) -> MeasureEstimate:
-        x = as_point(x, self.domain.dim, name="x")
-        center, radius = _validate_cap(self.domain, y, self.cap_radius)
+    def _area(self, center: np.ndarray) -> float:
         key = center.tobytes()
         if key not in self._areas:
-            self._areas[key] = cap_surface_measure(self.domain, center, radius)
-        area = self._areas[key]
-        feet, truncated = self._exits(x)
-        cap = _cap_estimate_from_feet(feet, truncated, center, radius, self.config)
-        return _density_from_cap(cap, area)
+            self._areas[key] = cap_surface_measure(self.domain, center, self.cap_radius)
+        return self._areas[key]
 
-    def __call__(self, x, y) -> float:
-        return self.estimate(x, y).estimate
+    def estimate(self, x, y) -> "MeasureEstimate | list[MeasureEstimate]":
+        x = as_point(x, self.domain.dim, name="x")
+        Y = np.asarray(y, dtype=float)
+        single = Y.ndim <= 1
+        centers = [
+            _validate_cap(self.domain, t, self.cap_radius, name="y" if single else f"y[{j}]")[0]
+            for j, t in enumerate([Y] if single else Y)
+        ]
+        areas = [self._area(center) for center in centers]
+        feet, truncated = self._exits(x)
+        out = [
+            _density_from_cap(
+                _cap_estimate_from_feet(feet, truncated, center, self.cap_radius, self.config), area
+            )
+            for center, area in zip(centers, areas)
+        ]
+        return out[0] if single else out
+
+    def __call__(self, x, y) -> "float | np.ndarray":
+        est = self.estimate(x, y)
+        if isinstance(est, MeasureEstimate):
+            return est.estimate
+        return np.array([e.estimate for e in est])
 
     def descriptor(self) -> dict:
         return {

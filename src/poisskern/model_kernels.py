@@ -47,7 +47,9 @@ __all__ = [
     "halfspace_truncation_tail",
 ]
 
-# A kernel evaluator maps (interior point, boundary point or batch) to values.
+# A kernel evaluator maps an interior point and an (m, d) batch of boundary
+# points to m values; given a single boundary point it returns one float.
+# The ratio diagnostics call every evaluator with a batch.
 KernelEvaluator = Callable[[np.ndarray, np.ndarray], "float | np.ndarray"]
 
 
@@ -79,6 +81,12 @@ def _boundary_batch(t, d: int, name: str = "t") -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _check_nonsingular(hit: np.ndarray, t: np.ndarray) -> None:
+    if np.any(hit):
+        j = np.flatnonzero(hit)[0]
+        raise InvalidInputError(f"kernel is singular at x = t[{j}] = {t[j].tolist()}")
+
+
 def _ball_kernel_values(
     x: np.ndarray,
     t: np.ndarray,
@@ -93,13 +101,15 @@ def _ball_kernel_values(
             f"x must be interior to the ball (|x - c| = {inradius:.6g}, radius = {radius:.6g})"
         )
     offsets = np.abs(np.linalg.norm(t - center, axis=1) - radius)
-    if np.any(offsets > boundary_tol):
+    bad = np.flatnonzero(offsets > boundary_tol)
+    if bad.size:
+        j = bad[0]
         raise InvalidInputError(
-            f"boundary point off the sphere by {float(np.max(offsets)):.3e} (tolerance {boundary_tol:.1e})"
+            f"boundary point t[{j}] = {t[j].tolist()} is off the sphere by {offsets[j]:.3e} "
+            f"(tolerance {boundary_tol:.1e})"
         )
     sep = np.linalg.norm(t - x[None, :], axis=1)
-    if np.any(sep == 0.0):
-        raise InvalidInputError("kernel is singular at x = t")
+    _check_nonsingular(sep == 0.0, t)
     return ball_constant(d) * (radius**2 - inradius**2) / (radius * sep**d)
 
 
@@ -133,13 +143,14 @@ def poisson_halfspace(d: int, x, t) -> "float | np.ndarray":
     if not x[-1] > 0.0:
         raise InvalidInputError(f"x must lie in the open upper halfspace (x_d = {x[-1]:.6g})")
     T, single = _boundary_batch(t, d)
-    if np.any(np.abs(T[:, -1]) > 1e-8):
+    bad = np.flatnonzero(np.abs(T[:, -1]) > 1e-8)
+    if bad.size:
+        j = bad[0]
         raise InvalidInputError(
-            f"boundary point off the hyperplane by {float(np.max(np.abs(T[:, -1]))):.3e}"
+            f"boundary point t[{j}] = {T[j].tolist()} is off the hyperplane by {abs(T[j, -1]):.3e}"
         )
     sq = np.sum((T[:, :-1] - x[None, :-1]) ** 2, axis=1) + x[-1] ** 2
-    if np.any(sq == 0.0):
-        raise InvalidInputError("kernel is singular at x = t")
+    _check_nonsingular(sq == 0.0, T)
     values = halfspace_constant(d) * x[-1] / sq ** (d / 2.0)
     return float(values[0]) if single else values
 

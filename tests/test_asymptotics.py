@@ -266,3 +266,137 @@ def test_derivative_report_second_order_and_summary():
         pk.derivative_report(h, k, np.array([0.0, 0.0]), -0.1, [0.0])
     with pytest.raises(pk.InvalidInputError):
         pk.derivative_report(h, k, np.array([0.0, 0.0]), 0.1, [])
+
+
+# ---------------------------------------------------------------------------
+# the batch evaluator shape: one kernel call per source point
+
+
+def _circle(a):
+    return np.array([math.cos(a), math.sin(a)])
+
+
+def _sweep_case(kind):
+    """(domain, kernel factory, base, deltas, targets) for each covered sweep."""
+    rng = np.random.default_rng(len(kind))
+    deltas = [0.3, 0.1, 0.03, 0.01]
+    if kind == "disc":
+        d = pk.Ball(2)
+        targets = [_circle(a) for a in rng.uniform(0, 6.3, 6)]
+        return d, lambda: pk.model_kernel(d), _circle(0.7), deltas, targets
+    if kind == "ball3":
+        d = pk.Ball(3)
+        T = rng.normal(size=(6, 3))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        return d, lambda: pk.model_kernel(d), np.array([0.0, 0.6, 0.8]), deltas, list(T)
+    if kind == "halfplane":
+        d = pk.Halfspace(2)
+        targets = [np.array([t, 0.0]) for t in rng.uniform(-2, 2, 6)]
+        return d, lambda: pk.model_kernel(d), np.array([0.2, 0.0]), deltas, targets
+    if kind == "halfspace3":
+        d = pk.Halfspace(3)
+        T = np.zeros((6, 3))
+        T[:, :2] = rng.uniform(-2, 2, size=(6, 2))
+        return d, lambda: pk.model_kernel(d), np.array([0.2, -0.1, 0.0]), deltas, list(T)
+    cfg = pk.WosConfig(walkers=2000, seed=5, stop_tolerance=1e-4)
+    if kind == "wos_disc":
+        d = pk.Ball(2)
+        targets = [_circle(a) for a in (1.0, 1.3, 2.0)]
+        return d, lambda: pk.WosKernel(d, cfg, cap_radius=0.05), _circle(1.0), [0.2, 0.1], targets
+    e = pk.Ellipse([2.0, 1.0])
+    targets = [e.boundary_point(t) for t in (1.3, 1.6, 2.0)]
+    return e, lambda: pk.WosKernel(e, cfg, cap_radius=0.05), np.array([0.0, 1.0]), [0.2, 0.1], targets
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball3", "halfplane", "halfspace3", "wos_disc", "wos_ellipse"])
+def test_sweep_records_equal_one_target_ratios(kind):
+    dom, make, base, deltas, targets = _sweep_case(kind)
+    report = pk.normal_sweep(dom, make(), base, deltas, targets)
+    kernel = make()
+    one_by_one = [
+        pk.kernel_ratio(dom, kernel, np.array(report.records[k * len(targets)].x), t)
+        for k in range(len(deltas))
+        for t in targets
+    ]
+    assert list(report.records) == one_by_one  # field for field, bit for bit
+
+
+class _Counting:
+    """Wraps a kernel and records the shape of every target batch it is given."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.shapes = []
+
+    def __call__(self, x, T):
+        self.shapes.append(np.shape(T))
+        return self.kernel(x, T)
+
+
+def test_sweep_makes_one_kernel_call_per_source_point():
+    d = pk.Ball(2)
+    k = _Counting(pk.model_kernel(d))
+    targets = [_circle(a) for a in (0.1, 0.5, 1.0, 2.0, 3.0)]
+    report = pk.normal_sweep(d, k, _circle(0.0), [0.2, 0.1, 0.05], targets)
+    assert len(report.records) == 15
+    assert k.shapes == [(5, 2)] * 3  # one call per delta, not one per record
+
+    class CountingWos(pk.WosKernel):
+        calls = 0
+
+        def estimate(self, x, y):
+            CountingWos.calls += 1
+            return super().estimate(x, y)
+
+    kern = CountingWos(d, pk.WosConfig(walkers=500, seed=1, stop_tolerance=1e-4), cap_radius=0.1)
+    pk.normal_sweep(d, kern, _circle(0.0), [0.2, 0.1], targets[:3])
+    assert CountingWos.calls == 2
+
+
+def test_derivative_report_batches_its_stencils():
+    h = pk.Halfspace(2)
+    k = _Counting(pk.model_kernel(h))
+    offsets = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0]
+    rep = pk.derivative_report(h, k, np.array([0.0, 0.0]), 0.1, offsets, orders=(1, 2))
+    assert len(rep.records) == 6 * 2 * 2
+    # 2 directions x (2 stencil points for order 1 + 3 for order 2), each over all 6 targets
+    assert k.shapes == [(6, 2)] * 10
+    plain = pk.derivative_report(h, pk.model_kernel(h), np.array([0.0, 0.0]), 0.1, offsets, orders=(1, 2))
+    assert rep == plain
+
+
+def test_wrong_shape_kernel_is_rejected():
+    d = pk.Ball(2)
+    base = _circle(0.0)
+    targets = [_circle(0.5), _circle(1.0)]
+    scalar = lambda x, T: 1.0
+    too_many = lambda x, T: np.ones(len(T) + 1)
+    for bad in (scalar, too_many):
+        with pytest.raises(pk.InvalidInputError, match=r"kernel returned shape"):
+            pk.normal_sweep(d, bad, base, [0.1], targets)
+        with pytest.raises(pk.InvalidInputError, match=r"kernel returned shape"):
+            pk.derivative_report(d, bad, base, 0.1, [0.0, 0.2])
+    with pytest.raises(pk.InvalidInputError, match=r"kernel returned shape \(\) for 1 targets"):
+        pk.kernel_ratio(d, scalar, np.array([0.5, 0.0]), targets[0])
+
+    class OneEstimate:
+        def estimate(self, x, T):
+            return pk.MeasureEstimate(estimate=1.0, std_error=0.0, walkers_used=1, truncated_walks=0)
+
+    with pytest.raises(pk.InvalidInputError, match=r"returned MeasureEstimate for 2 targets"):
+        pk.normal_sweep(d, OneEstimate(), base, [0.1], targets)
+
+
+def test_sweep_errors_name_the_offending_target():
+    d = pk.Ball(2)
+    k = pk.model_kernel(d)
+    base = np.array([1.0, 0.0])
+    distinct = r"x and targets\[1\] must be distinct: both are \[0\.9, 0\.0\]"
+    with pytest.raises(pk.InvalidInputError, match=distinct):
+        pk.normal_sweep(d, k, base, [0.1], [base, np.array([0.9, 0.0])])
+    with pytest.raises(pk.DimensionMismatchError, match=r"targets\[2\]"):
+        pk.normal_sweep(d, k, base, [0.1], [base, base, np.zeros(3)])
+    with pytest.raises(pk.InvalidInputError, match=r"targets\[1\] has non-finite"):
+        pk.normal_sweep(d, k, base, [0.1], [base, np.array([np.inf, 0.0])])
+    with pytest.raises(pk.InvalidInputError, match=r"t\[1\] = \[0\.0, 0\.5\] is off the sphere"):
+        pk.normal_sweep(d, k, base, [0.1], [base, np.array([0.0, 0.5])])

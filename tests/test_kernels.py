@@ -195,3 +195,43 @@ def test_halfspace_truncation_tail():
     bound = pk.halfspace_truncation_tail(3, x3, 30.0)
     assert bound >= true_tail3
     assert bound <= 2.0 * true_tail3
+
+
+# ---------------------------------------------------------------------------
+# the batch evaluator shape
+
+
+@pytest.mark.parametrize(
+    "make, dim",
+    [(lambda d: pk.ball_kernel(np.zeros(d), 1.0), 2), (lambda d: pk.ball_kernel(np.zeros(d), 1.0), 3),
+     (pk.halfspace_kernel, 2), (pk.halfspace_kernel, 3)],
+    ids=["ball2", "ball3", "halfspace2", "halfspace3"],
+)
+def test_kernel_batch_rows_equal_one_point_calls(make, dim):
+    rng = np.random.default_rng(11 + dim)
+    k = make(dim)
+    for _ in range(5):
+        T = rng.normal(size=(40, dim))
+        if make is pk.halfspace_kernel:
+            T[:, -1] = 0.0
+            x = rng.normal(size=dim)
+            x[-1] = abs(x[-1]) + 1e-3
+        else:
+            T /= np.linalg.norm(T, axis=1)[:, None]
+            x = rng.uniform(-0.5, 0.5, size=dim)
+        values = k(x, T)
+        assert values.shape == (40,)
+        for t, v in zip(T, values):
+            assert k(x, t) == v  # bit for bit
+
+
+def test_kernel_errors_name_the_offending_row():
+    with pytest.raises(pk.InvalidInputError, match=r"t\[2\] = \[0\.5, 0\.0\] is off the sphere"):
+        pk.poisson_ball(2, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+    x = [1.0 - 1e-12, 0.0]
+    with pytest.raises(pk.InvalidInputError, match=r"singular at x = t\[1\]"):
+        pk.ball_kernel([0.0, 0.0], 1.0)(x, [[0.0, 1.0], x])
+    with pytest.raises(pk.InvalidInputError, match=r"t\[1\] = \[1\.0, 0\.5\] is off the hyperplane"):
+        pk.poisson_halfspace(2, [0.0, 1.0], [[0.0, 0.0], [1.0, 0.5]])
+    with pytest.raises(pk.InvalidInputError, match=r"singular at x = t\[1\]"):
+        pk.poisson_halfspace(2, [0.3, 1e-200], [[1.0, 0.0], [0.3, 0.0]])

@@ -301,3 +301,33 @@ def test_wos_kernel_descriptor_and_validation():
     assert desc["walkers"] == 1000
     with pytest.raises(pk.InvalidInputError):
         pk.WosKernel(d, _cfg(), cap_radius=0.0)
+
+
+@pytest.mark.parametrize("kind", ["disc", "ellipse"])
+def test_wos_kernel_batch_rows_equal_one_point_calls(kind):
+    dom = pk.Ball(2) if kind == "disc" else pk.Ellipse([2.0, 1.0])
+    x = np.array([0.3, 0.4]) if kind == "disc" else np.array([0.5, 0.3])
+    T = np.array([dom.boundary_point(th) if kind == "ellipse" else [math.cos(th), math.sin(th)]
+                  for th in (0.2, 1.1, 1.6, 2.9, 4.0)])
+    batch = pk.WosKernel(dom, _cfg(walkers=3000), cap_radius=0.1)
+    ests = batch.estimate(x, T)
+    assert isinstance(ests, list) and len(ests) == len(T)
+    one = pk.WosKernel(dom, _cfg(walkers=3000), cap_radius=0.1)
+    for t, est in zip(T, ests):
+        single = one.estimate(x, t)
+        assert isinstance(single, pk.MeasureEstimate)
+        assert single.estimate == est.estimate and single.std_error == est.std_error
+        assert single == est
+    values = batch(x, T)
+    assert isinstance(values, np.ndarray) and values.shape == (len(T),)
+    assert values.tolist() == [e.estimate for e in ests]
+    assert isinstance(batch(x, T[0]), float)
+
+
+def test_wos_kernel_names_the_offending_target():
+    d = pk.Ball(2)
+    kern = pk.WosKernel(d, _cfg(walkers=10), cap_radius=0.1)
+    with pytest.raises(pk.InvalidInputError, match=r"y\[1\] = \[0\.5, 0\.0\] is not on the boundary"):
+        kern.estimate([0.0, 0.0], [[1.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(pk.InvalidInputError, match=r"y\[0\] has non-finite"):
+        kern([0.0, 0.0], [[np.nan, 0.0]])
