@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Domain, as_point, rotation_to_last_axis
+from .geometry import Domain, as_point, boundary_frame, inward_normal
 
 __all__ = [
     "RatioRecord",
@@ -186,19 +186,13 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     called once per source point, with all targets as one batch.
     """
     base = as_point(base, domain.dim, name="base")
-    if abs(domain.rho(base)) > 1e-10:
-        raise InvalidInputError("sweep base point is not on the boundary")
+    nu = inward_normal(domain, base)
     deltas = [float(d) for d in deltas]
     target_pts = [as_point(t, domain.dim, name=f"targets[{j}]") for j, t in enumerate(targets)]
     if not deltas:
         raise InvalidInputError("normal_sweep requires at least one delta")
     if not target_pts:
         raise InvalidInputError("normal_sweep requires at least one target")
-    g = domain.rho_grad(base)
-    gn = np.linalg.norm(g)
-    if gn < 1e-12:
-        raise InvalidInputError("degenerate gradient at the sweep base point")
-    nu = -g / gn
 
     T = np.stack(target_pts)
     X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
@@ -353,21 +347,13 @@ def derivative_report(
     one record per requested order.
     """
     base = as_point(base, domain.dim, name="base")
-    if abs(domain.rho(base)) > 1e-10:
-        raise InvalidInputError("base point is not on the boundary")
     h = float(probe_height)
     if not h > 0.0:
         raise InvalidInputError(f"probe height must be positive, got {probe_height}")
-    g = domain.rho_grad(base)
-    gn = np.linalg.norm(g)
-    if gn < 1e-12:
-        raise InvalidInputError("degenerate gradient at the base point")
-    nu = -g / gn
+    frame = boundary_frame(domain, base, h)
+    nu = frame.inward_normal
     x = base + h * nu
-    if not domain.contains(x):
-        raise InvalidInputError(f"probe height {h} leaves the domain")
-    Q = rotation_to_last_axis(nu)
-    tangents = [Q[i] for i in range(domain.dim - 1)]
+    tangents = [frame.rotation[i] for i in range(domain.dim - 1)]
 
     offsets = [float(t) for t in tangential_offsets]
     if not offsets:

@@ -39,12 +39,15 @@ __all__ = [
     "ImplicitPolynomial",
     "BoundaryFrame",
     "boundary_frame",
+    "inward_normal",
     "QuadratureRule",
     "boundary_quadrature",
 ]
 
 _BOUNDARY_TOL = 1e-10
 _TIE_TOL = 1e-8
+_STARTS = 5  # flowed-grid starts of the implicit nearest-point solve, per point
+_START_BLOCK = 1 << 18  # entries in one block of the point-to-start distance table
 
 
 def as_point(x, dim: int | None = None, name: str = "point") -> np.ndarray:
@@ -82,10 +85,9 @@ class Domain:
 
     Subclasses implement the batch queries ``rho_batch``,
     ``signed_distance_batch`` and ``project_batch`` on ``(n, d)`` arrays, plus
-    ``rho_grad`` (and ``rho_hess`` where an iterative projection solver needs
-    it), ``diameter`` and ``descriptor``.  Each row of a batch result depends
-    only on the same row of the input, so a batch of one, any subset of a
-    batch and the whole batch agree bit for bit.  The one-point queries
+    ``rho_grad``, ``diameter`` and ``descriptor``.  Each row of a batch result
+    depends only on the same row of the input, so a batch of one, any subset
+    of a batch and the whole batch agree bit for bit.  The one-point queries
     ``rho``, ``contains``, ``signed_distance`` and ``project_to_boundary`` are
     row 0 of a batch of one.
 
@@ -118,9 +120,6 @@ class Domain:
         raise NotImplementedError
 
     def rho_grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def rho_hess(self, x) -> np.ndarray:
         raise NotImplementedError
 
     # -- one-point queries: row 0 of a batch of one ------------------------
@@ -174,15 +173,6 @@ class Ball(Domain):
             raise InvalidInputError("gradient of the ball defining function is undefined at the center")
         return v / r
 
-    def rho_hess(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        v = x - self.center
-        r = np.linalg.norm(v)
-        if r < 1e-300:
-            raise InvalidInputError("Hessian of the ball defining function is undefined at the center")
-        u = v / r
-        return (np.eye(self.dim) - np.outer(u, u)) / r
-
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
         return np.linalg.norm(X - self.center, axis=1) - self.radius
@@ -233,10 +223,6 @@ class Halfspace(Domain):
         g = np.zeros(self.dim)
         g[-1] = -1.0
         return g
-
-    def rho_hess(self, x) -> np.ndarray:
-        as_point(x, self.dim)
-        return np.zeros((self.dim, self.dim))
 
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -371,11 +357,6 @@ class Ellipse(Domain):
         a, b = self.semi_axes
         return np.array([2.0 * x[0] / (a * a), 2.0 * x[1] / (b * b)])
 
-    def rho_hess(self, x) -> np.ndarray:
-        as_point(x, 2)
-        a, b = self.semi_axes
-        return np.diag([2.0 / (a * a), 2.0 / (b * b)])
-
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, 2)
         a, b = self.semi_axes
@@ -440,29 +421,32 @@ class Ellipse(Domain):
 class Implicit(Domain):
     """Domain defined by a user-supplied C^2 function ``rho`` (negative inside).
 
-    ``grad`` is required; ``hess`` is optional (a central finite difference of
-    the gradient is used when absent).  ``bounding_box`` is a ``(2, d)`` array
-    of lower/upper corners enclosing the closure of the domain, used to seed
-    the projection solver; ``interior_point`` is a declared witness with
-    ``rho < 0``, checked at construction.
+    ``rho``, ``grad`` and ``hess`` are batch callables: on an ``(n, d)`` array
+    of points they return the ``(n,)`` values, ``(n, d)`` gradients and
+    ``(n, d, d)`` Hessians, each output row depending only on the same input
+    row.  ``bounding_box`` is a ``(2, d)`` array of lower/upper corners
+    enclosing the closure of the domain, used to seed the nearest-point
+    solver; ``interior_point`` is a declared witness with ``rho < 0``, checked
+    at construction.
 
     Signed distance and projection solve the nearest-point conditions
     ``y - x + lam * grad(y) = 0, rho(y) = 0`` with a damped Newton iteration
-    (cap 100 iterations, tolerance 1e-12 on the residual), multi-started from
-    a coarse grid over the bounding box flowed onto the zero level set.  The
-    batch queries run this solver row by row.
+    (cap 100 iterations, tolerance 1e-12 on the residual) from the 5 nearest
+    points of a bounding-box grid flowed onto the zero level set.  One solve
+    runs over every (point, start) pair of a batch, and each pair stops
+    updating once it has converged.
     """
 
     exact_distance = False
+    kind = "implicit"
 
     def __init__(
         self,
-        rho: Callable[[np.ndarray], float],
+        rho: Callable[[np.ndarray], np.ndarray],
         grad: Callable[[np.ndarray], np.ndarray],
+        hess: Callable[[np.ndarray], np.ndarray],
         bounding_box,
         interior_point,
-        hess: Callable[[np.ndarray], np.ndarray] | None = None,
-        kind: str = "implicit",
     ):
         self._rho = rho
         self._grad = grad
@@ -473,163 +457,184 @@ class Implicit(Domain):
         if not np.all(box[0] < box[1]):
             raise InvalidInputError("bounding_box lower corner must be strictly below the upper corner")
         self.bounding_box = box
-        self.dim = box.shape[1]
-        self.interior_point = as_point(interior_point, self.dim, name="interior_point")
+        self.dim = d = box.shape[1]
+        self.interior_point = as_point(interior_point, d, name="interior_point")
         if not np.all((self.interior_point >= box[0]) & (self.interior_point <= box[1])):
             raise InvalidInputError("interior witness point lies outside the bounding box")
-        self.kind = kind
-        witness = float(rho(self.interior_point))
+        w = self.interior_point[None, :]
+        for name, fn, shape in (("rho", rho, (1,)), ("grad", grad, (1, d)), ("hess", hess, (1, d, d))):
+            got = np.shape(fn(w))
+            if got != shape:
+                raise InvalidInputError(
+                    f"{name} must be a batch callable: on a (1, {d}) array it returned shape {got}, "
+                    f"expected {shape}"
+                )
+        witness = float(self.rho_batch(w)[0])
         if not witness < 0.0:
             raise InvalidInputError(
                 f"defining function is not negative at the declared interior point (rho = {witness})"
             )
 
     def rho_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
-        return np.array([float(self._rho(row)) for row in X])
+        return np.asarray(self._rho(_as_batch(X, self.dim)), dtype=float)
 
     def rho_grad(self, x) -> np.ndarray:
-        return self._grad_at(as_point(x, self.dim))
+        return np.asarray(self._grad(as_point(x, self.dim)[None, :])[0], dtype=float)
 
     def rho_hess(self, x) -> np.ndarray:
-        return self._hess_at(as_point(x, self.dim))
+        return np.asarray(self._hess(as_point(x, self.dim)[None, :])[0], dtype=float)
 
     # -- nearest-point solver ---------------------------------------------
-    # The solver evaluates the stored callables on its own iterates: they are
-    # finite d-vectors already, and the solver makes thousands of such calls.
-    def _grad_at(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self._grad(y), dtype=float)
-
-    def _hess_at(self, y: np.ndarray) -> np.ndarray:
-        if self._hess is not None:
-            return np.asarray(self._hess(y), dtype=float)
-        h = 1e-6
-        H = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            step = np.zeros(self.dim)
-            step[j] = h
-            H[:, j] = (self._grad_at(y + step) - self._grad_at(y - step)) / (2.0 * h)
-        return 0.5 * (H + H.T)
-
     @functools.cached_property
     def _flowed_grid(self) -> np.ndarray:
-        """Bounding-box grid flowed a few first-order steps toward the zero set.
+        """Bounding-box grid flowed eight first-order steps toward the zero set.
 
-        It does not depend on the query point, so it is computed once per
-        domain and kept read-only.
+        Rows with a vanishing gradient stay put; non-finite rows are dropped,
+        and so are rows that round to the same 1e-6 cell as an earlier one.
+        The grid does not depend on the query point, so it is computed once
+        per domain and kept read-only.
         """
         lo, hi = self.bounding_box
         m = max(6, min(16, int(round(4096 ** (1.0 / self.dim)))))
         axes = [np.linspace(lo[j], hi[j], m) for j in range(self.dim)]
         y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        for _ in range(8):
-            for i in range(y.shape[0]):
-                g = self._grad_at(y[i])
-                g2 = float(np.dot(g, g))
-                if g2 > 1e-20:
-                    y[i] = y[i] - float(self._rho(y[i])) * g / g2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(8):
+                g = self._grad(y)
+                g2 = np.sum(g * g, axis=1)
+                moves = g2 > 1e-20
+                scale = np.where(moves, self._rho(y) / np.where(moves, g2, 1.0), 0.0)
+                y = y - scale[:, None] * g
+        y = y[np.all(np.isfinite(y), axis=1)]
+        if y.shape[0] == 0:
+            raise ConvergenceError("no usable starting points for the implicit projection solver")
+        _, first = np.unique(np.round(y / 1e-6), axis=0, return_index=True)
+        y = y[np.sort(first)]
         y.setflags(write=False)
         return y
 
-    def _seed_candidates(self, x: np.ndarray) -> list[np.ndarray]:
-        y = self._flowed_grid
-        order = np.argsort(np.linalg.norm(y - x, axis=1))
-        picked: list[np.ndarray] = []
-        for idx in order:
-            cand = y[idx]
-            if not np.all(np.isfinite(cand)):
-                continue
-            if any(np.linalg.norm(cand - p) < 1e-6 for p in picked):
-                continue
-            picked.append(cand)
-            if len(picked) >= 5:
-                break
-        if not picked:
-            raise ConvergenceError("no usable starting points for the implicit projection solver")
-        return picked
+    def _newton(self, P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Damped Newton solves of the nearest-point conditions, one per row pair.
 
-    def _newton_foot(self, x: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
-        scale = max(1.0, float(np.linalg.norm(x)))
-        y = y0.astype(float).copy()
-        g = self._grad_at(y)
-        g2 = float(np.dot(g, g))
-        lam = float(np.dot(x - y, g) / g2) if g2 > 1e-20 else 0.0
+        Row ``i`` seeks the foot for the point ``P[i]`` from the start
+        ``Y[i]``.  A row stops once its residual norm is at most
+        ``1e-12 * max(1, |P[i]|)`` (converged), or when its Jacobian is
+        singular or 30 step halvings fail to reduce its residual (failed).
+        Returns the final iterates and the converged mask.
+        """
+        d = self.dim
 
-        def residual(yv, lv):
-            gv = self._grad_at(yv)
-            return np.concatenate([yv - x + lv * gv, [float(self._rho(yv))]])
+        def residual(p, y, lam):
+            return np.column_stack([y - p + lam[:, None] * self._grad(y), self._rho(y)])
 
-        r = residual(y, lam)
+        tol = 1e-12 * np.maximum(1.0, np.linalg.norm(P, axis=1))
+        g = self._grad(Y)
+        g2 = np.sum(g * g, axis=1)
+        lam = np.where(g2 > 1e-20, np.sum((P - Y) * g, axis=1) / np.where(g2 > 1e-20, g2, 1.0), 0.0)
+        R = residual(P, Y, lam)
+        r = np.linalg.norm(R, axis=1)
+        live = np.flatnonzero(~(r <= tol))
         for _ in range(100):
-            if np.linalg.norm(r) <= 1e-12 * scale:
-                return y
-            g = self._grad_at(y)
-            H = self._hess_at(y)
-            J = np.zeros((self.dim + 1, self.dim + 1))
-            J[: self.dim, : self.dim] = np.eye(self.dim) + lam * H
-            J[: self.dim, self.dim] = g
-            J[self.dim, : self.dim] = g
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                return None
-            alpha = 1.0
-            norm_r = np.linalg.norm(r)
+            if live.size == 0:
+                break
+            p, y, lr, res, rn = P[live], Y[live], lam[live], R[live], r[live]
+            g = self._grad(y)
+            J = np.zeros((live.size, d + 1, d + 1))
+            J[:, :d, :d] = np.eye(d) + lr[:, None, None] * self._hess(y)
+            J[:, :d, d] = g
+            J[:, d, :d] = g
+            with np.errstate(invalid="ignore"):  # a non-finite row is frozen as failed
+                det = np.linalg.det(J)
+            searching = np.isfinite(det) & (det != 0.0)
+            step = np.zeros((live.size, d + 1))
+            step[searching] = np.linalg.solve(J[searching], -res[searching, :, None])[..., 0]
+            alpha = np.ones(live.size)
+            accepted = np.zeros(live.size, dtype=bool)
             for _ in range(30):
-                y_new = y + alpha * step[: self.dim]
-                lam_new = lam + alpha * step[self.dim]
-                r_new = residual(y_new, lam_new)
-                if np.linalg.norm(r_new) < (1.0 - 1e-4 * alpha) * norm_r:
+                s = np.flatnonzero(searching)
+                if s.size == 0:
                     break
-                alpha *= 0.5
-            else:
-                return None
-            y, lam, r = y_new, lam_new, r_new
-        return y if np.linalg.norm(r) <= 1e-12 * scale else None
+                y_try = y[s] + alpha[s, None] * step[s, :d]
+                lam_try = lr[s] + alpha[s] * step[s, d]
+                R_try = residual(p[s], y_try, lam_try)
+                r_try = np.linalg.norm(R_try, axis=1)
+                good = r_try < (1.0 - 1e-4 * alpha[s]) * rn[s]
+                a = s[good]
+                y[a], lr[a], res[a], rn[a] = y_try[good], lam_try[good], R_try[good], r_try[good]
+                accepted[a] = True
+                searching[a] = False
+                alpha[s[~good]] *= 0.5
+            Y[live], lam[live], R[live], r[live] = y, lr, res, rn
+            live = live[accepted & ~(rn <= tol[live])]
+        return Y, r <= tol
 
-    def _feet_candidates(self, x: np.ndarray) -> list[tuple[float, np.ndarray]]:
-        feet: list[tuple[float, np.ndarray]] = []
-        for y0 in self._seed_candidates(x):
-            foot = self._newton_foot(x, y0)
-            if foot is None:
-                continue
-            if any(np.linalg.norm(foot - f) < 1e-6 for _, f in feet):
-                continue
-            feet.append((float(np.linalg.norm(x - foot)), foot))
-        if not feet:
-            raise ConvergenceError("implicit-domain projection did not converge from any starting point")
-        feet.sort(key=lambda pair: pair[0])
-        return feet
+    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest boundary foot of each row of ``X`` and its nearest distinct rival.
+
+        Returns ``(feet, dist, rival, rival_dist)``.  The rival is the nearest
+        converged foot more than 1e-6 from the best one; ``rival_dist`` is
+        ``inf`` where there is none.  Raises :class:`ConvergenceError` naming
+        the first point for which no start converged.
+        """
+        n, d = X.shape
+        grid = self._flowed_grid
+        k = min(_STARTS, grid.shape[0])
+        starts = np.empty((n, k), dtype=np.intp)
+        block_rows = max(1, _START_BLOCK // grid.shape[0])
+        for lo in range(0, n, block_rows):
+            block = X[lo : lo + block_rows]
+            D = np.zeros((block.shape[0], grid.shape[0]))
+            for j in range(d):
+                D += (block[:, j, None] - grid[None, :, j]) ** 2
+            starts[lo : lo + block_rows] = np.argpartition(D, k - 1, axis=1)[:, :k]
+
+        Y, converged = self._newton(np.repeat(X, k, axis=0), grid[starts.ravel()])
+        Y = Y.reshape(n, k, d)
+        converged = converged.reshape(n, k)
+        failed = ~np.any(converged, axis=1)
+        if np.any(failed):
+            raise ConvergenceError(
+                f"implicit-domain projection of point {X[np.argmax(failed)].tolist()} "
+                "did not converge from any starting point"
+            )
+        row = np.arange(n)
+        dist = np.where(converged, np.linalg.norm(Y - X[:, None, :], axis=2), np.inf)
+        best = np.argmin(dist, axis=1)
+        feet = Y[row, best]
+        distinct = np.linalg.norm(Y - feet[:, None, :], axis=2) > 1e-6
+        rival_dist = np.where(distinct, dist, np.inf)
+        rival = np.argmin(rival_dist, axis=1)
+        return feet, dist[row, best], Y[row, rival], rival_dist[row, rival]
 
     def signed_distance_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
-        dist = np.array([self._feet_candidates(x)[0][0] for x in X])
+        _, dist, _, _ = self._nearest(X)
         return np.where(self.rho_batch(X) < 0.0, -dist, dist)
 
     def project_batch(self, X, tie_break=None):
         X = _as_batch(X, self.dim)
-        feet = np.empty_like(X)
-        normals = np.empty_like(X)
-        for i, x in enumerate(X):
-            candidates = self._feet_candidates(x)
-            best_d, best = candidates[0]
-            if len(candidates) > 1:
-                next_d, nxt = candidates[1]
-                if next_d - best_d < _TIE_TOL and np.linalg.norm(nxt - best) > 1e-6:
-                    if tie_break is None:
-                        raise ProjectionAmbiguityError(
-                            f"point {x.tolist()} is equidistant from boundary feet "
-                            f"{best.tolist()} and {nxt.tolist()}; supply a tie_break direction"
-                        )
-                    t = _direction(tie_break, self.dim)
-                    if np.dot(t, nxt) > np.dot(t, best):
-                        best = nxt
-            g = self._grad_at(best)
-            gn = np.linalg.norm(g)
-            if gn < 1e-12:
-                raise InvalidInputError("degenerate gradient at the projected boundary point")
-            feet[i], normals[i] = best, -g / gn
-        return feet, normals
+        feet, dist, rival, rival_dist = self._nearest(X)
+        ties = rival_dist - dist < _TIE_TOL
+        if np.any(ties):
+            if tie_break is None:
+                i = int(np.argmax(ties))
+                raise ProjectionAmbiguityError(
+                    f"point {X[i].tolist()} is equidistant from boundary feet "
+                    f"{feet[i].tolist()} and {rival[i].tolist()}; supply a tie_break direction"
+                )
+            t = _direction(tie_break, self.dim)
+            swap = ties & (np.sum(rival * t, axis=1) > np.sum(feet * t, axis=1))
+            feet[swap] = rival[swap]
+        g = self._grad(feet)
+        gn = np.linalg.norm(g, axis=1)
+        flat = gn < 1e-12
+        if np.any(flat):
+            i = int(np.argmax(flat))
+            raise InvalidInputError(
+                f"degenerate gradient at boundary point {feet[i].tolist()}, "
+                f"the projection of point {X[i].tolist()}"
+            )
+        return feet, -g / gn[:, None]
 
     def diameter(self) -> float:
         lo, hi = self.bounding_box
@@ -648,9 +653,11 @@ class ImplicitPolynomial(Implicit):
     """Implicit domain whose defining function is a polynomial.
 
     ``coefficients`` maps exponent tuples to coefficients, e.g. the unit disc
-    is ``{(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}``.  Gradient and Hessian are
-    exact polynomial derivatives.
+    is ``{(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}``.  Values, gradients and
+    Hessians are exact, evaluated from one table of monomial powers.
     """
+
+    kind = "implicit_polynomial"
 
     def __init__(self, coefficients: dict, bounding_box, interior_point, dim: int | None = None):
         items = sorted(coefficients.items())
@@ -670,43 +677,40 @@ class ImplicitPolynomial(Implicit):
             raise DimensionMismatchError(f"exponent tuples have length {d}, expected dim {dim}")
         if d < 2:
             raise DimensionMismatchError(f"polynomial domain dimension must be >= 2, got {d}")
-        self._exponents = np.array(exps, dtype=int)
-        self._coeffs = np.array([float(c) for _, c in items])
         self._poly_terms = items
 
-        def rho(x: np.ndarray) -> float:
-            return float(self._polynomial(x))
+        # Coefficient and exponent tables of rho, its d first partials and its
+        # d * d second partials: d/dy_j of c y^e is (c e_j) y^(e - 1_j).
+        E = np.array(exps, dtype=int)
+        eye = np.eye(d, dtype=int)
 
-        def grad(x: np.ndarray) -> np.ndarray:
-            g = np.empty(d)
-            for j in range(d):
-                cj = self._coeffs * self._exponents[:, j]
-                ej = self._exponents.copy()
-                ej[:, j] = np.maximum(ej[:, j] - 1, 0)
-                g[j] = float(np.sum(cj * np.prod(x[None, :] ** ej, axis=1)))
-            return g
+        def partial(c, e, j):
+            return c * e[:, j], np.maximum(e - eye[j], 0)
 
-        def hess(x: np.ndarray) -> np.ndarray:
-            H = np.empty((d, d))
-            for j in range(d):
-                for k in range(j, d):
-                    e = self._exponents
-                    cjk = self._coeffs * e[:, j] * (e[:, k] - (1 if j == k else 0))
-                    ejk = e.copy()
-                    ejk[:, j] -= 1
-                    ejk[:, k] -= 1
-                    ejk = np.maximum(ejk, 0)
-                    H[j, k] = H[k, j] = float(np.sum(cjk * np.prod(x[None, :] ** ejk, axis=1)))
-            return H
+        tables = [(np.array([float(c) for _, c in items]), E)]
+        tables += [partial(*tables[0], j) for j in range(d)]
+        tables += [partial(*tables[1 + j], k) for j in range(d) for k in range(d)]
+        self._table_coeffs = np.array([c for c, _ in tables])
+        self._table_powers = np.array([e for _, e in tables])
+        self._axes = np.arange(d)
+        self._degree = int(E.max())
 
-        super().__init__(rho, grad, bounding_box, interior_point, hess=hess, kind="implicit_polynomial")
+        super().__init__(
+            rho=lambda X: self._evaluate(X, slice(0, 1))[:, 0],
+            grad=lambda X: self._evaluate(X, slice(1, 1 + d)),
+            hess=lambda X: self._evaluate(X, slice(1 + d, None)).reshape(-1, d, d),
+            bounding_box=bounding_box,
+            interior_point=interior_point,
+        )
 
-    def _polynomial(self, X: np.ndarray) -> np.ndarray:
-        """Polynomial values at the points along the last axis of ``X``."""
-        return np.sum(self._coeffs * np.prod(X[..., None, :] ** self._exponents, axis=-1), axis=-1)
-
-    def rho_batch(self, X) -> np.ndarray:
-        return self._polynomial(_as_batch(X, self.dim))
+    def _evaluate(self, X: np.ndarray, tables: slice) -> np.ndarray:
+        """The selected rows of the polynomial tables at each point of ``X``: ``(n, rows)``."""
+        powers = np.empty(X.shape + (self._degree + 1,))
+        powers[..., 0] = 1.0
+        for p in range(1, self._degree + 1):
+            powers[..., p] = powers[..., p - 1] * X
+        monomials = np.prod(powers[:, self._axes, self._table_powers[tables]], axis=-1)
+        return np.sum(monomials * self._table_coeffs[tables], axis=-1)
 
     def descriptor(self) -> dict:
         desc = super().descriptor()
@@ -793,6 +797,23 @@ def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:
     return Q
 
 
+def inward_normal(domain: Domain, base) -> np.ndarray:
+    """Inward unit normal ``-grad rho / |grad rho|`` at the boundary point ``base``.
+
+    Raises :class:`InvalidInputError` naming ``base`` if it is off the
+    boundary (|rho| > 1e-10) or the gradient there is degenerate.
+    """
+    base = as_point(base, domain.dim, name="base")
+    rho = domain.rho(base)
+    if abs(rho) > _BOUNDARY_TOL:
+        raise InvalidInputError(f"base point {base.tolist()} is not on the boundary (rho = {rho:.3e})")
+    g = domain.rho_grad(base)
+    gn = np.linalg.norm(g)
+    if gn < 1e-12:
+        raise InvalidInputError(f"degenerate gradient at the base point {base.tolist()}")
+    return -g / gn
+
+
 def boundary_frame(domain: Domain, base, epsilon: float) -> BoundaryFrame:
     """Frame at a boundary point: inward normal, aligning rotation, and scale.
 
@@ -801,15 +822,7 @@ def boundary_frame(domain: Domain, base, epsilon: float) -> BoundaryFrame:
     is interior.
     """
     base = as_point(base, domain.dim, name="base")
-    if abs(domain.rho(base)) > _BOUNDARY_TOL:
-        raise InvalidInputError(
-            f"base point is not on the boundary (rho = {domain.rho(base):.3e})"
-        )
-    g = domain.rho_grad(base)
-    gn = np.linalg.norm(g)
-    if gn < 1e-12:
-        raise InvalidInputError("degenerate gradient at the base point")
-    nu = -g / gn
+    nu = inward_normal(domain, base)
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise InvalidInputError(f"epsilon must be positive and finite, got {epsilon}")
     probe = base + epsilon * nu

@@ -399,10 +399,12 @@ class WosKernel:
     """Kernel evaluator backed by cached walk exits.
 
     All targets queried against the same source point ``x`` reuse one batch of
-    walker paths (the per-``x`` exits are computed once and cached), so a
-    ratio sweep over many boundary targets costs one Monte Carlo run per
-    source point.  Estimates sharing an ``x`` are therefore correlated across
-    targets; estimates for different ``x`` are independent.
+    walker paths, so a ratio sweep over many boundary targets costs one Monte
+    Carlo run per source point.  Only the exits of the latest ``x`` are kept,
+    since a sweep visits each source point once; re-querying an earlier ``x``
+    walks again and reproduces the same exits.  Estimates sharing an ``x`` are
+    therefore correlated across targets; estimates for different ``x`` are
+    independent.
     The cap area of each target is computed once as well.
 
     Targets are a single boundary point or an ``(m, d)`` batch.  Calling the
@@ -424,17 +426,17 @@ class WosKernel:
         if not (self.cap_radius > 0.0 and math.isfinite(self.cap_radius)):
             raise InvalidInputError(f"cap_radius must be positive and finite, got {cap_radius}")
         self.truncation_radius = truncation_radius
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._latest: tuple[bytes, np.ndarray, np.ndarray] | None = None  # (x bytes, feet, truncated)
         self._areas: dict[bytes, float] = {}  # cap area per target; the radius is fixed
 
     def _exits(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = x.tobytes()
-        if key not in self._cache:
+        if self._latest is None or self._latest[0] != key:
             feet, truncated, _ = run_walks(
                 self.domain, x, self.config, truncation_radius=self.truncation_radius
             )
-            self._cache[key] = (feet, truncated)
-        return self._cache[key]
+            self._latest = (key, feet, truncated)
+        return self._latest[1], self._latest[2]
 
     def _area(self, center: np.ndarray) -> float:
         key = center.tobytes()

@@ -24,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainUnsupportedError, InvalidInputError
-from .geometry import Ball, BoundaryFrame, Domain, Halfspace, as_point
+from .geometry import Ball, BoundaryFrame, Domain, Halfspace, as_point, inward_normal
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_constant, halfspace_kernel
 
 __all__ = [
@@ -105,13 +105,8 @@ class TransferredDefiningFunction:
 
 def transfer_defining_function(frame: BoundaryFrame, domain: Domain) -> TransferredDefiningFunction:
     """Transfer the domain's defining function into frame coordinates."""
-    base = as_point(frame.base, domain.dim, name="base")
-    if abs(domain.rho(base)) > 1e-10:
-        raise InvalidInputError("frame base point is not on the domain boundary")
-    g = domain.rho_grad(base)
-    gn = float(np.linalg.norm(g))
-    if gn < 1e-12:
-        raise InvalidInputError("degenerate gradient at the frame base point")
+    inward_normal(domain, frame.base)  # rejects a base off the boundary or with a degenerate gradient
+    gn = float(np.linalg.norm(domain.rho_grad(frame.base)))
     return TransferredDefiningFunction(frame=frame, domain=domain, gradient_scale=gn)
 
 

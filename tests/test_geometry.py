@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern.geometry import _ellipse_feet, _gauss_legendre, as_point
+from poisskern.geometry import _ellipse_feet, _gauss_legendre, as_point, inward_normal
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,6 @@ def test_ball_defining_function_and_membership():
     assert b.signed_distance([1.0, 1.0]) == 0.0
     assert b.signed_distance([1.0, -1.0]) == -2.0
     np.testing.assert_allclose(b.rho_grad([4.0, -2.0]), [1.0, 0.0])
-    np.testing.assert_allclose(b.rho_hess([4.0, -2.0]), [[0.0, 0.0], [0.0, 1.0 / 3.0]])
     assert b.diameter() == 6.0 and b.bounded()
 
 
@@ -225,17 +224,27 @@ def test_implicit_detects_ambiguous_projection():
 def test_implicit_validation():
     with pytest.raises(pk.InvalidInputError):
         pk.Implicit(
-            rho=lambda x: float(x[0] ** 2 + x[1] ** 2 - 1),
-            grad=lambda x: 2 * x,
+            rho=lambda X: np.sum(X * X, axis=1) - 1.0,
+            grad=lambda X: 2.0 * X,
+            hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
             bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
             interior_point=[5.0, 5.0],  # outside the box
         )
     with pytest.raises(pk.InvalidInputError):
         pk.Implicit(
-            rho=lambda x: float(x[0] ** 2 + x[1] ** 2 - 1),
-            grad=lambda x: 2 * x,
+            rho=lambda X: np.sum(X * X, axis=1) - 1.0,
+            grad=lambda X: 2.0 * X,
+            hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
             bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
             interior_point=[1.5, 0.0],  # not actually interior
+        )
+    with pytest.raises(pk.InvalidInputError, match=r"rho must be a batch callable"):
+        pk.Implicit(
+            rho=lambda X: float(np.sum(X * X) - 1.0),  # one value, not one per row
+            grad=lambda X: 2.0 * X,
+            hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
+            bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
+            interior_point=[0.0, 0.0],
         )
     with pytest.raises(pk.InvalidInputError):
         pk.ImplicitPolynomial(
@@ -245,11 +254,34 @@ def test_implicit_validation():
         )
 
 
+def test_implicit_nonconvergence_names_the_point():
+    imp = _ellipse_implicit()
+    with pytest.raises(pk.ConvergenceError, match=re.escape("point [nan, 0.5]")):
+        imp.signed_distance_batch([[0.5, 0.2], [np.nan, 0.5]])
+
+
+def test_implicit_distance_batch_memory_is_bounded():
+    # The point-to-start distance table is built in row blocks, so the peak
+    # stays bounded as the batch grows.
+    imp = _ellipse_implicit()
+    rng = np.random.default_rng(1)
+    X = rng.uniform([-2.4, -1.4], [2.4, 1.4], size=(10_000, 2))
+    imp.signed_distance_batch(X[:2])  # flows the seed grid outside the measurement
+    tracemalloc.start()
+    try:
+        sd = imp.signed_distance_batch(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(sd))
+    assert peak < 64 * 2**20
+
+
 def test_implicit_ball_in_three_dimensions():
     imp = pk.Implicit(
-        rho=lambda x: float(np.dot(x, x) - 1.0),
-        grad=lambda x: 2.0 * np.asarray(x, dtype=float),
-        hess=lambda x: 2.0 * np.eye(3),
+        rho=lambda X: np.sum(X * X, axis=1) - 1.0,
+        grad=lambda X: 2.0 * X,
+        hess=lambda X: np.broadcast_to(2.0 * np.eye(3), (len(X), 3, 3)),
         bounding_box=[[-1.5] * 3, [1.5] * 3],
         interior_point=[0.0, 0.0, 0.0],
     )
@@ -295,6 +327,33 @@ def test_boundary_frame_construction_and_validation():
         pk.boundary_frame(d, [1.0, 0.0], 0.0)
     with pytest.raises(pk.InvalidInputError):
         pk.boundary_frame(d, [1.0, 0.0], 3.0)  # probe point escapes the domain
+
+
+def test_off_boundary_base_is_named_by_every_normal_caller():
+    d = pk.Ball(2)
+    base = [0.5, 0.0]
+    frame = pk.BoundaryFrame(
+        base=np.array(base), inward_normal=np.array([-1.0, 0.0]),
+        rotation=pk.rotation_to_last_axis(np.array([-1.0, 0.0])), epsilon=0.1,
+    )
+    calls = [
+        lambda: pk.boundary_frame(d, base, 0.1),
+        lambda: pk.normal_sweep(d, pk.model_kernel(d), base, [0.1], [[1.0, 0.0]]),
+        lambda: pk.derivative_report(d, pk.model_kernel(d), base, 0.1, [0.2]),
+        lambda: pk.transfer_defining_function(frame, d),
+    ]
+    for call in calls:
+        with pytest.raises(pk.InvalidInputError, match=re.escape("base point [0.5, 0.0] is not on the boundary")):
+            call()
+    cubed = pk.Implicit(  # (|x|^2 - 1)^3: a disc whose gradient vanishes on the boundary
+        rho=lambda X: (np.sum(X * X, axis=1) - 1.0) ** 3,
+        grad=lambda X: 6.0 * ((np.sum(X * X, axis=1) - 1.0) ** 2)[:, None] * X,
+        hess=lambda X: np.zeros((len(X), 2, 2)),
+        bounding_box=[[-1.5, -1.5], [1.5, 1.5]],
+        interior_point=[0.0, 0.0],
+    )
+    with pytest.raises(pk.InvalidInputError, match=re.escape("degenerate gradient at the base point [1.0, 0.0]")):
+        inward_normal(cubed, [1.0, 0.0])
 
 
 def test_boundary_frame_dataclass_validation():
@@ -471,10 +530,10 @@ def test_domain_descriptors_round_trip_core_fields():
 
 
 def _implicit_disc():
-    # No Hessian: the projection solver takes finite differences of the gradient.
     return pk.Implicit(
-        rho=lambda x: float(x[0] ** 2 + x[1] ** 2 - 1.0),
-        grad=lambda x: 2.0 * np.asarray(x, dtype=float),
+        rho=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2 - 1.0,
+        grad=lambda X: 2.0 * X,
+        hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
         bounding_box=[[-1.5, -1.5], [1.5, 1.5]],
         interior_point=[0.0, 0.0],
     )

@@ -98,6 +98,28 @@ def test_run_walks_on_ellipse_lands_on_boundary():
     assert np.abs(e.rho_batch(feet)).max() < 1e-12
 
 
+def test_implicit_ellipse_cap_measure_matches_ellipse():
+    # The README's implicit ellipse against the exact-distance Ellipse, on
+    # independent streams: the two cap measures agree within 3 combined SE.
+    imp = pk.ImplicitPolynomial(
+        {(2, 0): 0.25, (0, 2): 1.0, (0, 0): -1.0},
+        bounding_box=[[-2.5, -1.5], [2.5, 1.5]],
+        interior_point=[0.0, 0.0],
+    )
+    e = pk.Ellipse([2.0, 1.0])
+    x, center = [0.5, 0.2], e.boundary_point(1.0)
+    cfg = _cfg(walkers=2000, seed=11, stop_tolerance=1e-3)
+    feet, truncated, _ = pk.run_walks(imp, x, cfg)
+    assert not truncated.any()
+    assert np.abs(imp.rho_batch(feet)).max() <= 1e-9
+    subset = np.arange(5, 2000, 97)
+    part, _, _ = pk.run_walks(imp, x, cfg, walker_indices=subset)
+    assert np.array_equal(part, feet[subset])
+    got = pk.estimate_cap_measure(imp, x, center, 0.3, cfg)
+    want = pk.estimate_cap_measure(e, x, center, 0.3, _cfg(walkers=2000, seed=12, stop_tolerance=1e-3))
+    assert abs(got.estimate - want.estimate) <= 3.0 * math.hypot(got.std_error, want.std_error)
+
+
 def test_run_walks_validation():
     d = pk.Ball(2)
     with pytest.raises(pk.InvalidInputError):
@@ -269,6 +291,17 @@ def test_wos_kernel_caches_and_reproduces():
     assert est.estimate == first
     fresh = pk.WosKernel(d, _cfg(walkers=5000, seed=42), cap_radius=0.1)
     assert fresh(x, y) == first
+
+
+def test_wos_kernel_keeps_only_the_latest_source_point():
+    d = pk.Ball(2)
+    kern = pk.WosKernel(d, _cfg(walkers=2000, seed=5), cap_radius=0.1)
+    base = np.array([0.0, 1.0])
+    targets = [np.array([0.0, 1.0]), np.array([0.6, 0.8])]
+    report = pk.normal_sweep(d, kern, base, [0.2, 0.1, 0.05], targets)
+    assert kern._latest[0] == np.array(report.records[-1].x).tobytes()
+    again = kern.estimate(report.records[0].x, np.stack(targets))
+    assert [e.estimate for e in again] == [rec.kernel for rec in report.records[:2]]
 
 
 def test_wos_kernel_computes_each_cap_area_once(monkeypatch):
