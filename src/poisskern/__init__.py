@@ -1,22 +1,23 @@
 """poisskern: Poisson kernels, boundary blow-ups, and harmonic-measure estimates.
 
-The package has three layers:
+The package has four layers:
 
 * **Model kernels** (:mod:`poisskern.model_kernels`): closed-form Poisson
   kernels for balls and halfspaces, harmonic extension by quadrature against
   those kernels, and normalization checks.
 
-* **Boundary scaling** (:mod:`poisskern.scaling` and
+* **Harmonic measure** (:mod:`poisskern.harmonic_measure`): walk-on-spheres
+  estimation of exit distributions on general smooth domains, and
+  kernel-density estimates from cap measures.
+
+* **Boundary blow-up** (:mod:`poisskern.scaling` and
   :mod:`poisskern.geometry`): orthonormal boundary frames on smooth domains,
   the dilation that magnifies a boundary neighborhood to unit scale, the
   transferred defining function that converges to a halfspace's, and the
   pulled-back kernel identity.
 
-* **Harmonic measure** (:mod:`poisskern.harmonic_measure` and
-  :mod:`poisskern.asymptotics`): walk-on-spheres estimation of exit
-  distributions on general smooth domains, kernel-density estimates from cap
-  measures, two-sided boundary ratio sweeps, and direction-resolved derivative
-  diagnostics.
+* **Asymptotic ratio diagnostics** (:mod:`poisskern.asymptotics`): two-sided
+  boundary ratio sweeps and direction-resolved derivative diagnostics.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Domain, as_point, boundary_frame, inward_normal
+from .geometry import Domain, as_point, boundary_distance, boundary_frame, inward_normal
 
 __all__ = [
     "RatioRecord",
@@ -77,9 +77,7 @@ def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     """
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
-    delta = -domain.signed_distance(x)
-    if not delta > 0.0:
-        raise InvalidInputError("x must be strictly inside the domain")
+    delta = boundary_distance(domain, x)
     return _ratio_records(domain, kernel, x, delta, y[None, :], name="y")[0]
 
 
@@ -263,9 +261,7 @@ def derivative_ratio(domain: Domain, kernel, x, y, order: int, direction) -> flo
     """
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
-    delta = -domain.signed_distance(x)
-    if not delta > 0.0:
-        raise InvalidInputError("x must be strictly inside the domain")
+    delta = boundary_distance(domain, x)
     step = max(1e-6, 1e-4 * delta)
     separation = float(np.linalg.norm(x - y))
     if separation < 10.0 * step:
@@ -298,9 +294,9 @@ class DerivativeReport:
     ``normal_ratio_unbounded`` flags the regime the exact halfspace algebra
     predicts: the normal-direction ratio grows like ``separation / delta``
     once targets move tangentially away from the base, so it is set when the
-    largest normal-direction order-1 ratio exceeds three times the
-    smallest-separation one.  Tangential ratios stay banded and are reported
-    for comparison; no two-sided bound is asserted.
+    largest normal-direction ratio of the lowest requested order exceeds three
+    times the smallest-separation one.  Tangential ratios stay banded and are
+    reported for comparison; no two-sided bound is asserted.
     """
 
     records: tuple

@@ -40,6 +40,7 @@ __all__ = [
     "BoundaryFrame",
     "boundary_frame",
     "inward_normal",
+    "boundary_distance",
     "QuadratureRule",
     "boundary_quadrature",
 ]
@@ -73,6 +74,12 @@ def _as_batch(X, dim: int, name: str = "points") -> np.ndarray:
     return arr
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit as ``np.linalg.norm`` gives it
+    for the row alone (a dot product); an axis-1 norm can differ in the last bit."""
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+
+
 def _direction(tie_break, dim: int) -> np.ndarray:
     t = as_point(tie_break, dim, name="tie_break")
     if np.linalg.norm(t) < 1e-300:
@@ -83,13 +90,17 @@ def _direction(tie_break, dim: int) -> np.ndarray:
 class Domain:
     """Open set ``{x : rho(x) < 0}`` described by a defining function.
 
-    Subclasses implement the batch queries ``rho_batch``,
-    ``signed_distance_batch`` and ``project_batch`` on ``(n, d)`` arrays, plus
-    ``rho_grad``, ``diameter`` and ``descriptor``.  Each row of a batch result
-    depends only on the same row of the input, so a batch of one, any subset
-    of a batch and the whole batch agree bit for bit.  The one-point queries
-    ``rho``, ``contains``, ``signed_distance`` and ``project_to_boundary`` are
-    row 0 of a batch of one.
+    Subclasses implement the batch primitives ``rho_batch`` and
+    ``rho_grad_batch`` on ``(n, d)`` arrays, plus ``diameter`` and
+    ``descriptor``.  Domains whose distance needs a solver implement one
+    nearest-point primitive, ``_nearest``, from which ``signed_distance_batch``
+    and ``project_batch`` are derived here; domains whose ``rho`` is their
+    signed distance (balls and halfspaces) override those two with closed
+    forms.  Each row of a batch result depends only on the same row of the
+    input, so a batch of one, any subset of a batch and the whole batch agree
+    bit for bit.  The one-point queries ``rho``, ``rho_grad``, ``contains``,
+    ``signed_distance`` and ``project_to_boundary`` are row 0 of a batch of
+    one.
 
     ``exact_distance`` marks domains whose signed distance is computed to full
     precision (models and the ellipse) as opposed to an iterative solver with
@@ -99,32 +110,71 @@ class Domain:
     dim: int
     exact_distance: bool = True
 
-    # -- batch queries: the one implementation of each ---------------------
+    # -- batch primitives ---------------------------------------------------
     def rho_batch(self, X) -> np.ndarray:
         raise NotImplementedError
 
+    def rho_grad_batch(self, X) -> np.ndarray:
+        raise NotImplementedError
+
+    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest boundary foot of each row of ``X`` and its nearest rival foot.
+
+        Returns ``(feet, dist, rival, rival_dist)``; ``rival_dist`` is ``inf``
+        where a row has no rival.  ``X`` is an already validated batch.
+        """
+        raise NotImplementedError
+
+    # -- batch queries derived from the primitives --------------------------
     def signed_distance_batch(self, X) -> np.ndarray:
         """Euclidean distances to the boundary, negative inside."""
-        raise NotImplementedError
+        X = _as_batch(X, self.dim)
+        _, dist, _, _ = self._nearest(X)
+        return np.where(self.rho_batch(X) < 0.0, -dist, dist)
 
     def project_batch(self, X, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary points and the inward unit normals there.
 
         Intended for points inside the collar where the nearest boundary point
-        is unique.  If a row has two candidate feet equidistant within 1e-8 a
-        :class:`ProjectionAmbiguityError` naming the first such point is
-        raised, unless ``tie_break`` (a direction vector) is supplied, in which
-        case each tied row takes the foot with the larger projection onto
-        ``tie_break``.
+        is unique.  If a row's rival foot is distinct from its foot and no more
+        than 1e-8 farther away, a :class:`ProjectionAmbiguityError` naming the
+        first such point is raised, unless ``tie_break`` (a direction vector)
+        is supplied, in which case each tied row takes the foot with the larger
+        projection onto ``tie_break``.  Normals are ``-grad rho / |grad rho|``
+        at the feet; a degenerate gradient raises :class:`InvalidInputError`
+        naming the point.
         """
-        raise NotImplementedError
-
-    def rho_grad(self, x) -> np.ndarray:
-        raise NotImplementedError
+        X = _as_batch(X, self.dim)
+        feet, dist, rival, rival_dist = self._nearest(X)
+        distinct = np.linalg.norm(feet - rival, axis=1) > _TIE_TOL
+        ties = distinct & (rival_dist - dist < _TIE_TOL)
+        if np.any(ties):
+            if tie_break is None:
+                i = int(np.argmax(ties))
+                raise ProjectionAmbiguityError(
+                    f"point {X[i].tolist()} is equidistant from boundary feet "
+                    f"{feet[i].tolist()} and {rival[i].tolist()}; supply a tie_break direction"
+                )
+            t = _direction(tie_break, self.dim)
+            swap = ties & (np.sum(rival * t, axis=1) > np.sum(feet * t, axis=1))
+            feet[swap] = rival[swap]
+        g = self.rho_grad_batch(feet)
+        gn = np.linalg.norm(g, axis=1)
+        flat = gn < 1e-12
+        if np.any(flat):
+            i = int(np.argmax(flat))
+            raise InvalidInputError(
+                f"degenerate gradient at boundary point {feet[i].tolist()}, "
+                f"the projection of point {X[i].tolist()}"
+            )
+        return feet, -g / gn[:, None]
 
     # -- one-point queries: row 0 of a batch of one ------------------------
     def rho(self, x) -> float:
         return float(self.rho_batch(as_point(x, self.dim)[None, :])[0])
+
+    def rho_grad(self, x) -> np.ndarray:
+        return self.rho_grad_batch(as_point(x, self.dim)[None, :])[0]
 
     def contains(self, x) -> bool:
         """Strict interior membership (boundary points are not interior)."""
@@ -158,6 +208,8 @@ class Ball(Domain):
         if center is None:
             if dim is None:
                 raise InvalidInputError("Ball requires a dimension or an explicit center")
+            if int(dim) < 2:
+                raise DimensionMismatchError(f"ball dimension must be >= 2, got {dim}")
             center = np.zeros(int(dim))
         self.center = as_point(center, dim, name="center")
         self.dim = self.center.size
@@ -165,17 +217,21 @@ class Ball(Domain):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise InvalidInputError(f"ball radius must be positive and finite, got {radius}")
 
-    def rho_grad(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        v = x - self.center
-        r = np.linalg.norm(v)
-        if r < 1e-300:
-            raise InvalidInputError("gradient of the ball defining function is undefined at the center")
-        return v / r
-
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
         return np.linalg.norm(X - self.center, axis=1) - self.radius
+
+    def rho_grad_batch(self, X) -> np.ndarray:
+        X = _as_batch(X, self.dim)
+        V = X - self.center
+        r = _row_norms(V)
+        at_center = r < 1e-300
+        if np.any(at_center):
+            raise InvalidInputError(
+                f"point {X[np.argmax(at_center)].tolist()} is at the ball center, "
+                "where the gradient of the defining function is undefined"
+            )
+        return V / r[:, None]
 
     def signed_distance_batch(self, X) -> np.ndarray:
         return self.rho_batch(X)
@@ -218,15 +274,14 @@ class Halfspace(Domain):
         if self.dim < 2:
             raise DimensionMismatchError(f"halfspace dimension must be >= 2, got {dim}")
 
-    def rho_grad(self, x) -> np.ndarray:
-        as_point(x, self.dim)
-        g = np.zeros(self.dim)
-        g[-1] = -1.0
-        return g
-
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
         return -X[:, -1]
+
+    def rho_grad_batch(self, X) -> np.ndarray:
+        G = np.zeros_like(_as_batch(X, self.dim))
+        G[:, -1] = -1.0
+        return G
 
     def signed_distance_batch(self, X) -> np.ndarray:
         return self.rho_batch(X)
@@ -352,48 +407,25 @@ class Ellipse(Domain):
             return float(a), float(b), False
         return float(b), float(a), True
 
-    def rho_grad(self, x) -> np.ndarray:
-        x = as_point(x, 2)
-        a, b = self.semi_axes
-        return np.array([2.0 * x[0] / (a * a), 2.0 * x[1] / (b * b)])
-
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, 2)
         a, b = self.semi_axes
         return (X[:, 0] / a) ** 2 + (X[:, 1] / b) ** 2 - 1.0
 
-    def _feet(self, X: np.ndarray):
+    def rho_grad_batch(self, X) -> np.ndarray:
+        X = _as_batch(X, 2)
+        a, b = self.semi_axes
+        return np.stack([2.0 * X[:, 0] / (a * a), 2.0 * X[:, 1] / (b * b)], axis=1)
+
+    def _nearest(self, X: np.ndarray):
+        """Exact feet, with each foot's mirror image across the major axis as its rival."""
         a, b, swapped = self._major_frame()
         P = X[:, ::-1] if swapped else X
         feet, mirror, dist, mdist = _ellipse_feet(P, a, b)
         if swapped:
             feet = feet[:, ::-1]
             mirror = mirror[:, ::-1]
-        return feet, mirror, dist, mdist
-
-    def signed_distance_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, 2)
-        _, _, dist, _ = self._feet(X)
-        return np.where(self.rho_batch(X) < 0.0, -dist, dist)
-
-    def project_batch(self, X, tie_break=None):
-        X = _as_batch(X, 2)
-        feet, mirror, dist, mdist = self._feet(X)
-        distinct = np.linalg.norm(feet - mirror, axis=1) > _TIE_TOL
-        ties = distinct & ((mdist - dist) < _TIE_TOL)
-        if np.any(ties):
-            if tie_break is None:
-                i = int(np.argmax(ties))
-                raise ProjectionAmbiguityError(
-                    f"point {X[i].tolist()} is equidistant from boundary feet "
-                    f"{feet[i].tolist()} and {mirror[i].tolist()}; supply a tie_break direction"
-                )
-            t = _direction(tie_break, 2)
-            swap = ties & (np.sum(mirror * t, axis=1) > np.sum(feet * t, axis=1))
-            feet[swap] = mirror[swap]
-        a, b = self.semi_axes
-        G = np.stack([2.0 * feet[:, 0] / (a * a), 2.0 * feet[:, 1] / (b * b)], axis=1)
-        return feet, -G / np.linalg.norm(G, axis=1)[:, None]
+        return feet, dist, mirror, mdist
 
     def boundary_point(self, theta: float) -> np.ndarray:
         """Point ``(a cos(theta), b sin(theta))`` on the boundary."""
@@ -478,8 +510,8 @@ class Implicit(Domain):
     def rho_batch(self, X) -> np.ndarray:
         return np.asarray(self._rho(_as_batch(X, self.dim)), dtype=float)
 
-    def rho_grad(self, x) -> np.ndarray:
-        return np.asarray(self._grad(as_point(x, self.dim)[None, :])[0], dtype=float)
+    def rho_grad_batch(self, X) -> np.ndarray:
+        return np.asarray(self._grad(_as_batch(X, self.dim)), dtype=float)
 
     def rho_hess(self, x) -> np.ndarray:
         return np.asarray(self._hess(as_point(x, self.dim)[None, :])[0], dtype=float)
@@ -605,36 +637,6 @@ class Implicit(Domain):
         rival_dist = np.where(distinct, dist, np.inf)
         rival = np.argmin(rival_dist, axis=1)
         return feet, dist[row, best], Y[row, rival], rival_dist[row, rival]
-
-    def signed_distance_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
-        _, dist, _, _ = self._nearest(X)
-        return np.where(self.rho_batch(X) < 0.0, -dist, dist)
-
-    def project_batch(self, X, tie_break=None):
-        X = _as_batch(X, self.dim)
-        feet, dist, rival, rival_dist = self._nearest(X)
-        ties = rival_dist - dist < _TIE_TOL
-        if np.any(ties):
-            if tie_break is None:
-                i = int(np.argmax(ties))
-                raise ProjectionAmbiguityError(
-                    f"point {X[i].tolist()} is equidistant from boundary feet "
-                    f"{feet[i].tolist()} and {rival[i].tolist()}; supply a tie_break direction"
-                )
-            t = _direction(tie_break, self.dim)
-            swap = ties & (np.sum(rival * t, axis=1) > np.sum(feet * t, axis=1))
-            feet[swap] = rival[swap]
-        g = self._grad(feet)
-        gn = np.linalg.norm(g, axis=1)
-        flat = gn < 1e-12
-        if np.any(flat):
-            i = int(np.argmax(flat))
-            raise InvalidInputError(
-                f"degenerate gradient at boundary point {feet[i].tolist()}, "
-                f"the projection of point {X[i].tolist()}"
-            )
-        return feet, -g / gn[:, None]
 
     def diameter(self) -> float:
         lo, hi = self.bounding_box
@@ -814,6 +816,21 @@ def inward_normal(domain: Domain, base) -> np.ndarray:
     return -g / gn
 
 
+def boundary_distance(domain: Domain, x) -> float:
+    """Boundary distance ``delta(x) = -signed_distance(x)`` of an interior point.
+
+    Raises :class:`InvalidInputError` naming ``x`` and its signed distance if
+    ``x`` is not strictly inside the domain.
+    """
+    x = as_point(x, domain.dim, name="x")
+    sd = domain.signed_distance(x)
+    if not sd < 0.0:
+        raise InvalidInputError(
+            f"x = {x.tolist()} must be strictly inside the domain (signed distance {sd:.6g})"
+        )
+    return -sd
+
+
 def boundary_frame(domain: Domain, base, epsilon: float) -> BoundaryFrame:
     """Frame at a boundary point: inward normal, aligning rotation, and scale.
 
@@ -942,7 +959,9 @@ def _ellipse_rule(domain: Ellipse, n: int) -> QuadratureRule:
 
 def _halfspace_rule(domain: Halfspace, resolution: int, truncation: float) -> QuadratureRule:
     if not (truncation and truncation > 0.0 and math.isfinite(truncation)):
-        raise InvalidInputError("halfspace quadrature requires a positive truncation radius")
+        raise InvalidInputError(
+            f"halfspace quadrature requires a positive truncation radius, got {truncation}"
+        )
     t, w = _gauss_legendre(resolution)
     if domain.dim == 2:
         nodes = np.stack([truncation * t, np.zeros(resolution)], axis=1)

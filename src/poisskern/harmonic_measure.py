@@ -44,6 +44,7 @@ __all__ = [
 
 _SEED_LIMIT = 1 << 64
 _IMPLICIT_SAFETY = 0.99  # shrink solver-derived jump radii to absorb tolerance
+_TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,14 @@ class WosConfig:
     unbounded domains).  ``seed`` is a 64-bit unsigned integer; together with
     the walker index it determines every walk exactly.  Walks exceeding
     ``max_steps`` or leaving the truncation region are counted as truncated;
-    if more than ``truncation_failure_fraction`` of walks truncate, estimation
-    fails rather than returning a biased value.
+    if more than half of the walks truncate, estimation fails rather than
+    returning a biased value.
     """
 
     walkers: int
     seed: int
     stop_tolerance: float | None = None
     max_steps: int = 10_000
-    truncation_failure_fraction: float = 0.5
 
     def __post_init__(self):
         if not (isinstance(self.walkers, int) and self.walkers >= 1):
@@ -76,8 +76,6 @@ class WosConfig:
             raise InvalidInputError(f"stop_tolerance must be positive, got {self.stop_tolerance}")
         if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
             raise InvalidInputError(f"max_steps must be an integer >= 1, got {self.max_steps}")
-        if not 0.0 < self.truncation_failure_fraction <= 1.0:
-            raise InvalidInputError("truncation_failure_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -245,17 +243,13 @@ def _validate_cap(
 
 
 def _cap_estimate_from_feet(
-    feet: np.ndarray,
-    truncated: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    config: WosConfig,
+    feet: np.ndarray, truncated: np.ndarray, center: np.ndarray, radius: float
 ) -> MeasureEstimate:
     n = feet.shape[0]
     n_trunc = int(truncated.sum())
-    if n_trunc / n > config.truncation_failure_fraction:
+    if n_trunc / n > _TRUNCATION_FAILURE_FRACTION:
         raise EstimationFailureError(
-            f"{n_trunc} of {n} walks truncated (limit {config.truncation_failure_fraction:.0%})"
+            f"{n_trunc} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%})"
         )
     hits = (~truncated) & (np.linalg.norm(feet - center[None, :], axis=1) < radius)
     p = float(hits.sum()) / n
@@ -279,7 +273,7 @@ def estimate_cap_measure(
     """
     center, radius = _validate_cap(domain, cap_center, cap_radius)
     feet, truncated, _ = run_walks(domain, x, config, truncation_radius=truncation_radius)
-    return _cap_estimate_from_feet(feet, truncated, center, radius, config)
+    return _cap_estimate_from_feet(feet, truncated, center, radius)
 
 
 def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
@@ -456,7 +450,7 @@ class WosKernel:
         feet, truncated = self._exits(x)
         out = [
             _density_from_cap(
-                _cap_estimate_from_feet(feet, truncated, center, self.cap_radius, self.config), area
+                _cap_estimate_from_feet(feet, truncated, center, self.cap_radius), area
             )
             for center, area in zip(centers, areas)
         ]

@@ -15,6 +15,7 @@ finite radius with an analytic bound on the omitted tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -31,6 +32,7 @@ from .geometry import (
     Domain,
     Halfspace,
     as_point,
+    boundary_distance,
     boundary_quadrature,
 )
 
@@ -87,45 +89,89 @@ def _check_nonsingular(hit: np.ndarray, t: np.ndarray) -> None:
         raise InvalidInputError(f"kernel is singular at x = t[{j}] = {t[j].tolist()}")
 
 
-def _ball_kernel_values(
-    x: np.ndarray,
-    t: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    boundary_tol: float,
-) -> np.ndarray:
+def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     d = x.size
     inradius = np.linalg.norm(x - center)
     if not inradius < radius:
         raise InvalidInputError(
             f"x must be interior to the ball (|x - c| = {inradius:.6g}, radius = {radius:.6g})"
         )
+    tol = 1e-9 * max(radius, 1.0)
     offsets = np.abs(np.linalg.norm(t - center, axis=1) - radius)
-    bad = np.flatnonzero(offsets > boundary_tol)
+    bad = np.flatnonzero(offsets > tol)
     if bad.size:
         j = bad[0]
         raise InvalidInputError(
             f"boundary point t[{j}] = {t[j].tolist()} is off the sphere by {offsets[j]:.3e} "
-            f"(tolerance {boundary_tol:.1e})"
+            f"(tolerance {tol:.1e})"
         )
     sep = np.linalg.norm(t - x[None, :], axis=1)
     _check_nonsingular(sep == 0.0, t)
     return ball_constant(d) * (radius**2 - inradius**2) / (radius * sep**d)
 
 
+def _halfspace_values(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    d = x.size
+    if not x[-1] > 0.0:
+        raise InvalidInputError(f"x must lie in the open upper halfspace (x_d = {x[-1]:.6g})")
+    bad = np.flatnonzero(np.abs(t[:, -1]) > 1e-8)
+    if bad.size:
+        j = bad[0]
+        raise InvalidInputError(
+            f"boundary point t[{j}] = {t[j].tolist()} is off the hyperplane by {abs(t[j, -1]):.3e}"
+        )
+    sq = np.sum((t[:, :-1] - x[None, :-1]) ** 2, axis=1) + x[-1] ** 2
+    _check_nonsingular(sq == 0.0, t)
+    return halfspace_constant(d) * x[-1] / sq ** (d / 2.0)
+
+
+def model_kernel(domain: Domain) -> KernelEvaluator:
+    """Closed-form Poisson-kernel evaluator for a model domain.
+
+    Balls and halfspaces have exact kernels; other domains have none and must
+    be estimated (see :mod:`poisskern.harmonic_measure`).  A ball kernel takes
+    boundary points within ``1e-9 * max(radius, 1)`` of the sphere, so dilated
+    balls with large radii accept their own floating-point boundary points; a
+    halfspace kernel takes boundary points with ``|t_d| <= 1e-8``.
+    """
+    if isinstance(domain, Ball):
+        values = functools.partial(_ball_values, center=domain.center, radius=domain.radius)
+    elif isinstance(domain, Halfspace):
+        values = _halfspace_values
+    else:
+        raise DomainUnsupportedError(
+            f"no closed-form Poisson kernel for {type(domain).__name__} domains; "
+            "use the walk-on-spheres estimator instead"
+        )
+    d = domain.dim
+
+    def evaluate(x, t):
+        x = as_point(x, d, name="x")
+        T, single = _boundary_batch(t, d)
+        out = values(x, T)
+        return float(out[0]) if single else out
+
+    return evaluate
+
+
+def ball_kernel(center, radius: float) -> KernelEvaluator:
+    """Exact Poisson-kernel evaluator for the ball ``B(center, radius)``."""
+    return model_kernel(Ball(center=center, radius=radius))
+
+
+def halfspace_kernel(d: int) -> KernelEvaluator:
+    """Exact Poisson-kernel evaluator for the upper halfspace in dimension d."""
+    return model_kernel(Halfspace(d))
+
+
 def poisson_ball(d: int, x, t) -> "float | np.ndarray":
     """Poisson kernel of the unit ball in dimension ``d`` at ``(x, t)``.
 
     ``x`` must be strictly inside (|x| < 1) and ``t`` on the unit sphere to
-    1e-10; ``t`` may be a single point or an ``(n, d)`` batch.
+    1e-9, the ball tolerance ``1e-9 * max(radius, 1)`` of :func:`model_kernel`;
+    ``t`` may be a single point or an ``(n, d)`` batch.
     """
-    d = int(d)
-    if d < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
-    x = as_point(x, d, name="x")
-    T, single = _boundary_batch(t, d)
-    values = _ball_kernel_values(x, T, np.zeros(d), 1.0, boundary_tol=1e-10)
-    return float(values[0]) if single else values
+    return model_kernel(Ball(d))(x, t)
 
 
 def poisson_halfspace(d: int, x, t) -> "float | np.ndarray":
@@ -136,71 +182,7 @@ def poisson_halfspace(d: int, x, t) -> "float | np.ndarray":
     kernel is translation-invariant along the boundary and homogeneous of
     degree ``-(d-1)`` under simultaneous scaling of ``x`` and ``t``.
     """
-    d = int(d)
-    if d < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
-    x = as_point(x, d, name="x")
-    if not x[-1] > 0.0:
-        raise InvalidInputError(f"x must lie in the open upper halfspace (x_d = {x[-1]:.6g})")
-    T, single = _boundary_batch(t, d)
-    bad = np.flatnonzero(np.abs(T[:, -1]) > 1e-8)
-    if bad.size:
-        j = bad[0]
-        raise InvalidInputError(
-            f"boundary point t[{j}] = {T[j].tolist()} is off the hyperplane by {abs(T[j, -1]):.3e}"
-        )
-    sq = np.sum((T[:, :-1] - x[None, :-1]) ** 2, axis=1) + x[-1] ** 2
-    _check_nonsingular(sq == 0.0, T)
-    values = halfspace_constant(d) * x[-1] / sq ** (d / 2.0)
-    return float(values[0]) if single else values
-
-
-def ball_kernel(center, radius: float) -> KernelEvaluator:
-    """Exact Poisson-kernel evaluator for the ball ``B(center, radius)``.
-
-    The boundary tolerance scales with the radius (1e-9 relative), so dilated
-    balls with large radii accept their own floating-point boundary points.
-    """
-    center = as_point(center, name="center")
-    radius = float(radius)
-    if not radius > 0.0:
-        raise InvalidInputError(f"radius must be positive, got {radius}")
-    d = center.size
-    tol = 1e-9 * max(radius, 1.0)
-
-    def evaluate(x, t):
-        x = as_point(x, d, name="x")
-        T, single = _boundary_batch(t, d)
-        values = _ball_kernel_values(x, T, center, radius, boundary_tol=tol)
-        return float(values[0]) if single else values
-
-    return evaluate
-
-
-def halfspace_kernel(d: int) -> KernelEvaluator:
-    """Exact Poisson-kernel evaluator for the upper halfspace in dimension d."""
-    d = int(d)
-
-    def evaluate(x, t):
-        return poisson_halfspace(d, x, t)
-
-    return evaluate
-
-
-def model_kernel(domain: Domain) -> KernelEvaluator:
-    """Closed-form Poisson-kernel evaluator for a model domain.
-
-    Balls and halfspaces have exact kernels; other domains have none and must
-    be estimated (see :mod:`poisskern.harmonic_measure`).
-    """
-    if isinstance(domain, Ball):
-        return ball_kernel(domain.center, domain.radius)
-    if isinstance(domain, Halfspace):
-        return halfspace_kernel(domain.dim)
-    raise DomainUnsupportedError(
-        f"no closed-form Poisson kernel for {type(domain).__name__} domains; "
-        "use the walk-on-spheres estimator instead"
-    )
+    return model_kernel(Halfspace(d))(x, t)
 
 
 def _boundary_values(boundary_data, nodes: np.ndarray) -> np.ndarray:
@@ -231,9 +213,7 @@ def harmonic_extend(
     between nodes, so the result could not be trusted.
     """
     x = as_point(x, domain.dim, name="x")
-    delta = -domain.signed_distance(x)
-    if not delta > 0.0:
-        raise InvalidInputError("x must be strictly inside the domain")
+    delta = boundary_distance(domain, x)
     rule = boundary_quadrature(domain, resolution, truncation=truncation)
     if rule.spacing > delta:
         raise RefinementNeededError(
@@ -272,7 +252,9 @@ def halfspace_truncation_tail(d: int, x, truncation: float) -> float:
     d = int(d)
     x = as_point(x, d, name="x")
     if not x[-1] > 0.0:
-        raise InvalidInputError("x must lie in the open upper halfspace")
+        raise InvalidInputError(
+            f"x = {x.tolist()} must lie in the open upper halfspace (x_d = {x[-1]:.6g})"
+        )
     T = float(truncation)
     if not T > 0.0:
         raise InvalidInputError(f"truncation must be positive, got {T}")

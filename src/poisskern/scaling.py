@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainUnsupportedError, InvalidInputError
 from .geometry import Ball, BoundaryFrame, Domain, Halfspace, as_point, inward_normal
-from .model_kernels import KernelEvaluator, ball_kernel, halfspace_constant, halfspace_kernel
+from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
 __all__ = [
     "phi_eps",
@@ -82,11 +82,6 @@ class TransferredDefiningFunction:
     frame: BoundaryFrame
     domain: Domain
     gradient_scale: float
-
-    @property
-    def source_rho(self):
-        """The untransformed defining function of the underlying domain."""
-        return self.domain.rho
 
     def __call__(self, s) -> "float | np.ndarray":
         S = np.asarray(s, dtype=float)
@@ -225,8 +220,8 @@ def scaled_model_kernel(domain: Domain, frame: BoundaryFrame) -> KernelEvaluator
 def halfspace_surrogate(frame: BoundaryFrame, x, tau) -> float:
     """Flat-boundary approximant to the kernel near the frame base.
 
-    Evaluates the halfspace kernel in frame-centered (unscaled) coordinates
-    ``x~ = Q (x - P)``, ``tau~ = Q (tau - P)``::
+    Evaluates :func:`poisson_halfspace` in frame-centered (unscaled)
+    coordinates ``x~ = Q (x - P)``, ``tau~ = Q (tau - P)``::
 
         c_d * x~_d / (|x~' - tau~'|^2 + x~_d^2)^{d/2}
 
@@ -240,9 +235,10 @@ def halfspace_surrogate(frame: BoundaryFrame, x, tau) -> float:
     tau = as_point(tau, frame.dim, name="tau")
     xt = frame.rotation @ (x - frame.base)
     tt = frame.rotation @ (tau - frame.base)
-    height = float(xt[-1])
-    if not height > 0.0:
-        raise InvalidInputError("x is not on the inward side of the frame base")
-    sq = float(np.sum((xt[:-1] - tt[:-1]) ** 2) + height * height)
-    d = frame.dim
-    return halfspace_constant(d) * height / sq ** (d / 2.0)
+    if not xt[-1] > 0.0:
+        raise InvalidInputError(
+            f"x = {x.tolist()} is not on the inward side of the frame base "
+            f"{frame.base.tolist()} (height {xt[-1]:.6g})"
+        )
+    tt[-1] = 0.0
+    return poisson_halfspace(frame.dim, xt, tt)

@@ -356,6 +356,34 @@ def test_off_boundary_base_is_named_by_every_normal_caller():
         inward_normal(cubed, [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: pk.harmonic_extend(pk.Ball(2), lambda t: np.ones(len(t)), [1.5, 0.0], 64),
+         ["x = [1.5, 0.0] must be strictly inside", "signed distance 0.5"]),
+        (lambda: pk.kernel_ratio(pk.Ball(2), pk.model_kernel(pk.Ball(2)), [0.0, 1.2], [1.0, 0.0]),
+         ["x = [0.0, 1.2] must be strictly inside", "signed distance 0.2"]),
+        (lambda: pk.derivative_ratio(pk.Halfspace(2), pk.model_kernel(pk.Halfspace(2)),
+                                     [0.3, -0.1], [0.0, 0.0], 1, [1.0, 0.0]),
+         ["x = [0.3, -0.1] must be strictly inside", "signed distance 0.1"]),
+        (lambda: pk.halfspace_truncation_tail(2, [0.2, -0.5], 10.0),
+         ["x = [0.2, -0.5]", "x_d = -0.5"]),
+        (lambda: pk.halfspace_surrogate(pk.boundary_frame(pk.Ball(2), [0.0, -1.0], 0.1),
+                                        [0.0, -1.2], [0.0, -1.0]),
+         ["x = [0.0, -1.2]", "frame base [0.0, -1.0]", "height -0.2"]),
+        (lambda: pk.boundary_quadrature(pk.Halfspace(2), 64), ["got None"]),
+        (lambda: pk.Ball(2, center=[1.0, -2.0]).rho_grad([1.0, -2.0]), ["point [1.0, -2.0]"]),
+    ],
+    ids=["harmonic_extend", "kernel_ratio", "derivative_ratio", "truncation_tail",
+         "surrogate", "halfspace_rule", "ball_gradient"],
+)
+def test_errors_name_the_rejected_input(call, named):
+    with pytest.raises(pk.InvalidInputError) as info:
+        call()
+    for text in named:
+        assert text in str(info.value)
+
+
 def test_boundary_frame_dataclass_validation():
     with pytest.raises(pk.InvalidInputError):
         pk.BoundaryFrame(
@@ -559,10 +587,12 @@ def _batch_case(kind):
 def test_one_point_queries_equal_batch_rows(kind):
     domain, X, tied = _batch_case(kind)
     rho = domain.rho_batch(X)
+    grad = domain.rho_grad_batch(X)
     sd = domain.signed_distance_batch(X)
     feet, normals = domain.project_batch(X)
     for i, x in enumerate(X):
         assert domain.rho(x) == rho[i]
+        np.testing.assert_array_equal(domain.rho_grad(x), grad[i])
         assert domain.contains(x) == (rho[i] < 0.0)
         assert domain.signed_distance(x) == sd[i]
         foot, nu = domain.project_to_boundary(x)

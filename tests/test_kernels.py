@@ -94,8 +94,9 @@ def test_kernel_validation_errors():
         pk.poisson_halfspace(2, [0.0, -1.0], [0.0, 0.0])  # x below the boundary
     with pytest.raises(pk.InvalidInputError):
         pk.poisson_halfspace(2, [0.0, 1.0], [0.0, 0.5])  # t off the hyperplane
-    with pytest.raises(pk.InvalidInputError):
-        pk.poisson_ball(1, [0.5], [1.0])
+    for d in (1, -1):
+        with pytest.raises(pk.DimensionMismatchError):
+            pk.poisson_ball(d, [0.5], [1.0])
 
 
 def test_general_ball_kernel_translation_scaling_law():
@@ -223,6 +224,28 @@ def test_kernel_batch_rows_equal_one_point_calls(make, dim):
         assert values.shape == (40,)
         for t, v in zip(T, values):
             assert k(x, t) == v  # bit for bit
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unit_ball_evaluators_agree_and_share_one_tolerance(dim):
+    evaluators = [
+        lambda x, t: pk.poisson_ball(dim, x, t),
+        pk.ball_kernel(np.zeros(dim), 1.0),
+        pk.model_kernel(pk.Ball(dim)),
+    ]
+    rng = np.random.default_rng(dim)
+    T = rng.normal(size=(30, dim))
+    T /= np.linalg.norm(T, axis=1)[:, None]
+    x = rng.uniform(-0.4, 0.4, size=dim)
+    first = evaluators[0](x, T)
+    for evaluate in evaluators[1:]:
+        np.testing.assert_array_equal(evaluate(x, T), first)
+    near, far = np.zeros(dim), np.zeros(dim)
+    near[0], far[0] = 1.0 + 5e-10, 1.0 + 2e-9
+    for evaluate in evaluators:
+        assert evaluate(x, near) > 0.0
+        with pytest.raises(pk.InvalidInputError, match="off the sphere"):
+            evaluate(x, far)
 
 
 def test_kernel_errors_name_the_offending_row():

@@ -236,6 +236,8 @@ def test_halfspace_surrogate_exact_on_halfspace():
     x = np.array([1.3, 0.4])
     t = np.array([-0.5, 0.0])
     assert pk.halfspace_surrogate(fr, x, t) == pytest.approx(kh(x, t), rel=1e-13)
+    xt, tt = fr.rotation @ (x - fr.base), fr.rotation @ (t - fr.base)
+    assert pk.halfspace_surrogate(fr, x, t) == pk.poisson_halfspace(2, xt, tt)  # bit for bit
 
 
 def test_halfspace_surrogate_first_order_accuracy_on_disc():
