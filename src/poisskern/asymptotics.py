@@ -346,6 +346,12 @@ def derivative_report(
     h = float(probe_height)
     if not h > 0.0:
         raise InvalidInputError(f"probe height must be positive, got {probe_height}")
+    orders = tuple(orders)
+    if not orders:
+        raise InvalidInputError("orders must name at least one derivative order (1 or 2)")
+    for order in orders:
+        if order not in (1, 2):
+            raise InvalidInputError(f"derivative order must be 1 or 2, got {order!r}")
     frame = boundary_frame(domain, base, h)
     nu = frame.inward_normal
     x = base + h * nu

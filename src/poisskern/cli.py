@@ -220,7 +220,7 @@ def _csv_report(config: argparse.Namespace, body: str) -> str:
     return header + body
 
 
-def _boundary_data(spec: str):
+def _boundary_data(spec: str, dim: int):
     if spec == "one":
         return lambda nodes: np.ones(np.atleast_2d(nodes).shape[0])
     if spec.startswith("coord:"):
@@ -228,6 +228,10 @@ def _boundary_data(spec: str):
             k = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise InvalidInputError(f"bad boundary data spec '{spec}'") from exc
+        if not 0 <= k < dim:
+            raise InvalidInputError(
+                f"--data {spec}: coordinate index {k} is outside [0, {dim}) for a {dim}-D domain"
+            )
         return lambda nodes: np.atleast_2d(np.asarray(nodes, dtype=float))[:, k]
     raise InvalidInputError(f"unknown boundary data '{spec}' (expected 'one' or 'coord:K')")
 
@@ -262,7 +266,7 @@ def _cmd_kernel(config: argparse.Namespace, domain: Domain):
 
 
 def _cmd_extend(config: argparse.Namespace, domain: Domain):
-    data = _boundary_data(config.data)
+    data = _boundary_data(config.data, domain.dim)
     value = harmonic_extend(
         domain, data, np.asarray(config.x), config.resolution, truncation=config.truncation
     )

@@ -18,7 +18,7 @@ are bit-identical across batch sizes and scheduling orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,16 +66,24 @@ class WosConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not (isinstance(self.walkers, int) and self.walkers >= 1):
-            raise InvalidInputError(f"walkers must be an integer >= 1, got {self.walkers}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < _SEED_LIMIT):
-            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not (_is_int(self.walkers) and self.walkers >= 1):
+            raise InvalidInputError(f"walkers must be an integer >= 1, got {self.walkers!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < _SEED_LIMIT):
+            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.stop_tolerance is not None and not (
-            isinstance(self.stop_tolerance, (int, float)) and self.stop_tolerance > 0.0
+            isinstance(self.stop_tolerance, (int, float))
+            and not isinstance(self.stop_tolerance, bool)
+            and 0.0 < self.stop_tolerance < math.inf
         ):
-            raise InvalidInputError(f"stop_tolerance must be positive, got {self.stop_tolerance}")
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
-            raise InvalidInputError(f"max_steps must be an integer >= 1, got {self.max_steps}")
+            raise InvalidInputError(
+                f"stop_tolerance must be positive and finite, got {self.stop_tolerance!r}"
+            )
+        if not (_is_int(self.max_steps) and self.max_steps >= 1):
+            raise InvalidInputError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,15 +106,8 @@ class MeasureEstimate:
 def _resolve_stop(domain: Domain, config: WosConfig, truncation_radius: float | None) -> float:
     if config.stop_tolerance is not None:
         stop = float(config.stop_tolerance)
-    else:
-        if domain.bounded():
-            scale = domain.diameter()
-        elif truncation_radius is not None:
-            scale = float(truncation_radius)
-        else:
-            raise InvalidInputError(
-                "unbounded domain: supply a truncation_radius (stop tolerance defaults to 1e-4 x scale)"
-            )
+    else:  # run_walks has already required a truncation radius on unbounded domains
+        scale = domain.diameter() if domain.bounded() else float(truncation_radius)
         stop = 1e-4 * scale
     if domain.bounded() and not stop < domain.diameter():
         raise InvalidInputError(
@@ -142,6 +143,8 @@ def run_walks(
     if walker_indices is None:
         walker_indices = np.arange(config.walkers)
     indices = np.asarray(walker_indices, dtype=np.int64)
+    if np.any(indices < 0):
+        raise InvalidInputError(f"walker index {indices[indices < 0][0]} is negative")
     n = indices.size
     dim = domain.dim
     draws = _rng.draws_per_step(dim)
@@ -160,37 +163,26 @@ def run_walks(
         delta = -domain.signed_distance_batch(pos)
         delta = np.maximum(delta, 0.0) * safety
 
-        done = delta < stop
-        if np.any(done):
-            idx = active[done]
-            final[idx] = pos[done]
-            steps[idx] = it
-            active = active[~done]
-            pos = pos[~done]
-            delta = delta[~done]
-            if active.size == 0:
-                break
-
+        # Retire walkers that settled or left the truncation ball; settling wins.
+        settled = delta < stop
+        outside = np.zeros_like(settled)
         if truncation_radius is not None:
-            out = np.linalg.norm(pos, axis=1) > truncation_radius
-            if np.any(out):
-                idx = active[out]
-                final[idx] = pos[out]
-                truncated[idx] = True
-                steps[idx] = it
-                active = active[~out]
-                pos = pos[~out]
-                delta = delta[~out]
-                if active.size == 0:
-                    break
+            outside = np.linalg.norm(pos, axis=1) > truncation_radius
+        leave = settled | outside
+        if np.any(leave):
+            idx = active[leave]
+            final[idx] = pos[leave]
+            truncated[idx] = outside[leave] & ~settled[leave]
+            steps[idx] = it
+            active, pos, delta = active[~leave], pos[~leave], delta[~leave]
 
         directions = _rng.sphere_directions(keys[active], it * draws, dim)
         pos = pos + delta[:, None] * directions
 
-    if active.size:  # step budget exhausted
-        final[active] = pos
-        truncated[active] = True
-        steps[active] = config.max_steps
+    # Walkers still active have used up their step budget.
+    final[active] = pos
+    truncated[active] = True
+    steps[active] = config.max_steps
 
     feet = final.copy()
     settled = ~truncated
@@ -242,19 +234,23 @@ def _validate_cap(
     return center, radius
 
 
-def _cap_estimate_from_feet(
-    feet: np.ndarray, truncated: np.ndarray, center: np.ndarray, radius: float
-) -> MeasureEstimate:
+def _cap_estimates(
+    feet: np.ndarray, truncated: np.ndarray, centers, radius: float
+) -> list[MeasureEstimate]:
+    """Cap-measure estimate for each cap center from one set of walks."""
     n = feet.shape[0]
     n_trunc = int(truncated.sum())
     if n_trunc / n > _TRUNCATION_FAILURE_FRACTION:
         raise EstimationFailureError(
             f"{n_trunc} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%})"
         )
-    hits = (~truncated) & (np.linalg.norm(feet - center[None, :], axis=1) < radius)
-    p = float(hits.sum()) / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return MeasureEstimate(estimate=p, std_error=se, walkers_used=n, truncated_walks=n_trunc)
+    out = []
+    for center in centers:
+        hits = (~truncated) & (np.linalg.norm(feet - center[None, :], axis=1) < radius)
+        p = float(hits.sum()) / n
+        se = math.sqrt(p * (1.0 - p) / n)
+        out.append(MeasureEstimate(estimate=p, std_error=se, walkers_used=n, truncated_walks=n_trunc))
+    return out
 
 
 def estimate_cap_measure(
@@ -273,7 +269,7 @@ def estimate_cap_measure(
     """
     center, radius = _validate_cap(domain, cap_center, cap_radius)
     feet, truncated, _ = run_walks(domain, x, config, truncation_radius=truncation_radius)
-    return _cap_estimate_from_feet(feet, truncated, center, radius)
+    return _cap_estimates(feet, truncated, [center], radius)[0]
 
 
 def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
@@ -352,21 +348,9 @@ def _ellipse_cap_arc_length(domain: Ellipse, center: np.ndarray, c: float) -> fl
 
 
 def _density_from_cap(cap: MeasureEstimate, area: float) -> MeasureEstimate:
-    if cap.estimate == 0.0:
-        # Rule-of-three upper bound stands in for the standard error.
-        return MeasureEstimate(
-            estimate=0.0,
-            std_error=(3.0 / cap.walkers_used) / area,
-            walkers_used=cap.walkers_used,
-            truncated_walks=cap.truncated_walks,
-            wide_interval=True,
-        )
-    return MeasureEstimate(
-        estimate=cap.estimate / area,
-        std_error=cap.std_error / area,
-        walkers_used=cap.walkers_used,
-        truncated_walks=cap.truncated_walks,
-    )
+    if cap.estimate == 0.0:  # a rule-of-three upper bound stands in for the standard error
+        return replace(cap, std_error=(3.0 / cap.walkers_used) / area, wide_interval=True)
+    return replace(cap, estimate=cap.estimate / area, std_error=cap.std_error / area)
 
 
 def estimate_kernel_density(
@@ -384,22 +368,20 @@ def estimate_kernel_density(
     O(stop_tolerance) boundary layer.  Zero-hit results return estimate 0
     flagged ``wide_interval`` with a rule-of-three interval scale.
     """
-    area = cap_surface_measure(domain, y, cap_radius)
-    cap = estimate_cap_measure(domain, x, y, cap_radius, config, truncation_radius=truncation_radius)
-    return _density_from_cap(cap, area)
+    y = as_point(y, domain.dim, name="y")  # one target, so one estimate comes back
+    return WosKernel(domain, config, cap_radius, truncation_radius).estimate(x, y)
 
 
 class WosKernel:
-    """Kernel evaluator backed by cached walk exits.
+    """Kernel evaluator backed by walk-on-spheres exits.
 
-    All targets queried against the same source point ``x`` reuse one batch of
-    walker paths, so a ratio sweep over many boundary targets costs one Monte
-    Carlo run per source point.  Only the exits of the latest ``x`` are kept,
-    since a sweep visits each source point once; re-querying an earlier ``x``
-    walks again and reproduces the same exits.  Estimates sharing an ``x`` are
-    therefore correlated across targets; estimates for different ``x`` are
-    independent.
-    The cap area of each target is computed once as well.
+    Each query walks once from its source point ``x`` and estimates every
+    target from that one batch of walker paths, so a ratio sweep over many
+    boundary targets costs one Monte Carlo run per source point.  Re-querying
+    an ``x`` walks again and reproduces the same exits.  Estimates sharing a
+    query are therefore correlated across targets; estimates for different
+    ``x`` are independent.  The cap area of each target is computed once per
+    kernel and reused by later queries.
 
     Targets are a single boundary point or an ``(m, d)`` batch.  Calling the
     object returns the density estimate as a float for one point and an array
@@ -420,17 +402,7 @@ class WosKernel:
         if not (self.cap_radius > 0.0 and math.isfinite(self.cap_radius)):
             raise InvalidInputError(f"cap_radius must be positive and finite, got {cap_radius}")
         self.truncation_radius = truncation_radius
-        self._latest: tuple[bytes, np.ndarray, np.ndarray] | None = None  # (x bytes, feet, truncated)
         self._areas: dict[bytes, float] = {}  # cap area per target; the radius is fixed
-
-    def _exits(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = x.tobytes()
-        if self._latest is None or self._latest[0] != key:
-            feet, truncated, _ = run_walks(
-                self.domain, x, self.config, truncation_radius=self.truncation_radius
-            )
-            self._latest = (key, feet, truncated)
-        return self._latest[1], self._latest[2]
 
     def _area(self, center: np.ndarray) -> float:
         key = center.tobytes()
@@ -447,13 +419,11 @@ class WosKernel:
             for j, t in enumerate([Y] if single else Y)
         ]
         areas = [self._area(center) for center in centers]
-        feet, truncated = self._exits(x)
-        out = [
-            _density_from_cap(
-                _cap_estimate_from_feet(feet, truncated, center, self.cap_radius), area
-            )
-            for center, area in zip(centers, areas)
-        ]
+        feet, truncated, _ = run_walks(
+            self.domain, x, self.config, truncation_radius=self.truncation_radius
+        )
+        caps = _cap_estimates(feet, truncated, centers, self.cap_radius)
+        out = [_density_from_cap(cap, area) for cap, area in zip(caps, areas)]
         return out[0] if single else out
 
     def __call__(self, x, y) -> "float | np.ndarray":

@@ -266,6 +266,11 @@ def test_derivative_report_second_order_and_summary():
         pk.derivative_report(h, k, np.array([0.0, 0.0]), -0.1, [0.0])
     with pytest.raises(pk.InvalidInputError):
         pk.derivative_report(h, k, np.array([0.0, 0.0]), 0.1, [])
+    with pytest.raises(pk.InvalidInputError, match="at least one derivative order"):
+        pk.derivative_report(h, k, np.array([0.0, 0.0]), 0.1, [0.0, 0.5], orders=())
+    for bad in (0, 3):
+        with pytest.raises(pk.InvalidInputError, match=f"got {bad}"):
+            pk.derivative_report(h, k, np.array([0.0, 0.0]), 0.1, [0.0, 0.5], orders=(1, bad))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def test_extend_coordinate_data(specs, capsys):
     assert result["value"] == pytest.approx(0.3, abs=1e-10)
 
 
+@pytest.mark.parametrize("spec", ["coord:2", "coord:5", "coord:-1"])
+def test_extend_coordinate_outside_domain_dimension_exits_one(specs, capsys, spec):
+    code = main(["extend", "--domain", specs["disc"], "--x", "0.3,0.1",
+                 "--data", spec, "--resolution", "64"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("poisskern: error: --data " + spec)
+    assert "[0, 2)" in err
+
+
 def test_extend_halfplane_reports_truncation_tail(specs, capsys):
     code = main(["extend", "--domain", specs["halfplane"], "--x", "0,1",
                  "--truncation", "50", "--resolution", "1024"])

@@ -29,6 +29,16 @@ def test_wos_config_validation():
         pk.WosConfig(walkers=10, seed=1, stop_tolerance=0.0)
     with pytest.raises(pk.InvalidInputError):
         pk.WosConfig(walkers=10, seed=1, max_steps=0)
+    # bool is an int subclass, but True is not a walker count or a seed
+    with pytest.raises(pk.InvalidInputError, match="walkers"):
+        pk.WosConfig(walkers=True, seed=1)
+    with pytest.raises(pk.InvalidInputError, match="seed"):
+        pk.WosConfig(walkers=10, seed=True)
+    with pytest.raises(pk.InvalidInputError, match="max_steps"):
+        pk.WosConfig(walkers=10, seed=1, max_steps=True)
+    for stop in (math.inf, math.nan, True):
+        with pytest.raises(pk.InvalidInputError, match="stop_tolerance"):
+            pk.WosConfig(walkers=10, seed=1, stop_tolerance=stop)
     cfg = pk.WosConfig(walkers=10, seed=1)
     assert cfg.stop_tolerance is None  # resolved per-domain at run time
 
@@ -129,6 +139,12 @@ def test_run_walks_validation():
         pk.run_walks(h, np.array([0.0, 1.0]), pk.WosConfig(walkers=8, seed=1))
     with pytest.raises(pk.InvalidInputError):
         pk.run_walks(h, np.array([0.0, 1.0]), _cfg())  # unbounded: needs truncation
+    # a negative index would wrap onto another walker's stream
+    x = np.array([0.3, 0.1])
+    with pytest.raises(pk.InvalidInputError, match="walker index -1"):
+        pk.wos_exit(d, x, _cfg(), -1)
+    with pytest.raises(pk.InvalidInputError, match="walker index -3"):
+        pk.run_walks(d, x, _cfg(), walker_indices=[0, -3, 2])
 
 
 def test_truncation_and_wos_exit_error():
@@ -299,7 +315,6 @@ def test_wos_kernel_keeps_only_the_latest_source_point():
     base = np.array([0.0, 1.0])
     targets = [np.array([0.0, 1.0]), np.array([0.6, 0.8])]
     report = pk.normal_sweep(d, kern, base, [0.2, 0.1, 0.05], targets)
-    assert kern._latest[0] == np.array(report.records[-1].x).tobytes()
     again = kern.estimate(report.records[0].x, np.stack(targets))
     assert [e.estimate for e in again] == [rec.kernel for rec in report.records[:2]]
 
