@@ -349,9 +349,11 @@ def derivative_report(
     orders = tuple(orders)
     if not orders:
         raise InvalidInputError("orders must name at least one derivative order (1 or 2)")
-    for order in orders:
-        if order not in (1, 2):
+    for i, order in enumerate(orders):
+        if isinstance(order, (bool, np.bool_)) or order not in (1, 2):
             raise InvalidInputError(f"derivative order must be 1 or 2, got {order!r}")
+        if order in orders[:i]:
+            raise InvalidInputError(f"derivative order {order!r} is requested more than once")
     frame = boundary_frame(domain, base, h)
     nu = frame.inward_normal
     x = base + h * nu

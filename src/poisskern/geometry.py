@@ -80,6 +80,21 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
 
 
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(V, axis=1)``.
+
+    Below 8 columns numpy's axis-1 sum adds the squares in column order, which
+    a column-by-column sum repeats several times faster on narrow batches;
+    from 8 columns on numpy sums pairwise, so its own norm is used.
+    """
+    if V.shape[1] >= 8:
+        return np.linalg.norm(V, axis=1)
+    s = V[:, 0] * V[:, 0]
+    for j in range(1, V.shape[1]):
+        s += V[:, j] * V[:, j]
+    return np.sqrt(s, out=s)
+
+
 def _direction(tie_break, dim: int) -> np.ndarray:
     t = as_point(tie_break, dim, name="tie_break")
     if np.linalg.norm(t) < 1e-300:
@@ -219,7 +234,7 @@ class Ball(Domain):
 
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
-        return np.linalg.norm(X - self.center, axis=1) - self.radius
+        return _norms(X - self.center) - self.radius
 
     def rho_grad_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -316,7 +331,10 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     in ``u`` rather than ``t`` avoids the catastrophic cancellation of
     ``t + b^2`` for points near the major axis, where the root has tiny ``u``.
     Each row stops updating once it has converged, so its result does not
-    depend on the other rows.  Points exactly on the major axis with
+    depend on the other rows.  Once more than half of the rows still iterating
+    have converged, those rows leave the iteration and the rest carry on alone;
+    every row goes through the same arithmetic and stops at the same iterate
+    either way.  Points exactly on the major axis with
     ``|p| < (a^2 - b^2)/a`` take the closed-form off-axis branch instead.
     """
     P = np.asarray(P, dtype=float)
@@ -349,28 +367,50 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
         pg = p[generic]
         qg = q[generic]
         shift = a * a - b * b
-        u = b * qg
+        ap = a * pg
+        bq = b * qg
+        u = bq.copy()
+        u_final = np.empty_like(u)
+        rows = np.arange(u.size)  # rows of the generic batch still iterating
         done = np.zeros(u.shape, dtype=bool)
         for _ in range(100):
-            ra = a * pg / (u + shift)
-            rb = b * qg / u
-            F = ra * ra + rb * rb - 1.0
-            dF = -2.0 * (ra * ra / (u + shift) + rb * rb / u)
+            us = u + shift
+            ra2 = ap / us
+            ra2 *= ra2
+            rb2 = bq / u
+            rb2 *= rb2
+            F = ra2 + rb2
+            F -= 1.0
+            ra2 /= us
+            rb2 /= u
+            dF = ra2
+            dF += rb2
+            dF *= -2.0
             step = F / dF
             # Monotone increasing sequence; a sub-ulp step means the row is done.
             done |= (np.abs(F) < 1e-13) | (np.abs(step) <= np.finfo(float).eps * u)
-            if np.all(done):
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
                 break
-            u = np.where(done, u, u - step)
+            if 2 * n_done > done.size:
+                # Converged rows leave the iteration with their final iterate.
+                u_final[rows[done]] = u[done]
+                live = np.flatnonzero(~done)
+                rows, u, ap, bq, step = rows[live], u[live], ap[live], bq[live], step[live]
+                done = np.zeros(live.size, dtype=bool)
+            np.subtract(u, step, out=u, where=~done)
         else:
             raise ConvergenceError("ellipse nearest-point iteration did not converge")
+        u_final[rows] = u
+        u = u_final
         fx[generic] = a * a * pg / (u + shift)
         fy[generic] = b * b * qg / u
 
-    feet = np.stack([sx * fx, sy * fy], axis=1)
-    mirror = np.stack([sx * fx, -sy * fy], axis=1)
-    dist = np.hypot(p - fx, q - fy)
-    mirror_dist = np.hypot(p - fx, q + fy)
+    x, y, dx = sx * fx, sy * fy, p - fx
+    feet = np.stack([x, y], axis=1)
+    mirror = np.stack([x, -y], axis=1)
+    dist = np.hypot(dx, q - fy)
+    mirror_dist = np.hypot(dx, q + fy)
     return feet, mirror, dist, mirror_dist
 
 

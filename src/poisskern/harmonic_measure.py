@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     WalkTruncatedError,
 )
-from .geometry import Ball, Domain, Ellipse, Halfspace, _gauss_legendre, as_point
+from .geometry import Ball, Domain, Ellipse, Halfspace, _gauss_legendre, _norms, as_point
 
 __all__ = [
     "WosConfig",
@@ -116,6 +116,19 @@ def _resolve_stop(domain: Domain, config: WosConfig, truncation_radius: float | 
     return stop
 
 
+def _walker_indices(walker_indices) -> np.ndarray:
+    """Validated stream indices: a 1-D sequence of nonnegative integers, bools excluded."""
+    entries = np.asarray(walker_indices, dtype=object)  # keeps each entry's own type
+    if entries.ndim != 1:
+        raise InvalidInputError(f"walker_indices must be a 1-D sequence, got shape {entries.shape}")
+    for index in entries:
+        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
+            raise InvalidInputError(f"walker index {index!r} is not an integer")
+        if index < 0:
+            raise InvalidInputError(f"walker index {index} is negative")
+    return entries.astype(np.int64)
+
+
 def run_walks(
     domain: Domain,
     x,
@@ -140,11 +153,7 @@ def run_walks(
     if not domain.bounded() and truncation_radius is None:
         raise InvalidInputError("unbounded domain: a truncation_radius is required")
     stop = _resolve_stop(domain, config, truncation_radius)
-    if walker_indices is None:
-        walker_indices = np.arange(config.walkers)
-    indices = np.asarray(walker_indices, dtype=np.int64)
-    if np.any(indices < 0):
-        raise InvalidInputError(f"walker index {indices[indices < 0][0]} is negative")
+    indices = np.arange(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
     n = indices.size
     dim = domain.dim
     draws = _rng.draws_per_step(dim)
@@ -164,20 +173,25 @@ def run_walks(
         delta = np.maximum(delta, 0.0) * safety
 
         # Retire walkers that settled or left the truncation ball; settling wins.
+        # Rows move by index: `keys` stays aligned with `active` and `pos`.
         settled = delta < stop
         outside = np.zeros_like(settled)
         if truncation_radius is not None:
-            outside = np.linalg.norm(pos, axis=1) > truncation_radius
+            outside = _norms(pos) > truncation_radius
         leave = settled | outside
         if np.any(leave):
-            idx = active[leave]
-            final[idx] = pos[leave]
-            truncated[idx] = outside[leave] & ~settled[leave]
+            out = np.flatnonzero(leave)
+            stay = np.flatnonzero(~leave)
+            idx = active[out]
+            final[idx] = pos.take(out, axis=0)
+            truncated[idx] = outside[out] & ~settled[out]
             steps[idx] = it
-            active, pos, delta = active[~leave], pos[~leave], delta[~leave]
+            active, keys, delta = active[stay], keys[stay], delta[stay]
+            pos = pos.take(stay, axis=0)
 
-        directions = _rng.sphere_directions(keys[active], it * draws, dim)
-        pos = pos + delta[:, None] * directions
+        directions = _rng.sphere_directions(keys, it * draws, dim)
+        directions *= delta[:, None]
+        pos += directions
 
     # Walkers still active have used up their step budget.
     final[active] = pos
@@ -208,7 +222,7 @@ def wos_exit(
     """
     feet, truncated, steps = run_walks(
         domain, x, config, truncation_radius=truncation_radius,
-        walker_indices=[int(walker_index)],
+        walker_indices=[walker_index],
     )
     if truncated[0]:
         if steps[0] == config.max_steps:
@@ -246,7 +260,7 @@ def _cap_estimates(
         )
     out = []
     for center in centers:
-        hits = (~truncated) & (np.linalg.norm(feet - center[None, :], axis=1) < radius)
+        hits = (~truncated) & (_norms(feet - center[None, :]) < radius)
         p = float(hits.sum()) / n
         se = math.sqrt(p * (1.0 - p) / n)
         out.append(MeasureEstimate(estimate=p, std_error=se, walkers_used=n, truncated_walks=n_trunc))

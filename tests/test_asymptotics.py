@@ -273,6 +273,22 @@ def test_derivative_report_second_order_and_summary():
             pk.derivative_report(h, k, np.array([0.0, 0.0]), 0.1, [0.0, 0.5], orders=(1, bad))
 
 
+def test_derivative_report_rejects_repeated_and_bool_orders():
+    # (1, 1) used to return every (target, direction) record twice, and True
+    # was taken as order 1.
+    h = pk.Halfspace(2)
+    k = pk.model_kernel(h)
+    base = np.array([0.0, 0.0])
+    with pytest.raises(pk.InvalidInputError, match="order 1 is requested more than once"):
+        pk.derivative_report(h, k, base, 0.1, [0.0, 0.5], orders=(1, 1))
+    with pytest.raises(pk.InvalidInputError, match="order 2 is requested more than once"):
+        pk.derivative_report(h, k, base, 0.1, [0.0, 0.5], orders=(2, 1, 2))
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(pk.InvalidInputError, match=r"got (True|np\.True_)"):
+            pk.derivative_report(h, k, base, 0.1, [0.0, 0.5], orders=(bad,))
+    assert len(pk.derivative_report(h, k, base, 0.1, [0.0, 0.5], orders=(2, 1)).records) == 8
+
+
 # ---------------------------------------------------------------------------
 # the batch evaluator shape: one kernel call per source point
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern.geometry import _ellipse_feet, _gauss_legendre, as_point, inward_normal
+from poisskern.geometry import _ellipse_feet, _gauss_legendre, _norms, as_point, inward_normal
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,103 @@ def test_ellipse_feet_near_major_axis_converge():
     on_curve = (feet[:, 0] / 2.0) ** 2 + feet[:, 1] ** 2 - 1.0
     assert np.abs(on_curve).max() < 1e-12
     assert np.all(dist > 0.0)
+
+
+def _ellipse_feet_full_array(P, a, b):
+    """The nearest-point solve with every row iterating to the end (reference)."""
+    P = np.asarray(P, dtype=float)
+    p = np.abs(P[:, 0])
+    q = np.abs(P[:, 1])
+    sx = np.where(P[:, 0] >= 0.0, 1.0, -1.0)
+    sy = np.where(P[:, 1] >= 0.0, 1.0, -1.0)
+    fx = np.empty_like(p)
+    fy = np.empty_like(q)
+    on_axis = q == 0.0
+    generic = ~on_axis
+    if np.any(on_axis):
+        pa = p[on_axis]
+        fxa = np.empty_like(pa)
+        fya = np.empty_like(pa)
+        off = pa < (a * a - b * b) / a
+        xo = a * a * pa[off] / (a * a - b * b) if np.any(off) else np.empty(0)
+        fxa[off] = xo
+        fya[off] = b * np.sqrt(np.maximum(0.0, 1.0 - (xo / a) ** 2))
+        fxa[~off] = a
+        fya[~off] = 0.0
+        fx[on_axis] = fxa
+        fy[on_axis] = fya
+    if np.any(generic):
+        pg = p[generic]
+        qg = q[generic]
+        shift = a * a - b * b
+        u = b * qg
+        done = np.zeros(u.shape, dtype=bool)
+        for _ in range(100):
+            ra = a * pg / (u + shift)
+            rb = b * qg / u
+            F = ra * ra + rb * rb - 1.0
+            dF = -2.0 * (ra * ra / (u + shift) + rb * rb / u)
+            step = F / dF
+            done |= (np.abs(F) < 1e-13) | (np.abs(step) <= np.finfo(float).eps * u)
+            if np.all(done):
+                break
+            u = np.where(done, u, u - step)
+        fx[generic] = a * a * pg / (u + shift)
+        fy[generic] = b * b * qg / u
+    feet = np.stack([sx * fx, sy * fy], axis=1)
+    mirror = np.stack([sx * fx, -sy * fy], axis=1)
+    return feet, mirror, np.hypot(p - fx, q - fy), np.hypot(p - fx, q + fy)
+
+
+def _ellipse_test_points(a, b, rng):
+    """Points for the ellipse with semi-axes a >= b along x and y: interior
+    points 1e-6 .. 1 below the boundary, exterior points, and points exactly on
+    or within 1e-12 of the major axis."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, 6000)
+    depth = np.minimum(10.0 ** rng.uniform(-6.0, 0.0, 6000), 0.9 * b)
+    boundary = np.stack([a * np.cos(theta), b * np.sin(theta)], axis=1)
+    normal = np.stack([np.cos(theta) / a, np.sin(theta) / b], axis=1)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    exterior = rng.uniform(-3.0, 3.0, size=(1000, 2)) * [a, b]
+    on_axis = np.stack([rng.uniform(-1.2 * a, 1.2 * a, 500), np.zeros(500)], axis=1)
+    near_axis = on_axis + [0.0, 1.0] * rng.uniform(-1e-12, 1e-12, (500, 1))
+    return np.concatenate([boundary - depth[:, None] * normal, exterior, on_axis, near_axis])
+
+
+def _assert_bits_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_ellipse_feet_equal_the_full_array_iteration_bit_for_bit(monkeypatch):
+    # Converged rows leave the Newton loop early; no row's arithmetic may change.
+    rng = np.random.default_rng(9)
+    walk_batches = []  # every batch a real walk on the ellipse (2, 1) asks for
+    monkeypatch.setattr(
+        "poisskern.geometry._ellipse_feet",
+        lambda P, a, b: walk_batches.append(P.copy()) or _ellipse_feet(P, a, b),
+    )
+    pk.run_walks(pk.Ellipse([2.0, 1.0]), [0.5, 0.2], pk.WosConfig(walkers=3000, seed=4, stop_tolerance=1e-4))
+    monkeypatch.undo()
+    assert len(walk_batches) > 10
+    for P in walk_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
+        _assert_bits_equal(_ellipse_feet(P, 2.0, 1.0), _ellipse_feet_full_array(P, 2.0, 1.0))
+    # swapped axes: the ellipse (1, 3) solves on (y, x) with a = 3, b = 1
+    X = _ellipse_test_points(3.0, 1.0, rng)[:, ::-1]
+    feet, dist, rival, rival_dist = pk.Ellipse([1.0, 3.0])._nearest(X)
+    ref_feet, ref_rival, ref_dist, ref_rival_dist = _ellipse_feet_full_array(X[:, ::-1], 3.0, 1.0)
+    _assert_bits_equal(
+        [feet[:, ::-1].copy(), dist, rival[:, ::-1].copy(), rival_dist],
+        [ref_feet, ref_dist, ref_rival, ref_rival_dist],
+    )
+
+
+def test_row_norms_equal_the_axis1_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for d in range(2, 10):
+        V = rng.standard_normal((20000, d)) * 10.0 ** rng.integers(-8, 9, size=(20000, d))
+        for rows in (V, V[:1], V[:7], V[::3]):
+            assert np.array_equal(_norms(rows), np.linalg.norm(rows, axis=1)), d
 
 
 def test_ellipse_on_axis_branches():

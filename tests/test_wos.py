@@ -1,6 +1,7 @@
 """Walk-on-spheres exit sampling, cap measures, and kernel-density estimates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,37 @@ def test_run_walks_validation():
         pk.wos_exit(d, x, _cfg(), -1)
     with pytest.raises(pk.InvalidInputError, match="walker index -3"):
         pk.run_walks(d, x, _cfg(), walker_indices=[0, -3, 2])
+
+
+def test_walker_indices_must_be_integers():
+    # A fractional index used to be truncated onto another walker's stream.
+    d, x = pk.Ball(2), np.array([0.3, 0.1])
+    for bad, named in (([1.7], "1.7"), ([0, 2.5], "2.5"), ([True], "True"), ([np.float64(2.0)], "2.0")):
+        with pytest.raises(pk.InvalidInputError, match=f"walker index .*{re.escape(named)}.* is not an integer"):
+            pk.run_walks(d, x, _cfg(), walker_indices=bad)
+    for bad in (2.9, True):
+        with pytest.raises(pk.InvalidInputError, match=f"walker index {bad} is not an integer"):
+            pk.wos_exit(d, x, _cfg(), bad)
+    with pytest.raises(pk.InvalidInputError, match=r"1-D sequence, got shape \(1, 2\)"):
+        pk.run_walks(d, x, _cfg(), walker_indices=[[1, 2]])
+    feet, _, _ = pk.run_walks(d, x, _cfg(walkers=3))
+    one, _, _ = pk.run_walks(d, x, _cfg(), walker_indices=np.array([2], dtype=np.uint32))
+    assert np.array_equal(one[0], feet[2])
+    assert np.array_equal(pk.wos_exit(d, x, _cfg(), np.int64(2)), feet[2])
+
+
+def test_mixed_truncations_equal_one_walker_runs():
+    # A small truncation ball and step budget retire walkers for both causes in
+    # the same steps; each row still equals the walk run on its own.
+    h, x = pk.Halfspace(2), [0.2, 0.7]
+    cfg = _cfg(walkers=300, stop_tolerance=1e-3, max_steps=12)
+    feet, truncated, steps = pk.run_walks(h, x, cfg, truncation_radius=2.0)
+    budget = truncated & (steps == cfg.max_steps)
+    assert budget.any() and (truncated & ~budget).any() and (~truncated).any()
+    rows = [pk.run_walks(h, x, cfg, truncation_radius=2.0, walker_indices=[i]) for i in range(cfg.walkers)]
+    assert np.array_equal(feet, np.concatenate([r[0] for r in rows]))
+    assert np.array_equal(truncated, np.concatenate([r[1] for r in rows]))
+    assert np.array_equal(steps, np.concatenate([r[2] for r in rows]))
 
 
 def test_truncation_and_wos_exit_error():
