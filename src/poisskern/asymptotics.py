@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Domain, as_point, boundary_distance, boundary_frame, inward_normal
+from .geometry import Domain, _row_norms, as_point, boundary_distance, boundary_frame, inward_normal
 
 __all__ = [
     "RatioRecord",
@@ -110,9 +110,9 @@ def _ratio_records(
 ) -> list:
     # x is a validated interior point with delta = delta(x) > 0 and T an
     # (m, d) batch of validated points; ``name`` labels T's rows in errors.
-    # The separation is the 1-D norm of each difference: an axis-1 norm can
-    # differ from it in the last bit.
-    separations = [float(np.linalg.norm(x - t)) for t in T]
+    # The separation is the 1-D norm of each difference (``_row_norms``): an
+    # axis-1 norm can differ from it in the last bit.
+    separations = _row_norms(x - T).tolist()
     if 0.0 in separations:
         j = separations.index(0.0)
         raise InvalidInputError(f"x and {name}[{j}] must be distinct: both are {T[j].tolist()}")
@@ -380,8 +380,7 @@ def derivative_report(
     delta = -domain.signed_distance(x)
     x_tuple = tuple(x.tolist())
     records = []
-    for j, y in enumerate(Y):
-        separation = float(np.linalg.norm(x - y))
+    for j, (y, separation) in enumerate(zip(Y, _row_norms(x - Y).tolist())):
         for i, (direction, label) in enumerate(directions):
             for order in orders:
                 deriv = derivs[i, order][j]

@@ -236,11 +236,13 @@ def _boundary_data(spec: str, dim: int):
     raise InvalidInputError(f"unknown boundary data '{spec}' (expected 'one' or 'coord:K')")
 
 
-def _wos_config(config: argparse.Namespace) -> WosConfig:
+def _wos_config(config: argparse.Namespace, domain: Domain) -> WosConfig:
     if config.seed is None:
         raise InvalidInputError("--seed is required for walk-on-spheres runs")
     if config.walkers is None:
         raise InvalidInputError("--walkers is required for walk-on-spheres runs")
+    if config.truncation is None and not domain.bounded():
+        raise InvalidInputError("--truncation is required for walk-on-spheres runs on an unbounded domain")
     return WosConfig(
         walkers=config.walkers,
         seed=config.seed,
@@ -298,7 +300,7 @@ def _cmd_scale(config: argparse.Namespace, domain: Domain):
 
 
 def _cmd_wos(config: argparse.Namespace, domain: Domain):
-    wos = _wos_config(config)
+    wos = _wos_config(config, domain)
     cap = estimate_cap_measure(
         domain,
         np.asarray(config.x),
@@ -322,7 +324,7 @@ def _cmd_wos(config: argparse.Namespace, domain: Domain):
 
 def _cmd_ratio(config: argparse.Namespace, domain: Domain):
     if config.kernel_kind == "wos":
-        wos = _wos_config(config)
+        wos = _wos_config(config, domain)
         if config.cap_radius is None:
             raise InvalidInputError("--cap-radius is required for the wos kernel")
         kernel = WosKernel(domain, wos, config.cap_radius, truncation_radius=config.truncation)

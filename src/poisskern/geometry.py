@@ -80,18 +80,26 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
 
 
-def _norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm(V, axis=1)``.
+def _sum_squares(V: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row, bit for bit ``np.sum(V * V, axis=1)``.
 
     Below 8 columns numpy's axis-1 sum adds the squares in column order, which
     a column-by-column sum repeats several times faster on narrow batches;
-    from 8 columns on numpy sums pairwise, so its own norm is used.
+    from 8 columns on numpy sums pairwise, so its own reduction is used.
     """
     if V.shape[1] >= 8:
-        return np.linalg.norm(V, axis=1)
+        return np.add.reduce(V * V, axis=1)
     s = V[:, 0] * V[:, 0]
     for j in range(1, V.shape[1]):
         s += V[:, j] * V[:, j]
+    return s
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(V, axis=1)``:
+    the square root of :func:`_sum_squares`, so the same column-order sum
+    below 8 columns and numpy's own reduction from 8 columns on."""
+    s = _sum_squares(V)
     return np.sqrt(s, out=s)
 
 
@@ -161,7 +169,7 @@ class Domain:
         """
         X = _as_batch(X, self.dim)
         feet, dist, rival, rival_dist = self._nearest(X)
-        distinct = np.linalg.norm(feet - rival, axis=1) > _TIE_TOL
+        distinct = _norms(feet - rival) > _TIE_TOL
         ties = distinct & (rival_dist - dist < _TIE_TOL)
         if np.any(ties):
             if tie_break is None:
@@ -174,7 +182,7 @@ class Domain:
             swap = ties & (np.sum(rival * t, axis=1) > np.sum(feet * t, axis=1))
             feet[swap] = rival[swap]
         g = self.rho_grad_batch(feet)
-        gn = np.linalg.norm(g, axis=1)
+        gn = _norms(g)
         flat = gn < 1e-12
         if np.any(flat):
             i = int(np.argmax(flat))
@@ -254,7 +262,7 @@ class Ball(Domain):
     def project_batch(self, X, tie_break=None):
         X = _as_batch(X, self.dim)
         V = X - self.center
-        r = np.linalg.norm(V, axis=1)
+        r = _norms(V)
         tied = r < _TIE_TOL
         if np.any(tied):
             # Every boundary point is (nearly) equidistant from the center.
@@ -573,7 +581,7 @@ class Implicit(Domain):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(8):
                 g = self._grad(y)
-                g2 = np.sum(g * g, axis=1)
+                g2 = _sum_squares(g)
                 moves = g2 > 1e-20
                 scale = np.where(moves, self._rho(y) / np.where(moves, g2, 1.0), 0.0)
                 y = y - scale[:, None] * g
@@ -599,12 +607,12 @@ class Implicit(Domain):
         def residual(p, y, lam):
             return np.column_stack([y - p + lam[:, None] * self._grad(y), self._rho(y)])
 
-        tol = 1e-12 * np.maximum(1.0, np.linalg.norm(P, axis=1))
+        tol = 1e-12 * np.maximum(1.0, _norms(P))
         g = self._grad(Y)
-        g2 = np.sum(g * g, axis=1)
+        g2 = _sum_squares(g)
         lam = np.where(g2 > 1e-20, np.sum((P - Y) * g, axis=1) / np.where(g2 > 1e-20, g2, 1.0), 0.0)
         R = residual(P, Y, lam)
-        r = np.linalg.norm(R, axis=1)
+        r = _norms(R)
         live = np.flatnonzero(~(r <= tol))
         for _ in range(100):
             if live.size == 0:
@@ -629,7 +637,7 @@ class Implicit(Domain):
                 y_try = y[s] + alpha[s, None] * step[s, :d]
                 lam_try = lr[s] + alpha[s] * step[s, d]
                 R_try = residual(p[s], y_try, lam_try)
-                r_try = np.linalg.norm(R_try, axis=1)
+                r_try = _norms(R_try)
                 good = r_try < (1.0 - 1e-4 * alpha[s]) * rn[s]
                 a = s[good]
                 y[a], lr[a], res[a], rn[a] = y_try[good], lam_try[good], R_try[good], r_try[good]
@@ -670,10 +678,10 @@ class Implicit(Domain):
                 "did not converge from any starting point"
             )
         row = np.arange(n)
-        dist = np.where(converged, np.linalg.norm(Y - X[:, None, :], axis=2), np.inf)
+        dist = np.where(converged, _norms((Y - X[:, None, :]).reshape(-1, d)).reshape(n, k), np.inf)
         best = np.argmin(dist, axis=1)
         feet = Y[row, best]
-        distinct = np.linalg.norm(Y - feet[:, None, :], axis=2) > 1e-6
+        distinct = _norms((Y - feet[:, None, :]).reshape(-1, d)).reshape(n, k) > 1e-6
         rival_dist = np.where(distinct, dist, np.inf)
         rival = np.argmin(rival_dist, axis=1)
         return feet, dist[row, best], Y[row, rival], rival_dist[row, rival]

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 1 << 64
+_INDEX_LIMIT = 1 << 63  # walker indices are carried as int64
 _IMPLICIT_SAFETY = 0.99  # shrink solver-derived jump radii to absorb tolerance
 _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
 
@@ -117,7 +118,7 @@ def _resolve_stop(domain: Domain, config: WosConfig, truncation_radius: float | 
 
 
 def _walker_indices(walker_indices) -> np.ndarray:
-    """Validated stream indices: a 1-D sequence of nonnegative integers, bools excluded."""
+    """Validated stream indices: a 1-D sequence of integers in ``[0, 2**63)``, bools excluded."""
     entries = np.asarray(walker_indices, dtype=object)  # keeps each entry's own type
     if entries.ndim != 1:
         raise InvalidInputError(f"walker_indices must be a 1-D sequence, got shape {entries.shape}")
@@ -126,7 +127,23 @@ def _walker_indices(walker_indices) -> np.ndarray:
             raise InvalidInputError(f"walker index {index!r} is not an integer")
         if index < 0:
             raise InvalidInputError(f"walker index {index} is negative")
+        if index >= _INDEX_LIMIT:
+            raise InvalidInputError(f"walker index {index} is too large: indices must be below 2**63")
     return entries.astype(np.int64)
+
+
+def _check_truncation_radius(truncation_radius) -> None:
+    """Reject a truncation radius that is a bool, not a real number, non-finite or <= 0."""
+    if truncation_radius is None:
+        return
+    if (
+        isinstance(truncation_radius, bool)
+        or not isinstance(truncation_radius, (int, float, np.integer, np.floating))
+        or not 0.0 < truncation_radius < math.inf
+    ):
+        raise InvalidInputError(
+            f"truncation_radius must be positive and finite, got {truncation_radius!r}"
+        )
 
 
 def run_walks(
@@ -141,7 +158,9 @@ def run_walks(
     Returns ``(feet, truncated, steps)``: projected boundary exit points (rows
     of truncated walks hold the last interior position instead and must be
     ignored), a truncation mask (step budget exhausted or left the truncation
-    ball ``|pos| > truncation_radius``), and per-walk step counts.
+    ball ``|pos| > truncation_radius``), and per-walk step counts.  A
+    ``truncation_radius`` must be positive and finite, with ``x`` inside its
+    ball; unbounded domains require one.
 
     ``walker_indices`` selects which counter-based streams to run (default
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
@@ -152,6 +171,11 @@ def run_walks(
         raise InvalidInputError(f"walk origin {x.tolist()} is not strictly inside the domain")
     if not domain.bounded() and truncation_radius is None:
         raise InvalidInputError("unbounded domain: a truncation_radius is required")
+    _check_truncation_radius(truncation_radius)
+    if truncation_radius is not None and _norms(x[None, :])[0] > truncation_radius:
+        raise InvalidInputError(
+            f"walk origin {x.tolist()} lies outside the truncation ball of radius {truncation_radius!r}"
+        )
     stop = _resolve_stop(domain, config, truncation_radius)
     indices = np.arange(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
     n = indices.size
@@ -415,6 +439,7 @@ class WosKernel:
         self.cap_radius = float(cap_radius)
         if not (self.cap_radius > 0.0 and math.isfinite(self.cap_radius)):
             raise InvalidInputError(f"cap_radius must be positive and finite, got {cap_radius}")
+        _check_truncation_radius(truncation_radius)
         self.truncation_radius = truncation_radius
         self._areas: dict[bytes, float] = {}  # cap area per target; the radius is fixed
 

@@ -24,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainUnsupportedError, InvalidInputError
-from .geometry import Ball, BoundaryFrame, Domain, Halfspace, as_point, inward_normal
+from .geometry import Ball, BoundaryFrame, Domain, Halfspace, _norms, as_point, inward_normal
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
 __all__ = [
@@ -137,7 +137,7 @@ def _unit_directions(u: np.ndarray) -> np.ndarray:
     """Rows of ``(0, 1)^d`` mapped to unit vectors through the normal quantile."""
     inv_cdf = NormalDist().inv_cdf
     g = np.array([inv_cdf(v) for v in u.ravel()]).reshape(u.shape)
-    norms = np.linalg.norm(g, axis=1)
+    norms = _norms(g)
     norms[norms < 1e-14] = 1.0
     return g / norms[:, None]
 

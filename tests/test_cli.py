@@ -238,6 +238,27 @@ def test_ratio_rerun_is_byte_identical(specs, tmp_path):
     assert len(a_body.strip().split(b"\n")) == 3  # header + 2 rows
 
 
+@pytest.mark.parametrize("truncation", ["-3", "0", "nan", "inf"])
+def test_wos_bad_truncation_exits_one(specs, capsys, truncation):
+    # A negative radius used to truncate every walk and exit 2 as a numerical failure.
+    code = main(["wos", "--domain", specs["halfplane"], "--x", "0,1",
+                 "--cap-center", "0,0", "--cap-radius", "0.5", "--walkers", "100",
+                 "--seed", "1", "--truncation", truncation])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"truncation_radius must be positive and finite, got {float(truncation)}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["wos", "--x", "0,1", "--cap-center", "0,0", "--cap-radius", "0.5"],
+    ["ratio", "--kernel", "wos", "--base", "0,0", "--deltas", "0.1", "--cap-radius", "0.1"],
+])
+def test_wos_on_unbounded_domain_names_the_truncation_option(specs, capsys, command):
+    code = main(command + ["--domain", specs["halfplane"], "--walkers", "100", "--seed", "1"])
+    assert code == 1
+    assert "--truncation is required" in capsys.readouterr().err
+
+
 def test_ratio_wos_requires_cap_radius(specs, capsys):
     code = main(["ratio", "--domain", specs["disc"], "--base", "1,0",
                  "--deltas", "0.1", "--kernel", "wos", "--walkers", "100",

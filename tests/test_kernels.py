@@ -20,6 +20,56 @@ def test_dimensional_constants():
     assert pk.halfspace_constant(4) == pytest.approx(1.0 / math.pi**2, rel=1e-15)
 
 
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_model_kernels_and_separations_equal_the_numpy_norms_bit_for_bit():
+    # Reference copies of the kernel expressions written with numpy's own
+    # axis-1 norm and sum; ratio separations are the 1-D norm of each pair.
+    rng = np.random.default_rng(11)
+
+    def ball_reference(x, T, center, radius):
+        inradius = np.linalg.norm(x - center)
+        sep = np.linalg.norm(T - x[None, :], axis=1)
+        return pk.ball_constant(x.size) * (radius**2 - inradius**2) / (radius * sep**x.size)
+
+    def halfspace_reference(x, T):
+        sq = np.sum((T[:, :-1] - x[None, :-1]) ** 2, axis=1) + x[-1] ** 2
+        return pk.halfspace_constant(x.size) * x[-1] / sq ** (x.size / 2.0)
+
+    for d in (2, 3, 5, 9):
+        T = rng.standard_normal((5000, d))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        for scale in (0.0, 0.3, 0.999):
+            x = scale * T[0] + 1e-3 * rng.standard_normal(d) * (scale < 0.9)
+            _assert_bits_equal(pk.poisson_ball(d, x, T[1:]), ball_reference(x, T[1:], np.zeros(d), 1.0))
+    center, radius = np.array([0.3, -1.2, 2.0]), 2.5
+    T = rng.standard_normal((5000, 3))
+    T = center + radius * T / np.linalg.norm(T, axis=1)[:, None]
+    x = center + np.array([0.5, 0.1, -0.7])
+    _assert_bits_equal(pk.ball_kernel(center, radius)(x, T), ball_reference(x, T, center, radius))
+    for d in (2, 3, 9):
+        T = rng.standard_normal((5000, d)) * 10.0 ** rng.integers(-3, 3, size=(5000, d))
+        T[:, -1] = 0.0
+        for height in (1e-4, 0.3, 7.0):
+            x = np.append(rng.standard_normal(d - 1), height)
+            _assert_bits_equal(pk.poisson_halfspace(d, x, T), halfspace_reference(x, T))
+
+    for domain, base, targets in (
+        (pk.Ball(2), [0.0, -1.0], [[np.cos(a), np.sin(a)] for a in np.linspace(0.1, 6.2, 13)]),
+        (pk.Ball(3), [0.0, 0.0, -1.0], [[0.6, 0.0, 0.8], [0.0, -0.6, 0.8], [1.0, 0.0, 0.0]]),
+        (pk.Halfspace(2), [0.0, 0.0], [[t, 0.0] for t in np.linspace(-3.1, 2.9, 11)]),
+    ):
+        kernel = pk.model_kernel(domain)
+        sweep = pk.normal_sweep(domain, kernel, base, list(np.geomspace(0.5, 1e-4, 9)), targets)
+        report = pk.derivative_report(domain, kernel, base, 0.05, [0.0, 0.1, 0.35, 0.8], orders=(1, 2))
+        records = sweep.records + report.records
+        want = [float(np.linalg.norm(np.array(r.x) - np.array(r.y))) for r in records]
+        _assert_bits_equal([r.separation for r in records], want)
+
+
 # ---------------------------------------------------------------------------
 # reference kernel values
 

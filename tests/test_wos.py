@@ -165,6 +165,40 @@ def test_walker_indices_must_be_integers():
     assert np.array_equal(pk.wos_exit(d, x, _cfg(), np.int64(2)), feet[2])
 
 
+def test_walker_indices_beyond_int64_are_rejected():
+    # Indices are carried as int64; a larger one used to escape as a raw OverflowError.
+    d, x = pk.Ball(2), np.array([0.3, 0.1])
+    for bad in ([2**64], [0, np.uint64(2**63)], [2**63]):
+        with pytest.raises(pk.InvalidInputError, match=f"walker index {bad[-1]} is too large"):
+            pk.run_walks(d, x, _cfg(), walker_indices=bad)
+    with pytest.raises(pk.InvalidInputError, match=f"walker index {2**63} is too large"):
+        pk.wos_exit(d, x, _cfg(), 2**63)
+    feet, _, _ = pk.run_walks(d, x, _cfg(), walker_indices=[2**63 - 1])
+    assert np.array_equal(feet[0], pk.wos_exit(d, x, _cfg(), np.uint64(2**63 - 1)))
+
+
+def test_truncation_radius_validation():
+    # A bad radius used to truncate every walk (or, for NaN and inf, none).
+    h, x = pk.Halfspace(2), np.array([0.0, 1.0])
+    for bad in (-3.0, 0.0, math.nan, math.inf, True, "5"):
+        named = f"truncation_radius must be positive and finite, got {re.escape(repr(bad))}"
+        with pytest.raises(pk.InvalidInputError, match=named):
+            pk.run_walks(h, x, _cfg(), truncation_radius=bad)
+        with pytest.raises(pk.InvalidInputError, match=named):
+            pk.WosKernel(h, _cfg(), cap_radius=0.1, truncation_radius=bad)
+    with pytest.raises(pk.InvalidInputError, match=r"origin \[0.0, 1.0\] lies outside the truncation ball of radius 0.5"):
+        pk.run_walks(h, x, _cfg(), truncation_radius=0.5)
+    with pytest.raises(pk.InvalidInputError, match="outside the truncation ball"):
+        pk.estimate_cap_measure(h, x, [0.0, 0.0], 0.5, _cfg(), truncation_radius=0.9)
+    with pytest.raises(pk.InvalidInputError, match="outside the truncation ball"):
+        pk.WosKernel(h, _cfg(), cap_radius=0.1, truncation_radius=0.9)(x, [0.0, 0.0])
+    # a bounded domain takes a truncation radius too, of any real type; the
+    # origin may sit on the truncation sphere
+    for radius in (np.float64(1.0), 1, np.int32(3)):
+        feet, truncated, _ = pk.run_walks(pk.Ball(2, radius=2.0), [1.0, 0.0], _cfg(walkers=20), radius)
+        assert feet.shape == (20, 2) and truncated.dtype == bool
+
+
 def test_mixed_truncations_equal_one_walker_runs():
     # A small truncation ball and step budget retire walkers for both causes in
     # the same steps; each row still equals the walk run on its own.
