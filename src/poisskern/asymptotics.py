@@ -24,7 +24,7 @@ two-sided bound in every direction would be false and is not encoded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -229,17 +229,20 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
 
     Order 1 uses the two-point central difference, order 2 the three-point
     stencil.  ``direction`` is normalized internally; ``step`` is the absolute
-    difference step along it.
+    difference step along it.  ``kernel`` is a batch evaluator, called at each
+    stencil point on the one-row batch ``[y]`` with the shape check that
+    :func:`derivative_report` applies to its target batches.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(direction, dtype=float)
+    x = as_point(x, name="x")
+    Y = as_point(y, x.size, name="y")[None, :]
+    u = as_point(direction, x.size, name="direction")
     un = np.linalg.norm(u)
     if un < 1e-300:
         raise InvalidInputError("direction must be a nonzero vector")
     u = u / un
     if not (step > 0.0 and math.isfinite(step)):
         raise InvalidInputError(f"difference step must be positive, got {step}")
-    return float(_difference_quotient(lambda p: kernel(p, y), x, u, order, step))
+    return float(_difference_quotient(lambda p: _kernel_values(kernel, p, Y), x, u, order, step)[0])
 
 
 def _difference_quotient(values, x: np.ndarray, u: np.ndarray, order: int, step: float):
@@ -309,20 +312,7 @@ class DerivativeReport:
             "base": list(self.base),
             "probe_height": self.probe_height,
             "normal_ratio_unbounded": self.normal_ratio_unbounded,
-            "records": [
-                {
-                    "x": list(r.x),
-                    "y": list(r.y),
-                    "direction": list(r.direction),
-                    "direction_label": r.direction_label,
-                    "order": r.order,
-                    "derivative": r.derivative,
-                    "ratio": r.ratio,
-                    "delta": r.delta,
-                    "separation": r.separation,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
 
 

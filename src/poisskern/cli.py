@@ -222,7 +222,7 @@ def _csv_report(config: argparse.Namespace, body: str) -> str:
 
 def _boundary_data(spec: str, dim: int):
     if spec == "one":
-        return lambda nodes: np.ones(np.atleast_2d(nodes).shape[0])
+        return lambda nodes: np.ones(len(nodes))
     if spec.startswith("coord:"):
         try:
             k = int(spec.split(":", 1)[1])
@@ -232,7 +232,7 @@ def _boundary_data(spec: str, dim: int):
             raise InvalidInputError(
                 f"--data {spec}: coordinate index {k} is outside [0, {dim}) for a {dim}-D domain"
             )
-        return lambda nodes: np.atleast_2d(np.asarray(nodes, dtype=float))[:, k]
+        return lambda nodes: nodes[:, k]
     raise InvalidInputError(f"unknown boundary data '{spec}' (expected 'one' or 'coord:K')")
 
 

@@ -65,13 +65,32 @@ def as_point(x, dim: int | None = None, name: str = "point") -> np.ndarray:
     return arr
 
 
-def _as_batch(X, dim: int, name: str = "points") -> np.ndarray:
+def _as_points(X, dim: int, name: str = "points") -> tuple[np.ndarray, bool]:
+    """The one place that decides point or batch: a finite ``(n, dim)`` float
+    batch of ``X`` and whether ``X`` was one point (a batch of one, so a
+    one-point result is row 0 of its batch).
+
+    Raises :class:`DimensionMismatchError` naming ``name`` for any other shape
+    and :class:`InvalidInputError` naming the first row with a non-finite
+    coordinate.
+    """
     arr = np.asarray(X, dtype=float)
-    if arr.ndim == 1:
+    single = arr.ndim == 1
+    if single:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DimensionMismatchError(f"{name} must have shape (n, {dim}), got {arr.shape}")
-    return arr
+        raise DimensionMismatchError(
+            f"{name} must be a point of dimension {dim} or an (n, {dim}) batch, got shape {np.shape(X)}"
+        )
+    if not np.isfinite(arr).all():
+        i = int(np.argmax(~np.isfinite(arr).all(axis=1)))
+        label = name if single else f"{name}[{i}]"
+        raise InvalidInputError(f"{label} has non-finite coordinates: {arr[i].tolist()}")
+    return arr, single
+
+
+def _as_batch(X, dim: int, name: str = "points") -> np.ndarray:
+    return _as_points(X, dim, name)[0]
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -1014,8 +1033,7 @@ def _halfspace_rule(domain: Halfspace, resolution: int, truncation: float) -> Qu
     if domain.dim == 2:
         nodes = np.stack([truncation * t, np.zeros(resolution)], axis=1)
         weights = truncation * w
-        gaps = np.diff(np.sort(truncation * t))
-        spacing = float(np.max(gaps))
+        spacing = float(np.max(np.diff(truncation * t)))
         return QuadratureRule(nodes, weights, spacing=spacing)
     if domain.dim == 3:
         r = 0.5 * truncation * (t + 1.0)
@@ -1026,11 +1044,9 @@ def _halfspace_rule(domain: Halfspace, resolution: int, truncation: float) -> Qu
         y = np.outer(r, np.sin(phi)).ravel()
         nodes = np.stack([x, y, np.zeros(x.size)], axis=1)
         weights = np.repeat(wr * r, m) * (2.0 * np.pi / m)
-        radial_gap = float(np.max(np.diff(np.sort(np.concatenate([[0.0], r, [truncation]])))))
+        radial_gap = float(np.max(np.diff(np.concatenate([[0.0], r, [truncation]]))))
         spacing = max(radial_gap, 2.0 * np.pi * truncation / m)
-        # Drop the degenerate r = 0 ring if Gauss-Legendre ever produced one.
-        keep = weights > 0.0
-        return QuadratureRule(nodes[keep], weights[keep], spacing=spacing)
+        return QuadratureRule(nodes, weights, spacing=spacing)
     raise DomainUnsupportedError(
         f"halfspace boundary quadrature is implemented for d in {{2, 3}}, got d = {domain.dim}"
     )

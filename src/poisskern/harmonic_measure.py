@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     WalkTruncatedError,
 )
-from .geometry import Ball, Domain, Ellipse, Halfspace, _gauss_legendre, _norms, as_point
+from .geometry import Ball, Domain, Ellipse, Halfspace, _as_points, _gauss_legendre, _norms, as_point
 
 __all__ = [
     "WosConfig",
@@ -451,11 +451,10 @@ class WosKernel:
 
     def estimate(self, x, y) -> "MeasureEstimate | list[MeasureEstimate]":
         x = as_point(x, self.domain.dim, name="x")
-        Y = np.asarray(y, dtype=float)
-        single = Y.ndim <= 1
+        Y, single = _as_points(y, self.domain.dim, name="y")
         centers = [
             _validate_cap(self.domain, t, self.cap_radius, name="y" if single else f"y[{j}]")[0]
-            for j, t in enumerate([Y] if single else Y)
+            for j, t in enumerate(Y)
         ]
         areas = [self._area(center) for center in centers]
         feet, truncated, _ = run_walks(

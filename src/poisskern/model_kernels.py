@@ -31,6 +31,7 @@ from .geometry import (
     Ball,
     Domain,
     Halfspace,
+    _as_points,
     _norms,
     _sum_squares,
     as_point,
@@ -71,18 +72,6 @@ def halfspace_constant(d: int) -> float:
     if d < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
     return math.gamma(d / 2.0) / math.pi ** (d / 2.0)
-
-
-def _boundary_batch(t, d: int, name: str = "t") -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != d:
-        raise DimensionMismatchError(f"{name} must have dimension {d}, got shape {np.shape(t)}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} has non-finite coordinates")
-    return arr, single
 
 
 def _check_nonsingular(hit: np.ndarray, t: np.ndarray) -> None:
@@ -149,7 +138,7 @@ def model_kernel(domain: Domain) -> KernelEvaluator:
 
     def evaluate(x, t):
         x = as_point(x, d, name="x")
-        T, single = _boundary_batch(t, d)
+        T, single = _as_points(t, d, name="t")
         out = values(x, T)
         return float(out[0]) if single else out
 
@@ -188,13 +177,13 @@ def poisson_halfspace(d: int, x, t) -> "float | np.ndarray":
 
 
 def _boundary_values(boundary_data, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(boundary_data(nodes), dtype=float)
-        if vals.shape == (nodes.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(boundary_data(node)) for node in nodes])
+    values = np.asarray(boundary_data(nodes), dtype=float)
+    if values.shape != (nodes.shape[0],):
+        raise InvalidInputError(
+            f"boundary_data returned shape {values.shape} for {nodes.shape[0]} nodes; "
+            f"expected ({nodes.shape[0]},)"
+        )
+    return values
 
 
 def harmonic_extend(
@@ -207,8 +196,9 @@ def harmonic_extend(
     """Poisson integral ``int P(x, t) f(t) dsigma(t)`` by boundary quadrature.
 
     Evaluates the harmonic extension of continuous boundary data ``f`` at an
-    interior point.  ``boundary_data`` may accept a single point or an
-    ``(n, d)`` batch.  Halfspace domains require a ``truncation`` radius.
+    interior point.  ``boundary_data`` is a batch callable: on the ``(n, d)``
+    array of quadrature nodes it returns the ``(n,)`` data values, and any
+    other shape is rejected.  Halfspace domains require a ``truncation`` radius.
 
     Raises :class:`RefinementNeededError` when the quadrature node spacing
     exceeds the boundary distance of ``x`` -- the kernel peak would slip
@@ -239,9 +229,7 @@ def kernel_normalization(
     On the truncated halfspace the value falls short of 1 by the omitted tail;
     see :func:`halfspace_truncation_tail` for the analytic bound.
     """
-    return harmonic_extend(
-        domain, lambda nodes: np.ones(np.atleast_2d(nodes).shape[0]), x, resolution, truncation=truncation
-    )
+    return harmonic_extend(domain, lambda nodes: np.ones(len(nodes)), x, resolution, truncation=truncation)
 
 
 def halfspace_truncation_tail(d: int, x, truncation: float) -> float:

@@ -17,6 +17,7 @@ domain to a blown-up copy whose boundary flattens as eps -> 0:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -24,7 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainUnsupportedError, InvalidInputError
-from .geometry import Ball, BoundaryFrame, Domain, Halfspace, _norms, as_point, inward_normal
+from .geometry import Ball, BoundaryFrame, Domain, Halfspace, _as_points, _norms, as_point, inward_normal
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
 __all__ = [
@@ -49,23 +50,17 @@ def phi_eps(frame: BoundaryFrame, x) -> np.ndarray:
     ``P + eps * nu`` to the unit normal point ``e_d``; the exact inverse is
     :func:`phi_eps_inverse`.
     """
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X2 = np.atleast_2d(X)
-    if X2.shape[1] != frame.dim:
-        raise InvalidInputError(f"point dimension {X2.shape[1]} != frame dimension {frame.dim}")
-    S = (X2 - frame.base[None, :]) @ frame.rotation.T / frame.epsilon
+    X, single = _as_points(x, frame.dim, name="x")
+    # With Q^T in C order a batch of one rounds as each row of a larger batch
+    # does; the transposed view of Q does not.
+    S = (X - frame.base[None, :]) @ np.ascontiguousarray(frame.rotation.T) / frame.epsilon
     return S[0] if single else S
 
 
 def phi_eps_inverse(frame: BoundaryFrame, s) -> np.ndarray:
     """Exact inverse dilation ``Phi^{-1}(s) = P + eps * Q^T s``."""
-    S = np.asarray(s, dtype=float)
-    single = S.ndim == 1
-    S2 = np.atleast_2d(S)
-    if S2.shape[1] != frame.dim:
-        raise InvalidInputError(f"point dimension {S2.shape[1]} != frame dimension {frame.dim}")
-    X = frame.base[None, :] + frame.epsilon * (S2 @ frame.rotation)
+    S, single = _as_points(s, frame.dim, name="s")
+    X = frame.base[None, :] + frame.epsilon * (S @ frame.rotation)
     return X[0] if single else X
 
 
@@ -84,10 +79,8 @@ class TransferredDefiningFunction:
     gradient_scale: float
 
     def __call__(self, s) -> "float | np.ndarray":
-        S = np.asarray(s, dtype=float)
-        single = S.ndim == 1
-        S2 = np.atleast_2d(S)
-        X = phi_eps_inverse(self.frame, S2)
+        S, single = _as_points(s, self.frame.dim, name="s")
+        X = phi_eps_inverse(self.frame, S)
         vals = self.domain.rho_batch(X) / (self.frame.epsilon * self.gradient_scale)
         return float(vals[0]) if single else vals
 
@@ -178,8 +171,8 @@ def linearization_gap(tdf: TransferredDefiningFunction, radius: float) -> float:
     identically when the boundary is already flat.
     """
     radius = float(radius)
-    if not radius > 0.0:
-        raise InvalidInputError(f"radius must be positive, got {radius}")
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise InvalidInputError(f"radius must be positive and finite, got {radius}")
     S = _gap_grid(tdf.frame.dim, radius)
     vals = tdf(S)
     return float(np.max(np.abs(vals + S[:, -1])))

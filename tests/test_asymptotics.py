@@ -171,7 +171,7 @@ def test_sweep_on_ellipse_with_wos_kernel_small():
 
 
 def test_directional_derivative_orders_against_analytic():
-    k = lambda x, y: math.exp(x[0]) * math.sin(x[1] + y[0])
+    k = lambda x, T: math.exp(x[0]) * np.sin(x[1] + T[:, 0])
     x = np.array([0.3, 0.4])
     y = np.array([0.2, 0.0])
     e1 = np.array([1.0, 0.0])
@@ -184,6 +184,26 @@ def test_directional_derivative_orders_against_analytic():
         pk.directional_derivative(k, x, y, 3, e1, 1e-6)
     with pytest.raises(pk.InvalidInputError):
         pk.directional_derivative(k, x, y, 1, np.zeros(2), 1e-6)
+    # kernels are batch evaluators: a scalar result is rejected by its shape,
+    # and a kernel that cannot take a batch fails with its own error
+    with pytest.raises(pk.InvalidInputError, match=r"kernel returned shape \(\) for 1 targets"):
+        pk.directional_derivative(lambda x, T: 1.0, x, y, 1, e1, 1e-6)
+    with pytest.raises(TypeError):
+        pk.directional_derivative(lambda x, y: math.sin(x[1] + y[0]), x, y, 1, e1, 1e-6)
+
+
+@pytest.mark.parametrize("domain", [pk.Ball(2), pk.Ball(3), pk.Halfspace(2)], ids=["disc", "ball3", "halfplane"])
+def test_directional_derivative_equals_report_records(domain):
+    # one target through directional_derivative is its row of the report's batch
+    k = pk.model_kernel(domain)
+    base = np.zeros(domain.dim)
+    base[-1] = -1.0 if isinstance(domain, pk.Ball) else 0.0
+    h = 0.05
+    rep = pk.derivative_report(domain, k, base, h, [0.0, 0.1, 0.3, 0.7], orders=(1, 2))
+    step = max(1e-6, 1e-4 * h)
+    for rec in rep.records:
+        got = pk.directional_derivative(k, rec.x, rec.y, rec.order, rec.direction, step)
+        assert got == rec.derivative
 
 
 def test_derivative_matches_hand_formula_on_disc_kernel():

@@ -353,10 +353,19 @@ def test_implicit_validation():
         )
 
 
-def test_implicit_nonconvergence_names_the_point():
+def test_implicit_nonconvergence_names_the_point(monkeypatch):
+    # Every start of the points with x = -0.7 is made to fail; the error names
+    # the first of them.
+    newton = pk.Implicit._newton
+
+    def stalls_at_x_minus_0_7(self, P, Y):
+        Y, converged = newton(self, P, Y)
+        return Y, converged & (P[:, 0] != -0.7)
+
+    monkeypatch.setattr(pk.Implicit, "_newton", stalls_at_x_minus_0_7)
     imp = _ellipse_implicit()
-    with pytest.raises(pk.ConvergenceError, match=re.escape("point [nan, 0.5]")):
-        imp.signed_distance_batch([[0.5, 0.2], [np.nan, 0.5]])
+    with pytest.raises(pk.ConvergenceError, match=re.escape("point [-0.7, 0.5] did not converge")):
+        imp.signed_distance_batch([[0.5, 0.2], [-0.7, 0.5], [-0.7, 0.4]])
 
 
 def test_implicit_distance_batch_memory_is_bounded():
@@ -700,3 +709,15 @@ def test_one_point_queries_equal_batch_rows(kind):
     if tied is not None:
         with pytest.raises(pk.ProjectionAmbiguityError, match=re.escape(f"point {tied}")):
             domain.project_batch(np.vstack([X[:2], tied]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["ball", "halfspace", "ellipse", "implicit_polynomial"])
+def test_non_finite_rows_are_rejected_by_name(kind, bad):
+    domain, X, _ = _batch_case(kind)
+    X = X[:3].copy()
+    X[1, 0] = bad
+    named = re.escape(f"points[1] has non-finite coordinates: {X[1].tolist()}")
+    for query in (domain.rho_batch, domain.signed_distance_batch, domain.project_batch):
+        with pytest.raises(pk.InvalidInputError, match=named):
+            query(X)

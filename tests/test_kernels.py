@@ -218,12 +218,26 @@ def test_harmonic_extension_reproduces_harmonic_polynomials():
     )
 
 
-def test_harmonic_extension_accepts_scalar_boundary_data():
+def test_harmonic_extension_takes_batch_boundary_data():
     d = pk.Ball(2)
-    got = pk.harmonic_extend(d, lambda t: float(t[0]) ** 3, np.array([0.2, 0.0]), 512)
+    x = np.array([0.2, 0.0])
+    got = pk.harmonic_extend(d, lambda T: T[:, 0] ** 3, x, 512)
     # cos^3 has harmonic extension (3/4) r cos + (1/4) r^3 cos(3theta)
     expected = 0.75 * 0.2 + 0.25 * 0.2**3
     assert got == pytest.approx(expected, abs=1e-10)
+    # boundary data is called once, on all nodes: a scalar result is rejected
+    # by its shape, and per-node data fails with its own error and no retry
+    with pytest.raises(pk.InvalidInputError, match=r"boundary_data returned shape \(\) for 512 nodes"):
+        pk.harmonic_extend(d, lambda T: 1.0, x, 512)
+    calls = []
+
+    def per_node(t):
+        calls.append(np.shape(t))
+        return float(t[0]) ** 3
+
+    with pytest.raises(TypeError):
+        pk.harmonic_extend(d, per_node, x, 512)
+    assert calls == [(512, 2)]
 
 
 def test_extension_validation_and_refinement_guard():

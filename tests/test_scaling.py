@@ -37,6 +37,30 @@ def test_phi_eps_inverse_round_trip_scalar_and_batch():
     np.testing.assert_allclose(pk.phi_eps_inverse(fr, s), x, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["disc", "ball3", "ellipse"])
+def test_frame_maps_of_one_point_equal_batch_rows(kind):
+    if kind == "ellipse":
+        domain = pk.Ellipse([2.0, 1.0])
+        base = domain.boundary_point(0.7)
+    else:
+        domain = pk.Ball(2 if kind == "disc" else 3)
+        base = [0.6, 0.8] if kind == "disc" else [0.0, 0.6, 0.8]
+    fr = pk.boundary_frame(domain, base, 0.05)
+    tdf = pk.transfer_defining_function(fr, domain)
+    X = np.random.default_rng(3).normal(size=(500, domain.dim))
+    S, Y, V = pk.phi_eps(fr, X), pk.phi_eps_inverse(fr, X), tdf(X)
+    for i, x in enumerate(X):
+        np.testing.assert_array_equal(pk.phi_eps(fr, x), S[i])
+        np.testing.assert_array_equal(pk.phi_eps_inverse(fr, x), Y[i])
+        assert tdf(x) == V[i]
+    X[2, -1] = np.nan
+    for evaluate in (lambda P: pk.phi_eps(fr, P), lambda P: pk.phi_eps_inverse(fr, P), tdf):
+        with pytest.raises(pk.InvalidInputError, match=r"\[2\] has non-finite coordinates"):
+            evaluate(X)
+        with pytest.raises(pk.DimensionMismatchError, match=f"point of dimension {domain.dim}"):
+            evaluate(np.zeros(domain.dim + 1))
+
+
 def test_phi_eps_is_a_similarity_with_ratio_one_over_eps():
     fr = _disc_frame(0.2)
     a = np.array([0.1, -0.4])
@@ -174,6 +198,13 @@ def test_linearization_gap_input_validation():
         pk.linearization_gap(tdf, 0.0)
     with pytest.raises(pk.InvalidInputError):
         pk.linearization_gap(tdf, -1.0)
+
+
+def test_linearization_gap_rejects_a_non_finite_radius():
+    tdf = pk.transfer_defining_function(_disc_frame(0.1), pk.Ball(2))
+    for radius in (math.inf, math.nan):
+        with pytest.raises(pk.InvalidInputError, match=f"radius must be positive and finite, got {radius}"):
+            pk.linearization_gap(tdf, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ WALK_CASES = {
     "ball3": (pk.Ball(3), [0.1, 0.3, -0.2], None),
     "halfplane": (pk.Halfspace(2), [0.2, 0.7], 20.0),
     "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.3], None),
+    "ball4": (pk.Ball(4), [0.3, 0.2, -0.1, 0.4], None),
+    "halfspace3": (pk.Halfspace(3), [0.2, -0.1, 0.7], 20.0),
 }
 
 
@@ -100,6 +102,31 @@ def test_walker_count_independence_of_batching(kind):
     part, _, part_steps = pk.run_walks(d, x, _cfg(), truncation_radius=radius, walker_indices=subset)
     assert np.array_equal(big[subset], part)
     assert np.array_equal(big_steps[subset], part_steps)
+
+
+def test_ball4_mean_exit_point_is_the_start():
+    # Coordinates are harmonic, so exits average to the start; projecting the
+    # stopped walkers onto the sphere moves each coordinate by under the stop
+    # tolerance.
+    d, x, _ = WALK_CASES["ball4"]
+    stop = 1e-3
+    feet, truncated, _ = pk.run_walks(d, x, _cfg(walkers=100_000, stop_tolerance=stop))
+    assert not truncated.any()
+    se = feet.std(axis=0, ddof=1) / math.sqrt(len(feet))
+    assert np.all(np.abs(feet.mean(axis=0) - x) <= 3.0 * se + stop)
+
+
+def test_halfspace3_cap_measure_matches_closed_form():
+    # From (0, 0, 1) the unit disc at the origin has harmonic measure
+    # 1 - 1/sqrt(2).  A truncated walk never counts as a hit; from the
+    # truncation sphere |p| = R the disc's measure is at most
+    # (area / 2 pi) * R / (R - 1)^3, which bounds what truncation can remove.
+    h, R = pk.Halfspace(3), 20.0
+    est = pk.estimate_cap_measure(h, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 1.0, _cfg(walkers=100_000),
+                                  truncation_radius=R)
+    allowance = est.truncated_walks / est.walkers_used * 0.5 * R / (R - 1.0) ** 3
+    exact = 1.0 - 1.0 / math.sqrt(2.0)
+    assert exact - 3.0 * est.std_error - allowance <= est.estimate <= exact + 3.0 * est.std_error
 
 
 def test_run_walks_on_ellipse_lands_on_boundary():
