@@ -23,13 +23,15 @@ two-sided bound in every direction would be false and is not encoded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Domain, _row_norms, as_point, boundary_distance, boundary_frame, inward_normal
+from .geometry import (
+    Domain, _callable_values, _integer, _positive, _row_norms, as_point, boundary_distance, boundary_frame,
+    inward_normal,
+)
 
 __all__ = [
     "RatioRecord",
@@ -97,12 +99,7 @@ def _kernel_batch(kernel, x: np.ndarray, T: np.ndarray) -> tuple[list, list | No
 
 
 def _kernel_values(kernel, x: np.ndarray, T: np.ndarray) -> np.ndarray:
-    values = np.asarray(kernel(x, T), dtype=float)
-    if values.shape != (T.shape[0],):
-        raise InvalidInputError(
-            f"kernel returned shape {values.shape} for {T.shape[0]} targets; expected ({T.shape[0]},)"
-        )
-    return values
+    return _callable_values(kernel(x, T), T, "kernel", "target")
 
 
 def _ratio_records(
@@ -240,18 +237,22 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
     if un < 1e-300:
         raise InvalidInputError("direction must be a nonzero vector")
     u = u / un
-    if not (step > 0.0 and math.isfinite(step)):
-        raise InvalidInputError(f"difference step must be positive, got {step}")
+    order, step = _order(order), _positive(step, "step")
     return float(_difference_quotient(lambda p: _kernel_values(kernel, p, Y), x, u, order, step)[0])
 
 
 def _difference_quotient(values, x: np.ndarray, u: np.ndarray, order: int, step: float):
-    """Central difference of ``p -> values(p)`` at ``x`` along the unit vector ``u``."""
+    """Central difference of ``p -> values(p)`` at ``x`` along the unit vector ``u`` (order 1 or 2)."""
     if order == 1:
         return (values(x + step * u) - values(x - step * u)) / (2.0 * step)
-    if order == 2:
-        return (values(x + step * u) - 2.0 * values(x) + values(x - step * u)) / (step * step)
-    raise InvalidInputError(f"derivative order must be 1 or 2, got {order}")
+    return (values(x + step * u) - 2.0 * values(x) + values(x - step * u)) / (step * step)
+
+
+def _order(order) -> int:
+    """A derivative order: the integer 1 or 2."""
+    if _integer(order, "derivative order", 1) > 2:
+        raise InvalidInputError(f"derivative order must be 1 or 2, got {order!r}")
+    return int(order)
 
 
 def derivative_ratio(domain: Domain, kernel, x, y, order: int, direction) -> float:
@@ -264,6 +265,7 @@ def derivative_ratio(domain: Domain, kernel, x, y, order: int, direction) -> flo
     """
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
+    order = _order(order)
     delta = boundary_distance(domain, x)
     step = max(1e-6, 1e-4 * delta)
     separation = float(np.linalg.norm(x - y))
@@ -333,15 +335,11 @@ def derivative_report(
     one record per requested order.
     """
     base = as_point(base, domain.dim, name="base")
-    h = float(probe_height)
-    if not h > 0.0:
-        raise InvalidInputError(f"probe height must be positive, got {probe_height}")
-    orders = tuple(orders)
+    h = _positive(probe_height, "probe_height")
+    orders = tuple(_order(order) for order in orders)
     if not orders:
         raise InvalidInputError("orders must name at least one derivative order (1 or 2)")
     for i, order in enumerate(orders):
-        if isinstance(order, (bool, np.bool_)) or order not in (1, 2):
-            raise InvalidInputError(f"derivative order must be 1 or 2, got {order!r}")
         if order in orders[:i]:
             raise InvalidInputError(f"derivative order {order!r} is requested more than once")
     frame = boundary_frame(domain, base, h)
@@ -380,7 +378,7 @@ def derivative_report(
                         y=tuple(y.tolist()),
                         direction=tuple(direction.tolist()),
                         direction_label=label,
-                        order=int(order),
+                        order=order,
                         derivative=deriv,
                         ratio=float(abs(deriv) * separation ** (domain.dim + order) / delta),
                         delta=float(delta),

@@ -99,6 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, required=seed_required,
                        help="random seed (recorded in every report)")
 
+    def monte_carlo(p: argparse.ArgumentParser, required: bool):
+        p.add_argument("--cap-radius", required=required, type=float)
+        p.add_argument("--walkers", required=required, type=int)
+        p.add_argument("--stop-tol", dest="stop_tolerance", metavar="STOP_TOL", type=float,
+                       default=None)
+        p.add_argument("--max-steps", type=int, default=10_000)
+        p.add_argument("--truncation", type=float, default=None,
+                       help="truncation ball radius (required for halfspaces)")
+
     p = sub.add_parser("kernel", help="evaluate a closed-form model kernel")
     common(p)
     p.add_argument("--x", required=True, type=_point, help="interior point, comma-separated")
@@ -125,13 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed_required=True)
     p.add_argument("--x", required=True, type=_point)
     p.add_argument("--cap-center", required=True, type=_point)
-    p.add_argument("--cap-radius", required=True, type=float)
-    p.add_argument("--walkers", required=True, type=int)
-    p.add_argument("--stop-tol", dest="stop_tolerance", metavar="STOP_TOL", type=float,
-                   default=None)
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--truncation", type=float, default=None,
-                   help="truncation ball radius (required for halfspaces)")
+    monte_carlo(p, required=True)
 
     p = sub.add_parser("ratio", help="boundary-asymptotic ratio sweep (CSV)")
     common(p)
@@ -142,12 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", dest="kernel_kind", choices=("model", "wos"), default="model")
     p.add_argument("--summary-out", dest="summary_output", metavar="SUMMARY_OUT", default=None,
                    help="optional JSON summary file")
-    p.add_argument("--walkers", type=int, default=None)
-    p.add_argument("--stop-tol", dest="stop_tolerance", metavar="STOP_TOL", type=float,
-                   default=None)
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--cap-radius", type=float, default=None)
-    p.add_argument("--truncation", type=float, default=None)
+    monte_carlo(p, required=False)
 
     p = sub.add_parser("derivative", help="direction-resolved derivative ratios")
     common(p)
@@ -392,7 +390,7 @@ def run(config: argparse.Namespace) -> int:
     except NumericalError as exc:
         print(f"poisskern: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (PoisskernError, ValueError, KeyError, OSError) as exc:
+    except (PoisskernError, OSError) as exc:
         print(f"poisskern: error: {exc}", file=sys.stderr)
         return 1
 

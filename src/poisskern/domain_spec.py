@@ -22,10 +22,11 @@ alone does not certify a nonempty domain.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
-from .errors import InvalidInputError
-from .geometry import Ball, Domain, Ellipse, Halfspace, ImplicitPolynomial
+from .errors import DimensionMismatchError, InvalidInputError
+from .geometry import Ball, Domain, Ellipse, Halfspace, ImplicitPolynomial, _integer
 
 __all__ = ["parse_domain_spec", "load_domain_spec"]
 
@@ -65,7 +66,7 @@ def parse_domain_spec(text: str) -> Domain:
     if not isinstance(spec, dict):
         raise InvalidInputError("domain spec must be a JSON object")
     kind = _require(spec, "kind")
-    if kind not in _ALLOWED_KEYS:
+    if not isinstance(kind, str) or kind not in _ALLOWED_KEYS:
         raise InvalidInputError(
             f"unknown domain kind '{kind}' (expected one of {sorted(_ALLOWED_KEYS)})"
         )
@@ -73,34 +74,23 @@ def parse_domain_spec(text: str) -> Domain:
     if extra:
         raise InvalidInputError(f"unexpected keys for kind '{kind}': {sorted(extra)}")
 
+    dim = None
+    if kind != "ellipse" or "dim" in spec:
+        dim = _integer(_require(spec, "dim"), "dim", 2, DimensionMismatchError)
+
     if kind == "ball":
-        dim = int(_require(spec, "dim"))
-        if dim < 2:
-            raise InvalidInputError(f"dim must be >= 2, got {dim}")
-        radius = float(spec.get("radius", 1.0))
-        center = spec.get("center")
-        if center is None:
-            return Ball(dim=dim, radius=radius)
-        return Ball(dim=dim, center=center, radius=radius)
+        return Ball(dim=dim, center=spec.get("center"), radius=spec.get("radius", 1.0))
 
     if kind == "halfspace":
-        dim = int(_require(spec, "dim"))
-        if dim < 2:
-            raise InvalidInputError(f"dim must be >= 2, got {dim}")
         return Halfspace(dim)
 
     if kind == "ellipse":
-        semi_axes = _require(spec, "semi_axes")
-        if "dim" in spec and int(spec["dim"]) != len(semi_axes):
-            raise InvalidInputError(
-                f"dim = {spec['dim']} does not match {len(semi_axes)} semi-axes"
-            )
-        return Ellipse(semi_axes)
+        ellipse = Ellipse(_require(spec, "semi_axes"))
+        if dim not in (None, ellipse.dim):
+            raise InvalidInputError(f"dim = {dim} does not match {ellipse.dim} semi-axes")
+        return ellipse
 
     # implicit_polynomial
-    dim = int(_require(spec, "dim"))
-    if dim < 2:
-        raise InvalidInputError(f"dim must be >= 2, got {dim}")
     raw_coeffs = _require(spec, "coefficients")
     if not isinstance(raw_coeffs, dict) or not raw_coeffs:
         raise InvalidInputError("coefficients must be a non-empty object")
@@ -109,6 +99,8 @@ def parse_domain_spec(text: str) -> Domain:
         exps = _parse_exponents(str(key), dim)
         if exps in coefficients:
             raise InvalidInputError(f"duplicate exponent key '{key}'")
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise InvalidInputError(f"coefficient of '{key}' must be a number, got {value!r}")
         coefficients[exps] = float(value)
     bounding_box = _require(spec, "bounding_box")
     interior_point = _require(spec, "interior_point")
@@ -122,4 +114,8 @@ def load_domain_spec(path) -> Domain:
     p = Path(path)
     if not p.is_file():
         raise InvalidInputError(f"domain spec file not found: {p}")
-    return parse_domain_spec(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"domain spec file {p} is not UTF-8 text: {exc}") from exc
+    return parse_domain_spec(text)

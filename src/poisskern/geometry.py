@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -53,7 +54,7 @@ _START_BLOCK = 1 << 18  # entries in one block of the point-to-start distance ta
 
 def as_point(x, dim: int | None = None, name: str = "point") -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-D float array of length >= 2."""
-    arr = np.asarray(x, dtype=float)
+    arr = _float_array(x, name)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be a 1-D coordinate vector, got shape {arr.shape}")
     if arr.size < 2:
@@ -74,7 +75,7 @@ def _as_points(X, dim: int, name: str = "points") -> tuple[np.ndarray, bool]:
     and :class:`InvalidInputError` naming the first row with a non-finite
     coordinate.
     """
-    arr = np.asarray(X, dtype=float)
+    arr = _float_array(X, name)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
@@ -91,6 +92,46 @@ def _as_points(X, dim: int, name: str = "points") -> tuple[np.ndarray, bool]:
 
 def _as_batch(X, dim: int, name: str = "points") -> np.ndarray:
     return _as_points(X, dim, name)[0]
+
+
+def _float_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array; what numpy cannot convert is an input error naming ``name``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must hold real numbers: {exc}") from exc
+
+
+def _positive(value, name: str) -> float:
+    """A size: a real number (numpy's too; bools and strings are not), finite and > 0, as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf:
+        return float(value)
+    raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _integer(value, name: str, minimum: int, error: type = InvalidInputError) -> int:
+    """A count: an integer (numpy's too; bools are not) >= ``minimum``, as an int.
+
+    Dimensions pass ``error=DimensionMismatchError``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _callable_values(values, points: np.ndarray, source: str, label: str) -> np.ndarray:
+    """The ``(n,)`` values a user callable returned for the ``n`` rows of ``points``, as floats.
+
+    A wrong shape, or a NaN or infinite value, is an input error naming it."""
+    values = np.asarray(values, dtype=float)
+    n = points.shape[0]
+    if values.shape != (n,):
+        raise InvalidInputError(f"{source} returned shape {values.shape} for {n} {label}s; expected ({n},)")
+    if not np.isfinite(values).all():
+        j = int(np.argmax(~np.isfinite(values)))
+        raise InvalidInputError(f"{source} returned {values[j]} at {label} {j} = {points[j].tolist()}")
+    return values
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -247,17 +288,13 @@ class Ball(Domain):
     """Open ball of given center and radius (disc in 2-D)."""
 
     def __init__(self, dim: int | None = None, center=None, radius: float = 1.0):
-        if center is None:
-            if dim is None:
-                raise InvalidInputError("Ball requires a dimension or an explicit center")
-            if int(dim) < 2:
-                raise DimensionMismatchError(f"ball dimension must be >= 2, got {dim}")
-            center = np.zeros(int(dim))
-        self.center = as_point(center, dim, name="center")
+        if dim is not None:
+            dim = _integer(dim, "dim", 2, DimensionMismatchError)
+        elif center is None:
+            raise InvalidInputError("Ball requires a dimension or an explicit center")
+        self.center = as_point(np.zeros(dim) if center is None else center, dim, name="center")
         self.dim = self.center.size
-        self.radius = float(radius)
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise InvalidInputError(f"ball radius must be positive and finite, got {radius}")
+        self.radius = _positive(radius, "radius")
 
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -312,9 +349,7 @@ class Halfspace(Domain):
     """Upper halfspace ``{x : x_d > 0}`` with flat boundary ``{x_d = 0}``."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
-        if self.dim < 2:
-            raise DimensionMismatchError(f"halfspace dimension must be >= 2, got {dim}")
+        self.dim = _integer(dim, "dim", 2, DimensionMismatchError)
 
     def rho_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -451,14 +486,13 @@ class Ellipse(Domain):
     """
 
     def __init__(self, semi_axes: Sequence[float]):
-        axes = np.asarray(semi_axes, dtype=float)
-        if axes.shape != (2,):
+        entries = np.asarray(semi_axes, dtype=object)  # keeps each entry's own type
+        if entries.shape != (2,):
             raise DomainUnsupportedError(
-                f"ellipse domains are two-dimensional (got {axes.size} semi-axes); "
+                f"ellipse domains are two-dimensional (got {entries.size} semi-axes); "
                 "use an implicit polynomial domain for ellipsoids"
             )
-        if not (np.all(axes > 0.0) and np.all(np.isfinite(axes))):
-            raise InvalidInputError(f"semi-axes must be positive and finite, got {semi_axes}")
+        axes = np.array([_positive(a, f"semi_axes[{i}]") for i, a in enumerate(entries)])
         if axes[0] == axes[1]:
             raise InvalidInputError(
                 "equal semi-axes describe a circle; use Ball, whose projection "
@@ -550,7 +584,7 @@ class Implicit(Domain):
         self._rho = rho
         self._grad = grad
         self._hess = hess
-        box = np.asarray(bounding_box, dtype=float)
+        box = _float_array(bounding_box, "bounding_box")
         if box.ndim != 2 or box.shape[0] != 2 or box.shape[1] < 2:
             raise InvalidInputError(f"bounding_box must have shape (2, d), got {box.shape}")
         if not np.all(box[0] < box[1]):
@@ -816,8 +850,7 @@ class BoundaryFrame:
         d = base.size
         if Q.shape != (d, d):
             raise DimensionMismatchError(f"rotation must be {d}x{d}, got {Q.shape}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
+        epsilon = _positive(self.epsilon, "epsilon")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
             raise InvalidInputError("inward_normal must be a unit vector")
         if np.max(np.abs(Q.T @ Q - np.eye(d))) > 1e-12:
@@ -829,7 +862,7 @@ class BoundaryFrame:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "inward_normal", nu)
         object.__setattr__(self, "rotation", Q)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def dim(self) -> int:
@@ -907,8 +940,7 @@ def boundary_frame(domain: Domain, base, epsilon: float) -> BoundaryFrame:
     """
     base = as_point(base, domain.dim, name="base")
     nu = inward_normal(domain, base)
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidInputError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = _positive(epsilon, "epsilon")
     probe = base + epsilon * nu
     if not domain.contains(probe):
         raise InvalidInputError(
@@ -1025,10 +1057,7 @@ def _ellipse_rule(domain: Ellipse, n: int) -> QuadratureRule:
 
 
 def _halfspace_rule(domain: Halfspace, resolution: int, truncation: float) -> QuadratureRule:
-    if not (truncation and truncation > 0.0 and math.isfinite(truncation)):
-        raise InvalidInputError(
-            f"halfspace quadrature requires a positive truncation radius, got {truncation}"
-        )
+    truncation = _positive(truncation, "truncation")
     t, w = _gauss_legendre(resolution)
     if domain.dim == 2:
         nodes = np.stack([truncation * t, np.zeros(resolution)], axis=1)
@@ -1062,11 +1091,11 @@ def boundary_quadrature(domain: Domain, resolution: int, truncation: float | Non
     Gauss-Legendre rules come from Newton iteration on the Legendre
     recurrence, O(resolution^2), and are cached per resolution.  Weights
     sum to the surface area (circle 2*pi*r, sphere 4*pi*r^2, ellipse
-    perimeter) to well below 1e-8 at moderate resolution.
+    perimeter) to well below 1e-8 at moderate resolution.  ``resolution`` is
+    a count of at least 8 and ``truncation`` a size, under the scalar rule
+    (README).
     """
-    resolution = int(resolution)
-    if resolution < 8:
-        raise InvalidInputError(f"resolution must be >= 8, got {resolution}")
+    resolution = _integer(resolution, "resolution", 8)
     if isinstance(domain, Ball):
         if domain.dim == 2:
             return _circle_rule(domain.center, domain.radius, resolution)

@@ -29,7 +29,9 @@ from .errors import (
     InvalidInputError,
     WalkTruncatedError,
 )
-from .geometry import Ball, Domain, Ellipse, Halfspace, _as_points, _gauss_legendre, _norms, as_point
+from .geometry import (
+    Ball, Domain, Ellipse, Halfspace, _as_points, _gauss_legendre, _integer, _norms, _positive, as_point,
+)
 
 __all__ = [
     "WosConfig",
@@ -54,11 +56,12 @@ class WosConfig:
 
     ``stop_tolerance`` is the boundary distance at which a walk terminates
     (default: 1e-4 times the domain diameter, or the truncation radius for
-    unbounded domains).  ``seed`` is a 64-bit unsigned integer; together with
-    the walker index it determines every walk exactly.  Walks exceeding
+    unbounded domains).  ``seed`` lies in ``[0, 2**64)``; together with the
+    walker index it determines every walk exactly.  Walks exceeding
     ``max_steps`` or leaving the truncation region are counted as truncated;
     if more than half of the walks truncate, estimation fails rather than
-    returning a biased value.
+    returning a biased value.  The fields follow the scalar rule (README) and
+    are stored as Python ints and floats.
     """
 
     walkers: int
@@ -67,24 +70,13 @@ class WosConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not (_is_int(self.walkers) and self.walkers >= 1):
-            raise InvalidInputError(f"walkers must be an integer >= 1, got {self.walkers!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < _SEED_LIMIT):
-            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.stop_tolerance is not None and not (
-            isinstance(self.stop_tolerance, (int, float))
-            and not isinstance(self.stop_tolerance, bool)
-            and 0.0 < self.stop_tolerance < math.inf
-        ):
-            raise InvalidInputError(
-                f"stop_tolerance must be positive and finite, got {self.stop_tolerance!r}"
-            )
-        if not (_is_int(self.max_steps) and self.max_steps >= 1):
-            raise InvalidInputError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+        object.__setattr__(self, "walkers", _integer(self.walkers, "walkers", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        if self.seed >= _SEED_LIMIT:
+            raise InvalidInputError(f"seed must be below 2**64, got {self.seed!r}")
+        if self.stop_tolerance is not None:
+            object.__setattr__(self, "stop_tolerance", _positive(self.stop_tolerance, "stop_tolerance"))
+        object.__setattr__(self, "max_steps", _integer(self.max_steps, "max_steps", 1))
 
 
 @dataclass(frozen=True)
@@ -106,9 +98,9 @@ class MeasureEstimate:
 
 def _resolve_stop(domain: Domain, config: WosConfig, truncation_radius: float | None) -> float:
     if config.stop_tolerance is not None:
-        stop = float(config.stop_tolerance)
+        stop = config.stop_tolerance
     else:  # run_walks has already required a truncation radius on unbounded domains
-        scale = domain.diameter() if domain.bounded() else float(truncation_radius)
+        scale = domain.diameter() if domain.bounded() else truncation_radius
         stop = 1e-4 * scale
     if domain.bounded() and not stop < domain.diameter():
         raise InvalidInputError(
@@ -132,20 +124,6 @@ def _walker_indices(walker_indices) -> np.ndarray:
     return entries.astype(np.int64)
 
 
-def _check_truncation_radius(truncation_radius) -> None:
-    """Reject a truncation radius that is a bool, not a real number, non-finite or <= 0."""
-    if truncation_radius is None:
-        return
-    if (
-        isinstance(truncation_radius, bool)
-        or not isinstance(truncation_radius, (int, float, np.integer, np.floating))
-        or not 0.0 < truncation_radius < math.inf
-    ):
-        raise InvalidInputError(
-            f"truncation_radius must be positive and finite, got {truncation_radius!r}"
-        )
-
-
 def run_walks(
     domain: Domain,
     x,
@@ -159,8 +137,8 @@ def run_walks(
     of truncated walks hold the last interior position instead and must be
     ignored), a truncation mask (step budget exhausted or left the truncation
     ball ``|pos| > truncation_radius``), and per-walk step counts.  A
-    ``truncation_radius`` must be positive and finite, with ``x`` inside its
-    ball; unbounded domains require one.
+    ``truncation_radius`` is a size under the scalar rule (README), with ``x``
+    inside its ball; unbounded domains require one.
 
     ``walker_indices`` selects which counter-based streams to run (default
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
@@ -169,13 +147,14 @@ def run_walks(
     x = as_point(x, domain.dim, name="x")
     if not domain.contains(x):
         raise InvalidInputError(f"walk origin {x.tolist()} is not strictly inside the domain")
-    if not domain.bounded() and truncation_radius is None:
+    if truncation_radius is not None:
+        truncation_radius = _positive(truncation_radius, "truncation_radius")
+        if _norms(x[None, :])[0] > truncation_radius:
+            raise InvalidInputError(
+                f"walk origin {x.tolist()} lies outside the truncation ball of radius {truncation_radius!r}"
+            )
+    elif not domain.bounded():
         raise InvalidInputError("unbounded domain: a truncation_radius is required")
-    _check_truncation_radius(truncation_radius)
-    if truncation_radius is not None and _norms(x[None, :])[0] > truncation_radius:
-        raise InvalidInputError(
-            f"walk origin {x.tolist()} lies outside the truncation ball of radius {truncation_radius!r}"
-        )
     stop = _resolve_stop(domain, config, truncation_radius)
     indices = np.arange(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
     n = indices.size
@@ -266,10 +245,7 @@ def _validate_cap(
         raise InvalidInputError(
             f"{name} = {center.tolist()} is not on the boundary (rho = {rho:.3e})"
         )
-    radius = float(cap_radius)
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise InvalidInputError(f"cap_radius must be positive and finite, got {cap_radius}")
-    return center, radius
+    return center, _positive(cap_radius, "cap_radius")
 
 
 def _cap_estimates(
@@ -436,11 +412,10 @@ class WosKernel:
     ):
         self.domain = domain
         self.config = config
-        self.cap_radius = float(cap_radius)
-        if not (self.cap_radius > 0.0 and math.isfinite(self.cap_radius)):
-            raise InvalidInputError(f"cap_radius must be positive and finite, got {cap_radius}")
-        _check_truncation_radius(truncation_radius)
-        self.truncation_radius = truncation_radius
+        self.cap_radius = _positive(cap_radius, "cap_radius")
+        self.truncation_radius = (
+            None if truncation_radius is None else _positive(truncation_radius, "truncation_radius")
+        )
         self._areas: dict[bytes, float] = {}  # cap area per target; the radius is fixed
 
     def _area(self, center: np.ndarray) -> float:

@@ -32,7 +32,10 @@ from .geometry import (
     Domain,
     Halfspace,
     _as_points,
+    _callable_values,
+    _integer,
     _norms,
+    _positive,
     _sum_squares,
     as_point,
     boundary_distance,
@@ -60,17 +63,13 @@ KernelEvaluator = Callable[[np.ndarray, np.ndarray], "float | np.ndarray"]
 
 def ball_constant(d: int) -> float:
     """Normalizing constant Gamma(d/2) / (2 pi^{d/2}) of the ball kernel."""
-    d = int(d)
-    if d < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
+    d = _integer(d, "d", 2, DimensionMismatchError)
     return math.gamma(d / 2.0) / (2.0 * math.pi ** (d / 2.0))
 
 
 def halfspace_constant(d: int) -> float:
     """Normalizing constant Gamma(d/2) / pi^{d/2} of the halfspace kernel."""
-    d = int(d)
-    if d < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
+    d = _integer(d, "d", 2, DimensionMismatchError)
     return math.gamma(d / 2.0) / math.pi ** (d / 2.0)
 
 
@@ -176,16 +175,6 @@ def poisson_halfspace(d: int, x, t) -> "float | np.ndarray":
     return model_kernel(Halfspace(d))(x, t)
 
 
-def _boundary_values(boundary_data, nodes: np.ndarray) -> np.ndarray:
-    values = np.asarray(boundary_data(nodes), dtype=float)
-    if values.shape != (nodes.shape[0],):
-        raise InvalidInputError(
-            f"boundary_data returned shape {values.shape} for {nodes.shape[0]} nodes; "
-            f"expected ({nodes.shape[0]},)"
-        )
-    return values
-
-
 def harmonic_extend(
     domain: Domain,
     boundary_data,
@@ -214,7 +203,7 @@ def harmonic_extend(
         )
     kern = model_kernel(domain)
     values = np.asarray(kern(x, rule.nodes), dtype=float)
-    f = _boundary_values(boundary_data, rule.nodes)
+    f = _callable_values(boundary_data(rule.nodes), rule.nodes, "boundary_data", "node")
     return float(np.sum(rule.weights * values * f))
 
 
@@ -239,15 +228,13 @@ def halfspace_truncation_tail(d: int, x, truncation: float) -> float:
     recentering of the truncation disc).  This is the amount by which a
     truncated normalization integral falls short of 1.
     """
-    d = int(d)
+    d = _integer(d, "d", 2, DimensionMismatchError)
     x = as_point(x, d, name="x")
     if not x[-1] > 0.0:
         raise InvalidInputError(
             f"x = {x.tolist()} must lie in the open upper halfspace (x_d = {x[-1]:.6g})"
         )
-    T = float(truncation)
-    if not T > 0.0:
-        raise InvalidInputError(f"truncation must be positive, got {T}")
+    T = _positive(truncation, "truncation")
     if d == 2:
         covered = (math.atan((T - x[0]) / x[1]) + math.atan((T + x[0]) / x[1])) / math.pi
         return 1.0 - covered

@@ -17,7 +17,6 @@ domain to a blown-up copy whose boundary flattens as eps -> 0:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -25,7 +24,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainUnsupportedError, InvalidInputError
-from .geometry import Ball, BoundaryFrame, Domain, Halfspace, _as_points, _norms, as_point, inward_normal
+from .geometry import (
+    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _norms, _positive, as_point, inward_normal,
+)
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
 __all__ = [
@@ -170,10 +171,7 @@ def linearization_gap(tdf: TransferredDefiningFunction, radius: float) -> float:
     estimation).  Decays like O(eps) for C^2 boundaries and vanishes
     identically when the boundary is already flat.
     """
-    radius = float(radius)
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise InvalidInputError(f"radius must be positive and finite, got {radius}")
-    S = _gap_grid(tdf.frame.dim, radius)
+    S = _gap_grid(tdf.frame.dim, _positive(radius, "radius"))
     vals = tdf(S)
     return float(np.max(np.abs(vals + S[:, -1])))
 

@@ -1,6 +1,7 @@
 """Boundary-asymptotic ratios, sweeps, and derivative diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -426,6 +427,24 @@ def test_wrong_shape_kernel_is_rejected():
 
     with pytest.raises(pk.InvalidInputError, match=r"returned MeasureEstimate for 2 targets"):
         pk.normal_sweep(d, OneEstimate(), base, [0.1], targets)
+
+
+def test_non_finite_callable_values_are_rejected_by_name():
+    # Both used to pass NaN through: the extension returned nan, and the sweep
+    # wrote nan ratios while c1_hat/c2_hat came from the other records.
+    d = pk.Ball(2)
+    spiky = lambda T: np.where(T[:, 0] > 0.99, np.nan, 1.0)
+    with pytest.raises(pk.InvalidInputError, match=re.escape("boundary_data returned nan at node 0 = [1.0, 0.0]")):
+        pk.harmonic_extend(d, spiky, [0.3, 0.1], 64)
+    model = pk.model_kernel(d)
+    base, targets = np.array([1.0, 0.0]), [np.array([-1.0, 0.0]), np.array([0.0, 1.0])]
+    for bad in (np.nan, np.inf, -np.inf):
+        kernel = lambda x, T: np.where(T[:, 1] > 0.1, bad, model(x, T))
+        named = re.escape(f"kernel returned {bad} at target 1 = ")
+        with pytest.raises(pk.InvalidInputError, match=named + re.escape("[0.0, 1.0]")):
+            pk.normal_sweep(d, kernel, base, [0.1, 0.05], targets)
+        with pytest.raises(pk.InvalidInputError, match=named):
+            pk.derivative_report(d, kernel, base, 0.1, [0.0, 0.2])
 
 
 def test_sweep_errors_name_the_offending_target():

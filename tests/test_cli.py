@@ -168,6 +168,20 @@ def test_bad_domain_file_exits_one(tmp_path, capsys):
     assert "poisskern: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document,named", [
+    (b'{"kind": "ball", "dim": 2, "radius": null}', "radius must be positive and finite, got None"),
+    (b"\xff\xfe", "is not UTF-8 text"),
+])
+def test_malformed_domain_spec_exits_one_naming_the_input(tmp_path, capsys, document, named):
+    # A null radius used to end in a TypeError traceback; a spec that is not
+    # UTF-8 exited 1 only because every ValueError did.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(document)
+    code = main(["kernel", "--domain", str(bad), "--x", "0,0", "--t", "1,0"])
+    assert code == 1
+    assert named in capsys.readouterr().err
+
+
 def test_missing_domain_file_exits_one(tmp_path, capsys):
     code = main(["kernel", "--domain", str(tmp_path / "none.json"),
                  "--x", "0,0", "--t", "1,0"])

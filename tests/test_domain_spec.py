@@ -76,6 +76,23 @@ def test_parse_implicit_polynomial_matches_direct_construction():
         ('{"kind": "halfspace", "dim": 2, "radius": 1}', "unexpected keys"),
         ('{"kind": "ellipse", "dim": 3, "semi_axes": [2, 1]}', "does not match"),
         ('{"kind": "ellipse"}', "missing required key 'semi_axes'"),
+        ('{"kind": "ball", "dim": [2]}', r"dim must be an integer, got \[2\]"),
+        ('{"kind": "ball", "dim": 2, "radius": null}', "radius must be positive and finite, got None"),
+        ('{"kind": "ball", "dim": 2.7}', "dim must be an integer, got 2.7"),
+        ('{"kind": "halfspace", "dim": 2.0}', "dim must be an integer, got 2.0"),
+        ('{"kind": "ball", "dim": true}', "dim must be an integer, got True"),
+        ('{"kind": "ball", "dim": 2, "center": [0, "a"]}', "center must hold real numbers"),
+        ('{"kind": ["ball"], "dim": 2}', "unknown domain kind"),
+        (
+            '{"kind": "implicit_polynomial", "dim": 2, "coefficients": {"2,0": 1, "0,2": "1", "0,0": -1},'
+            ' "bounding_box": [[-2, -2], [2, 2]], "interior_point": [0, 0]}',
+            "coefficient of '0,2' must be a number, got '1'",
+        ),
+        (
+            '{"kind": "implicit_polynomial", "dim": 2, "coefficients": {"2,0": 1, "0,2": 1, "0,0": -1},'
+            ' "bounding_box": [[-2, -2], [2, "x"]], "interior_point": [0, 0]}',
+            "bounding_box must hold real numbers",
+        ),
     ],
 )
 def test_parse_rejects_bad_documents(text, fragment):
