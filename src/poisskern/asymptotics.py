@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    Domain, _callable_values, _integer, _positive, _row_norms, as_point, boundary_distance, boundary_frame,
-    inward_normal,
+    Domain, _callable_values, _finite, _integer, _positive, _row_norms, as_point, boundary_distance,
+    boundary_frame, inward_normal,
 )
 
 __all__ = [
@@ -182,7 +182,7 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     """
     base = as_point(base, domain.dim, name="base")
     nu = inward_normal(domain, base)
-    deltas = [float(d) for d in deltas]
+    deltas = [_positive(d, f"deltas[{k}]") for k, d in enumerate(deltas)]
     target_pts = [as_point(t, domain.dim, name=f"targets[{j}]") for j, t in enumerate(targets)]
     if not deltas:
         raise InvalidInputError("normal_sweep requires at least one delta")
@@ -347,7 +347,7 @@ def derivative_report(
     x = base + h * nu
     tangents = [frame.rotation[i] for i in range(domain.dim - 1)]
 
-    offsets = [float(t) for t in tangential_offsets]
+    offsets = [_finite(t, f"tangential_offsets[{j}]") for j, t in enumerate(tangential_offsets)]
     if not offsets:
         raise InvalidInputError("at least one tangential offset is required")
     Y = base[None, :] + np.array(offsets)[:, None] * tangents[0][None, :]

@@ -234,13 +234,17 @@ def _boundary_data(spec: str, dim: int):
     raise InvalidInputError(f"unknown boundary data '{spec}' (expected 'one' or 'coord:K')")
 
 
+def _require_truncation(config: argparse.Namespace, domain: Domain) -> None:
+    if config.truncation is None and not domain.bounded():
+        raise InvalidInputError(f"--truncation is required for {config.command} on an unbounded domain")
+
+
 def _wos_config(config: argparse.Namespace, domain: Domain) -> WosConfig:
     if config.seed is None:
         raise InvalidInputError("--seed is required for walk-on-spheres runs")
     if config.walkers is None:
         raise InvalidInputError("--walkers is required for walk-on-spheres runs")
-    if config.truncation is None and not domain.bounded():
-        raise InvalidInputError("--truncation is required for walk-on-spheres runs on an unbounded domain")
+    _require_truncation(config, domain)
     return WosConfig(
         walkers=config.walkers,
         seed=config.seed,
@@ -266,6 +270,7 @@ def _cmd_kernel(config: argparse.Namespace, domain: Domain):
 
 
 def _cmd_extend(config: argparse.Namespace, domain: Domain):
+    _require_truncation(config, domain)
     data = _boundary_data(config.data, domain.dim)
     value = harmonic_extend(
         domain, data, np.asarray(config.x), config.resolution, truncation=config.truncation

@@ -109,6 +109,13 @@ def _positive(value, name: str) -> float:
     raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _finite(value, name: str) -> float:
+    """A real number (numpy's too; bools and strings are not) that is finite, as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _integer(value, name: str, minimum: int, error: type = InvalidInputError) -> int:
     """A count: an integer (numpy's too; bools are not) >= ``minimum``, as an int.
 
@@ -173,13 +180,16 @@ def _direction(tie_break, dim: int) -> np.ndarray:
 class Domain:
     """Open set ``{x : rho(x) < 0}`` described by a defining function.
 
-    Subclasses implement the batch primitives ``rho_batch`` and
-    ``rho_grad_batch`` on ``(n, d)`` arrays, plus ``diameter`` and
-    ``descriptor``.  Domains whose distance needs a solver implement one
-    nearest-point primitive, ``_nearest``, from which ``signed_distance_batch``
-    and ``project_batch`` are derived here; domains whose ``rho`` is their
-    signed distance (balls and halfspaces) override those two with closed
-    forms.  Each row of a batch result depends only on the same row of the
+    Subclasses implement the batch primitives ``_rho_values`` (``rho`` of an
+    already validated ``(n, d)`` batch; ``rho_batch`` is its checked wrapper)
+    and ``rho_grad_batch``, plus ``diameter`` and ``descriptor``.  Domains
+    whose distance needs a solver implement one nearest-point primitive,
+    ``_nearest``, from which ``signed_distance_batch`` and ``project_batch``
+    are derived here; domains whose ``rho`` is their signed distance (balls
+    and halfspaces) override those two with closed forms.  The ellipse
+    overrides ``signed_distance_batch`` with a distance-only path: it shares
+    the Newton solve of ``_nearest`` but builds no feet, mirror feet or signs.
+    Each row of a batch result depends only on the same row of the
     input, so a batch of one, any subset of a batch and the whole batch agree
     bit for bit.  The one-point queries ``rho``, ``rho_grad``, ``contains``,
     ``signed_distance`` and ``project_to_boundary`` are row 0 of a batch of
@@ -194,7 +204,8 @@ class Domain:
     exact_distance: bool = True
 
     # -- batch primitives ---------------------------------------------------
-    def rho_batch(self, X) -> np.ndarray:
+    def _rho_values(self, X: np.ndarray) -> np.ndarray:
+        """``rho`` at each row of the already validated batch ``X``."""
         raise NotImplementedError
 
     def rho_grad_batch(self, X) -> np.ndarray:
@@ -209,11 +220,15 @@ class Domain:
         raise NotImplementedError
 
     # -- batch queries derived from the primitives --------------------------
+    def rho_batch(self, X) -> np.ndarray:
+        """The defining function at each row of ``X``."""
+        return self._rho_values(_as_batch(X, self.dim))
+
     def signed_distance_batch(self, X) -> np.ndarray:
         """Euclidean distances to the boundary, negative inside."""
         X = _as_batch(X, self.dim)
         _, dist, _, _ = self._nearest(X)
-        return np.where(self.rho_batch(X) < 0.0, -dist, dist)
+        return np.where(self._rho_values(X) < 0.0, -dist, dist)
 
     def project_batch(self, X, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary points and the inward unit normals there.
@@ -296,9 +311,9 @@ class Ball(Domain):
         self.dim = self.center.size
         self.radius = _positive(radius, "radius")
 
-    def rho_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
-        return _norms(X - self.center) - self.radius
+    def _rho_values(self, X: np.ndarray) -> np.ndarray:
+        # Subtracting a zero center changes no bit, so the origin skips it.
+        return _norms(X - self.center if self.center.any() else X) - self.radius
 
     def rho_grad_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -351,8 +366,7 @@ class Halfspace(Domain):
     def __init__(self, dim: int):
         self.dim = _integer(dim, "dim", 2, DimensionMismatchError)
 
-    def rho_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
+    def _rho_values(self, X: np.ndarray) -> np.ndarray:
         return -X[:, -1]
 
     def rho_grad_batch(self, X) -> np.ndarray:
@@ -378,12 +392,9 @@ class Halfspace(Domain):
         return {"kind": "halfspace", "dim": self.dim}
 
 
-def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest-point feet on the axis-aligned ellipse (a >= b) for points ``P``.
-
-    Returns ``(feet, mirror_feet, dist, mirror_dist)`` where ``mirror_feet``
-    are the feet reflected across the major axis -- the competing critical
-    points whose distance ties signal an ambiguous projection.
+def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """First-quadrant nearest-point feet ``(fx, fy)`` on the axis-aligned
+    ellipse (a >= b) for the points ``(p, q)`` with ``p, q >= 0``.
 
     Solves ``F(u) = (a p / (u + a^2 - b^2))^2 + (b q / u)^2 - 1 = 0`` for the
     shifted Lagrange multiplier ``u = t + b^2 > 0`` by Newton iteration from
@@ -396,21 +407,16 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     depend on the other rows.  Once more than half of the rows still iterating
     have converged, those rows leave the iteration and the rest carry on alone;
     every row goes through the same arithmetic and stops at the same iterate
-    either way.  Points exactly on the major axis with
-    ``|p| < (a^2 - b^2)/a`` take the closed-form off-axis branch instead.
+    either way.  The iteration works in four scratch buffers, sliced to the
+    rows still iterating.  Points exactly on the major axis (``q == 0``) with
+    ``p < (a^2 - b^2)/a`` take the closed-form off-axis branch instead, and
+    the others on it the vertex ``(a, 0)``.
     """
-    P = np.asarray(P, dtype=float)
-    p = np.abs(P[:, 0])
-    q = np.abs(P[:, 1])
-    sx = np.where(P[:, 0] >= 0.0, 1.0, -1.0)
-    sy = np.where(P[:, 1] >= 0.0, 1.0, -1.0)
-    fx = np.empty_like(p)
-    fy = np.empty_like(q)
-
     on_axis = q == 0.0
-    generic = ~on_axis
-
     if np.any(on_axis):
+        generic = np.flatnonzero(~on_axis)
+        fx = np.empty_like(p)
+        fy = np.empty_like(q)
         pa = p[on_axis]
         fxa = np.empty_like(pa)
         fya = np.empty_like(pa)
@@ -424,50 +430,82 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
         fya[~off] = 0.0
         fx[on_axis] = fxa
         fy[on_axis] = fya
+        if generic.size == 0:
+            return fx, fy
+        pg, qg = p[generic], q[generic]
+    else:
+        generic = None  # every row is generic: no gather and no scatter
+        pg, qg = p, q
 
-    if np.any(generic):
-        pg = p[generic]
-        qg = q[generic]
-        shift = a * a - b * b
-        ap = a * pg
-        bq = b * qg
-        u = bq.copy()
-        u_final = np.empty_like(u)
-        rows = np.arange(u.size)  # rows of the generic batch still iterating
-        done = np.zeros(u.shape, dtype=bool)
-        for _ in range(100):
-            us = u + shift
-            ra2 = ap / us
-            ra2 *= ra2
-            rb2 = bq / u
-            rb2 *= rb2
-            F = ra2 + rb2
-            F -= 1.0
-            ra2 /= us
-            rb2 /= u
-            dF = ra2
-            dF += rb2
-            dF *= -2.0
-            step = F / dF
-            # Monotone increasing sequence; a sub-ulp step means the row is done.
-            done |= (np.abs(F) < 1e-13) | (np.abs(step) <= np.finfo(float).eps * u)
-            n_done = np.count_nonzero(done)
-            if n_done == done.size:
-                break
-            if 2 * n_done > done.size:
-                # Converged rows leave the iteration with their final iterate.
-                u_final[rows[done]] = u[done]
-                live = np.flatnonzero(~done)
-                rows, u, ap, bq, step = rows[live], u[live], ap[live], bq[live], step[live]
-                done = np.zeros(live.size, dtype=bool)
-            np.subtract(u, step, out=u, where=~done)
-        else:
-            raise ConvergenceError("ellipse nearest-point iteration did not converge")
-        u_final[rows] = u
-        u = u_final
-        fx[generic] = a * a * pg / (u + shift)
-        fy[generic] = b * b * qg / u
+    shift = a * a - b * b
+    ap = a * pg
+    bq = b * qg
+    u = bq.copy()
+    u_final = np.empty_like(u)
+    rows = np.arange(u.size)  # rows of the generic batch still iterating
+    done = np.zeros(u.shape, dtype=bool)
+    scratch = np.empty((4, u.size))
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        m = u.size
+        us, ra2, rb2, F = scratch[0, :m], scratch[1, :m], scratch[2, :m], scratch[3, :m]
+        np.add(u, shift, out=us)
+        np.divide(ap, us, out=ra2)
+        ra2 *= ra2
+        np.divide(bq, u, out=rb2)
+        rb2 *= rb2
+        np.add(ra2, rb2, out=F)
+        F -= 1.0
+        ra2 /= us
+        rb2 /= u
+        dF = ra2
+        dF += rb2
+        dF *= -2.0
+        step = np.divide(F, dF, out=dF)
+        # Monotone increasing sequence; a sub-ulp step means the row is done.
+        np.abs(F, out=F)
+        done |= F < 1e-13
+        np.abs(step, out=rb2)
+        np.multiply(u, eps, out=us)
+        done |= rb2 <= us
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
+            break
+        if 2 * n_done > done.size:
+            # Converged rows leave the iteration with their final iterate.
+            u_final[rows[done]] = u[done]
+            live = np.flatnonzero(~done)
+            rows, u, ap, bq, step = rows[live], u[live], ap[live], bq[live], step[live]
+            done = np.zeros(live.size, dtype=bool)
+        np.subtract(u, step, out=u, where=~done)
+    else:
+        raise ConvergenceError("ellipse nearest-point iteration did not converge")
+    u_final[rows] = u
+    u = u_final
+    gx = a * a * pg / (u + shift)
+    gy = b * b * qg / u
+    if generic is None:
+        return gx, gy
+    fx[generic] = gx
+    fy[generic] = gy
+    return fx, fy
 
+
+def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-point feet on the axis-aligned ellipse (a >= b) for points ``P``.
+
+    Returns ``(feet, mirror_feet, dist, mirror_dist)`` where ``mirror_feet``
+    are the feet reflected across the major axis -- the competing critical
+    points whose distance ties signal an ambiguous projection.  The feet are
+    the first-quadrant feet of :func:`_ellipse_quadrant_feet` with the signs
+    of ``P`` restored.
+    """
+    P = np.asarray(P, dtype=float)
+    p = np.abs(P[:, 0])
+    q = np.abs(P[:, 1])
+    fx, fy = _ellipse_quadrant_feet(p, q, a, b)
+    sx = np.where(P[:, 0] >= 0.0, 1.0, -1.0)
+    sy = np.where(P[:, 1] >= 0.0, 1.0, -1.0)
     x, y, dx = sx * fx, sy * fy, p - fx
     feet = np.stack([x, y], axis=1)
     mirror = np.stack([x, -y], axis=1)
@@ -508,8 +546,7 @@ class Ellipse(Domain):
             return float(a), float(b), False
         return float(b), float(a), True
 
-    def rho_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, 2)
+    def _rho_values(self, X: np.ndarray) -> np.ndarray:
         a, b = self.semi_axes
         return (X[:, 0] / a) ** 2 + (X[:, 1] / b) ** 2 - 1.0
 
@@ -527,6 +564,20 @@ class Ellipse(Domain):
             feet = feet[:, ::-1]
             mirror = mirror[:, ::-1]
         return feet, dist, mirror, mdist
+
+    def signed_distance_batch(self, X) -> np.ndarray:
+        """Distance-only path: the first-quadrant Newton solve of ``_nearest``
+        and its distance expression, signed by ``rho``; it builds no signed
+        feet, mirror feet or sign vectors, and gives the same bits."""
+        X = _as_batch(X, 2)
+        a, b, swapped = self._major_frame()
+        P = X[:, ::-1] if swapped else X
+        p, q = np.abs(P[:, 0]), np.abs(P[:, 1])
+        fx, fy = _ellipse_quadrant_feet(p, q, a, b)
+        p -= fx
+        q -= fy
+        dist = np.hypot(p, q, out=p)
+        return np.negative(dist, out=dist, where=self._rho_values(X) < 0.0)
 
     def boundary_point(self, theta: float) -> np.ndarray:
         """Point ``(a cos(theta), b sin(theta))`` on the boundary."""
@@ -608,8 +659,8 @@ class Implicit(Domain):
                 f"defining function is not negative at the declared interior point (rho = {witness})"
             )
 
-    def rho_batch(self, X) -> np.ndarray:
-        return np.asarray(self._rho(_as_batch(X, self.dim)), dtype=float)
+    def _rho_values(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(self._rho(X), dtype=float)
 
     def rho_grad_batch(self, X) -> np.ndarray:
         return np.asarray(self._grad(_as_batch(X, self.dim)), dtype=float)
@@ -756,22 +807,26 @@ class ImplicitPolynomial(Implicit):
     """Implicit domain whose defining function is a polynomial.
 
     ``coefficients`` maps exponent tuples to coefficients, e.g. the unit disc
-    is ``{(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}``.  Values, gradients and
-    Hessians are exact, evaluated from one table of monomial powers.
+    is ``{(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}``.  Exponents are counts
+    and coefficients finite reals under the scalar rule (README); the terms
+    are stored as ints and floats, so the descriptor reports the polynomial
+    that is evaluated.  Values, gradients and Hessians are exact, evaluated
+    from one table of monomial powers.
     """
 
     kind = "implicit_polynomial"
 
     def __init__(self, coefficients: dict, bounding_box, interior_point, dim: int | None = None):
-        items = sorted(coefficients.items())
+        terms = []
+        for key, coeff in coefficients.items():
+            if not isinstance(key, tuple):
+                raise InvalidInputError(f"exponent key {key!r} must be a tuple of integers")
+            exps = tuple(_integer(e, f"exponent {j} of {key!r}", 0) for j, e in enumerate(key))
+            terms.append((exps, _finite(coeff, f"coefficient of {key!r}")))
+        items = sorted(terms)
         if not items:
             raise InvalidInputError("polynomial needs at least one term")
-        exps = []
-        for key, _ in items:
-            key = tuple(int(e) for e in key)
-            if any(e < 0 for e in key):
-                raise InvalidInputError(f"exponents must be nonnegative integers, got {key}")
-            exps.append(key)
+        exps = [key for key, _ in items]
         lengths = {len(e) for e in exps}
         if len(lengths) != 1:
             raise InvalidInputError("all exponent tuples must have the same length")
@@ -790,7 +845,7 @@ class ImplicitPolynomial(Implicit):
         def partial(c, e, j):
             return c * e[:, j], np.maximum(e - eye[j], 0)
 
-        tables = [(np.array([float(c) for _, c in items]), E)]
+        tables = [(np.array([c for _, c in items]), E)]
         tables += [partial(*tables[0], j) for j in range(d)]
         tables += [partial(*tables[1 + j], k) for j in range(d) for k in range(d)]
         self._table_coeffs = np.array([c for c, _ in tables])

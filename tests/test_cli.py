@@ -273,6 +273,13 @@ def test_wos_on_unbounded_domain_names_the_truncation_option(specs, capsys, comm
     assert "--truncation is required" in capsys.readouterr().err
 
 
+def test_extend_on_unbounded_domain_names_the_truncation_option(specs, capsys):
+    # The same check as wos and ratio, instead of the library parameter's name.
+    code = main(["extend", "--domain", specs["halfplane"], "--x", "0,1"])
+    assert code == 1
+    assert "poisskern: error: --truncation is required for extend on an unbounded domain" in capsys.readouterr().err
+
+
 def test_ratio_wos_requires_cap_radius(specs, capsys):
     code = main(["ratio", "--domain", specs["disc"], "--base", "1,0",
                  "--deltas", "0.1", "--kernel", "wos", "--walkers", "100",

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern.geometry import _ellipse_feet, _gauss_legendre, _norms, _sum_squares, as_point, inward_normal
+from poisskern.geometry import (
+    _ellipse_feet, _ellipse_quadrant_feet, _gauss_legendre, _norms, _sum_squares, as_point, inward_normal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +178,31 @@ def _assert_bits_equal(got, want):
         assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
+def _nearest_signed_distance(domain, X):
+    """Signed distance derived from the full nearest-point solve (reference)."""
+    _, dist, _, _ = domain._nearest(X)
+    return np.where(domain.rho_batch(X) < 0.0, -dist, dist)
+
+
 def test_ellipse_feet_equal_the_full_array_iteration_bit_for_bit(monkeypatch):
     # Converged rows leave the Newton loop early; no row's arithmetic may change.
     rng = np.random.default_rng(9)
-    walk_batches = []  # every batch a real walk on the ellipse (2, 1) asks for
+    quadrant_batches = []  # every first-quadrant batch a real walk on the ellipse (2, 1) solves
+    walk_batches = []  # the walk positions whose signed distances it asks for
     monkeypatch.setattr(
-        "poisskern.geometry._ellipse_feet",
-        lambda P, a, b: walk_batches.append(P.copy()) or _ellipse_feet(P, a, b),
+        "poisskern.geometry._ellipse_quadrant_feet",
+        lambda p, q, a, b: quadrant_batches.append(np.stack([p, q], axis=1))
+        or _ellipse_quadrant_feet(p, q, a, b),
+    )
+    distance = pk.Ellipse.signed_distance_batch
+    monkeypatch.setattr(
+        pk.Ellipse, "signed_distance_batch",
+        lambda self, X: walk_batches.append(np.array(X)) or distance(self, X),
     )
     pk.run_walks(pk.Ellipse([2.0, 1.0]), [0.5, 0.2], pk.WosConfig(walkers=3000, seed=4, stop_tolerance=1e-4))
     monkeypatch.undo()
-    assert len(walk_batches) > 10
-    for P in walk_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
+    assert len(quadrant_batches) > 10 and len(walk_batches) == len(quadrant_batches) - 1
+    for P in quadrant_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
         _assert_bits_equal(_ellipse_feet(P, 2.0, 1.0), _ellipse_feet_full_array(P, 2.0, 1.0))
     # swapped axes: the ellipse (1, 3) solves on (y, x) with a = 3, b = 1
     X = _ellipse_test_points(3.0, 1.0, rng)[:, ::-1]
@@ -197,6 +212,13 @@ def test_ellipse_feet_equal_the_full_array_iteration_bit_for_bit(monkeypatch):
         [feet[:, ::-1].copy(), dist, rival[:, ::-1].copy(), rival_dist],
         [ref_feet, ref_dist, ref_rival, ref_rival_dist],
     )
+    # The distance-only path shares the Newton solve and builds no feet: its
+    # signed distances equal those derived from the full solve, bit for bit.
+    ellipse = pk.Ellipse([2.0, 1.0])
+    for P in walk_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
+        _assert_bits_equal([ellipse.signed_distance_batch(P)], [_nearest_signed_distance(ellipse, P)])
+    swapped = pk.Ellipse([1.0, 3.0])
+    _assert_bits_equal([swapped.signed_distance_batch(X)], [_nearest_signed_distance(swapped, X)])
 
 
 def test_row_norms_equal_the_axis1_norm_bit_for_bit():

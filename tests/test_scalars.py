@@ -117,3 +117,48 @@ def test_wos_kernel_descriptor_of_numpy_scalars_is_json():
     kernel = pk.WosKernel(pk.Ball(2), config, np.float64(0.1), truncation_radius=np.int32(3))
     text = json.dumps(kernel.descriptor())
     assert json.loads(text)["walkers"] == 10 and json.loads(text)["truncation_radius"] == 3.0
+
+
+def _polynomial(coefficients):
+    return pk.ImplicitPolynomial(coefficients, [[-2.0, -2.0], [2.0, 2.0]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("coefficients,message", [
+    ({(2.7, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}, "exponent 0 of (2.7, 0) must be an integer, got 2.7"),
+    ({(2, "0"): 1.0, (0, 2): 1.0, (0, 0): -1.0}, "exponent 1 of (2, '0') must be an integer, got '0'"),
+    ({(2, True): 1.0, (0, 2): 1.0, (0, 0): -1.0}, "exponent 1 of (2, True) must be an integer, got True"),
+    ({(2, -1): 1.0, (0, 2): 1.0, (0, 0): -1.0}, "exponent 1 of (2, -1) must be >= 0, got -1"),
+    ({(2, 0): True, (0, 2): 1.0, (0, 0): -1.0}, "coefficient of (2, 0) must be a finite real number, got True"),
+    ({(2, 0): 1.0, (0, 2): "1", (0, 0): -1.0}, "coefficient of (0, 2) must be a finite real number, got '1'"),
+    ({(2, 0): 1.0, (0, 2): math.nan, (0, 0): -1.0}, "coefficient of (0, 2) must be a finite real number, got nan"),
+])
+def test_implicit_polynomial_terms_follow_the_scalar_rule(coefficients, message):
+    with pytest.raises(pk.InvalidInputError, match=re.escape(message)):
+        _polynomial(coefficients)
+
+
+def test_implicit_polynomial_descriptor_reports_the_evaluated_terms():
+    # numpy exponents and integer coefficients are stored as the ints and
+    # floats that are evaluated, so the descriptor is plain JSON
+    domain = _polynomial({(np.int64(2), 0): 1, (0, np.int32(2)): np.float32(1.0), (0, 0): -1})
+    assert domain.descriptor()["coefficients"] == {"0,0": -1.0, "0,2": 1.0, "2,0": 1.0}
+    assert all(type(c) is float for c in domain.descriptor()["coefficients"].values())
+    assert json.loads(json.dumps(domain.descriptor())) == domain.descriptor()
+    assert domain.rho([0.6, 0.0]) == pytest.approx(0.36 - 1.0)
+
+
+def test_sweep_entries_follow_the_scalar_rule():
+    disc, halfplane = pk.Ball(2), pk.Halfspace(2)
+    kernel = pk.model_kernel(disc)
+    for deltas, label in ((["0.1", True], "deltas[0]"), ([0.1, True], "deltas[1]"), ([0.1, -0.1], "deltas[1]")):
+        with pytest.raises(pk.InvalidInputError, match=re.escape(f"{label} must be positive and finite")):
+            pk.normal_sweep(disc, kernel, [1.0, 0.0], deltas, [[-1.0, 0.0]])
+    flat = pk.model_kernel(halfplane)
+    for offsets, label in ((["0.1", True], "tangential_offsets[0]"), ([0.1, True], "tangential_offsets[1]"),
+                           ([0.1, math.inf], "tangential_offsets[1]")):
+        with pytest.raises(pk.InvalidInputError, match=re.escape(f"{label} must be a finite real number")):
+            pk.derivative_report(halfplane, flat, [0.0, 0.0], 0.1, offsets)
+    # numpy scalars and negative or zero offsets are accepted
+    report = pk.normal_sweep(disc, kernel, [1.0, 0.0], np.array([0.1, 0.05]), [[-1.0, 0.0]])
+    assert len(report.records) == 2
+    pk.derivative_report(halfplane, flat, [0.0, 0.0], 0.1, [np.float32(-0.5), 0, 0.5])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
+from poisskern import _rng
 
 
 def _cfg(**kw):
@@ -238,6 +239,75 @@ def test_mixed_truncations_equal_one_walker_runs():
     assert np.array_equal(feet, np.concatenate([r[0] for r in rows]))
     assert np.array_equal(truncated, np.concatenate([r[1] for r in rows]))
     assert np.array_equal(steps, np.concatenate([r[2] for r in rows]))
+
+
+def _reference_signed_distance(domain, X):
+    """Signed distances as the walk used to compute them: ellipses from the
+    full nearest-point solve, balls and halfspaces in closed form."""
+    if isinstance(domain, pk.Ellipse):
+        _, dist, _, _ = domain._nearest(X)
+        return np.where(domain.rho_batch(X) < 0.0, -dist, dist)
+    if isinstance(domain, pk.Ball):
+        return np.linalg.norm(X - domain.center, axis=1) - domain.radius
+    return -X[:, -1]
+
+
+def _reference_walks(domain, x, config, truncation_radius=None):
+    """The walk loop written plainly: boolean masks, fresh arrays every step,
+    and every leaving walker's truncation cause written out."""
+    n, dim = config.walkers, domain.dim
+    keys = _rng.stream_keys(config.seed, np.arange(n))
+    pos = np.tile(np.asarray(x, dtype=float), (n, 1))
+    final = np.empty((n, dim))
+    truncated = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    for it in range(config.max_steps):
+        if active.size == 0:
+            break
+        delta = np.maximum(-_reference_signed_distance(domain, pos), 0.0)
+        settled = delta < config.stop_tolerance
+        outside = np.zeros(active.size, dtype=bool)
+        if truncation_radius is not None:
+            outside = np.linalg.norm(pos, axis=1) > truncation_radius
+        leave = settled | outside
+        final[active[leave]] = pos[leave]
+        truncated[active[leave]] = outside[leave] & ~settled[leave]
+        steps[active[leave]] = it
+        active, keys, pos, delta = active[~leave], keys[~leave], pos[~leave], delta[~leave]
+        pos = pos + delta[:, None] * _rng.sphere_directions(keys, it * _rng.draws_per_step(dim), dim)
+    final[active] = pos
+    truncated[active] = True
+    steps[active] = config.max_steps
+    feet = final.copy()
+    feet[~truncated] = domain.project_batch(final[~truncated])[0]
+    return feet, truncated, steps
+
+
+@pytest.mark.parametrize("kind,x,radius,config", [
+    ("disc", [0.1, 0.55], None, {}),
+    ("ball3", [0.1, 0.3, -0.2], None, {}),
+    ("halfplane", [0.2, 0.7], 2.0, {"max_steps": 12}),
+    # walkers that settle outside the truncation ball: settling wins
+    ("halfplane", [1.9, 0.3], 2.0, {"max_steps": 12, "stop_tolerance": 0.05}),
+    ("ellipse", [0.5, 0.3], None, {}),
+    ("ellipse", [0.5, 0.3], None, {"max_steps": 6}),
+    ("swapped_ellipse", [0.2, -0.5], None, {}),
+])
+def test_run_walks_equal_the_plain_reference_loop_bit_for_bit(kind, x, radius, config):
+    domain = {"disc": pk.Ball(2), "ball3": pk.Ball(3), "halfplane": pk.Halfspace(2),
+              "ellipse": pk.Ellipse([2.0, 1.0]), "swapped_ellipse": pk.Ellipse([1.0, 3.0])}[kind]
+    cfg = _cfg(walkers=2000, **config)
+    got = pk.run_walks(domain, x, cfg, truncation_radius=radius)
+    want = _reference_walks(domain, x, cfg, truncation_radius=radius)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
+    feet, truncated, steps = got
+    if cfg.max_steps < 100:  # both truncation causes where there is a truncation ball
+        assert (truncated & (steps == cfg.max_steps)).any() and (~truncated).any()
+        assert radius is None or (truncated & (steps < cfg.max_steps)).any()
+    if cfg.stop_tolerance > 0.01:
+        assert (~truncated & (np.linalg.norm(feet, axis=1) > radius + cfg.stop_tolerance)).any()
 
 
 def test_truncation_and_wos_exit_error():
