@@ -18,32 +18,23 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 1.0 / float(1 << 53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (xor-shift-multiply avalanche) on a uint64 array,
-    in place: ``z`` is overwritten with the result and returned."""
-    shifted = np.empty_like(z)
+    """splitmix64 finalizer (xor-shift-multiply avalanche) on uint64 arrays."""
     with np.errstate(over="ignore"):
-        for shift, factor in ((_SHIFT_1, _MIX_1), (_SHIFT_2, _MIX_2)):
-            np.right_shift(z, shift, out=shifted)
-            z ^= shifted
-            z *= factor
-        np.right_shift(z, _SHIFT_3, out=shifted)
-        z ^= shifted
-    return z
+        z = (z ^ (z >> np.uint64(30))) * _MIX_1
+        z = (z ^ (z >> np.uint64(27))) * _MIX_2
+        return z ^ (z >> np.uint64(31))
 
 
 def stream_keys(seed: int, walker_indices) -> np.ndarray:
     """Independent uint64 stream key for each walker index under one seed."""
     w = np.atleast_1d(np.asarray(walker_indices, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        z = _mix((w + np.uint64(1)) * _GOLDEN)
-        z ^= np.uint64(seed & _U64_MASK)
-        return _mix(z)
+        return _mix(np.uint64(seed & _U64_MASK) ^ _mix((w + np.uint64(1)) * _GOLDEN))
 
 
 def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
@@ -52,10 +43,7 @@ def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
     idx = np.asarray(draw_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix(keys + (idx + np.uint64(1)) * _GOLDEN)
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= _INV_2_53
-    return u
+    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def draws_per_step(dim: int) -> int:
@@ -76,33 +64,18 @@ def sphere_directions(keys: np.ndarray, base_index: int, dim: int) -> np.ndarray
 
     Consumes draws ``base_index .. base_index + draws_per_step(dim) - 1`` of
     each stream: the angle itself in 2-D, (cos polar, azimuth) in 3-D, and
-    Box-Muller normal pairs (then normalization) in higher dimensions.  In
-    2-D and 3-D the coordinates are written straight into the ``(n, dim)``
-    result.
+    Box-Muller normal pairs (then normalization) in higher dimensions.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     n = keys.shape[0]
     if dim == 2:
-        out = np.empty((n, 2))
-        theta = uniform(keys, base_index)
-        theta *= 2.0 * np.pi
-        np.cos(theta, out=out[:, 0])
-        np.sin(theta, out=out[:, 1])
-        return out
+        theta = (2.0 * np.pi) * uniform(keys, base_index)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if dim == 3:
-        out = np.empty((n, 3))
-        c = np.multiply(uniform(keys, base_index), 2.0, out=out[:, 2])
-        c -= 1.0
-        phi = uniform(keys, base_index + 1)
-        phi *= 2.0 * np.pi
-        s = np.multiply(c, c)
-        np.subtract(1.0, s, out=s)
-        np.maximum(0.0, s, out=s)
-        np.sqrt(s, out=s)
-        for j, trig in ((0, np.cos), (1, np.sin)):
-            trig(phi, out=out[:, j])
-            out[:, j] *= s
-        return out
+        c = 2.0 * uniform(keys, base_index) - 1.0
+        phi = (2.0 * np.pi) * uniform(keys, base_index + 1)
+        s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+        return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=1)
     pairs = (dim + 1) // 2
     g = np.empty((n, 2 * pairs))
     for j in range(pairs):

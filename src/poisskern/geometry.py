@@ -312,8 +312,7 @@ class Ball(Domain):
         self.radius = _positive(radius, "radius")
 
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
-        # Subtracting a zero center changes no bit, so the origin skips it.
-        return _norms(X - self.center if self.center.any() else X) - self.radius
+        return _norms(X - self.center) - self.radius
 
     def rho_grad_batch(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -413,10 +412,10 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
     the others on it the vertex ``(a, 0)``.
     """
     on_axis = q == 0.0
+    generic = ~on_axis
+    fx = np.empty_like(p)
+    fy = np.empty_like(q)
     if np.any(on_axis):
-        generic = np.flatnonzero(~on_axis)
-        fx = np.empty_like(p)
-        fy = np.empty_like(q)
         pa = p[on_axis]
         fxa = np.empty_like(pa)
         fya = np.empty_like(pa)
@@ -430,12 +429,9 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
         fya[~off] = 0.0
         fx[on_axis] = fxa
         fy[on_axis] = fya
-        if generic.size == 0:
-            return fx, fy
-        pg, qg = p[generic], q[generic]
-    else:
-        generic = None  # every row is generic: no gather and no scatter
-        pg, qg = p, q
+    if not np.any(generic):
+        return fx, fy
+    pg, qg = p[generic], q[generic]
 
     shift = a * a - b * b
     ap = a * pg
@@ -482,13 +478,20 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
         raise ConvergenceError("ellipse nearest-point iteration did not converge")
     u_final[rows] = u
     u = u_final
-    gx = a * a * pg / (u + shift)
-    gy = b * b * qg / u
-    if generic is None:
-        return gx, gy
-    fx[generic] = gx
-    fy[generic] = gy
+    fx[generic] = a * a * pg / (u + shift)
+    fy[generic] = b * b * qg / u
     return fx, fy
+
+
+def _ellipse_quadrant(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, ...]:
+    """The points ``P`` folded into the first quadrant, ``(p, q) = |P|``, their
+    feet ``(fx, fy)`` on the axis-aligned ellipse (a >= b) and the distance
+    ``dist`` to them: ``(p, q, fx, fy, dist)``.  Both the projection and the
+    distance-only query take their distances from here."""
+    p = np.abs(P[:, 0])
+    q = np.abs(P[:, 1])
+    fx, fy = _ellipse_quadrant_feet(p, q, a, b)
+    return p, q, fx, fy, np.hypot(p - fx, q - fy)
 
 
 def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -501,16 +504,13 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     of ``P`` restored.
     """
     P = np.asarray(P, dtype=float)
-    p = np.abs(P[:, 0])
-    q = np.abs(P[:, 1])
-    fx, fy = _ellipse_quadrant_feet(p, q, a, b)
+    p, q, fx, fy, dist = _ellipse_quadrant(P, a, b)
     sx = np.where(P[:, 0] >= 0.0, 1.0, -1.0)
     sy = np.where(P[:, 1] >= 0.0, 1.0, -1.0)
-    x, y, dx = sx * fx, sy * fy, p - fx
+    x, y = sx * fx, sy * fy
     feet = np.stack([x, y], axis=1)
     mirror = np.stack([x, -y], axis=1)
-    dist = np.hypot(dx, q - fy)
-    mirror_dist = np.hypot(dx, q + fy)
+    mirror_dist = np.hypot(p - fx, q + fy)
     return feet, mirror, dist, mirror_dist
 
 
@@ -555,10 +555,14 @@ class Ellipse(Domain):
         a, b = self.semi_axes
         return np.stack([2.0 * X[:, 0] / (a * a), 2.0 * X[:, 1] / (b * b)], axis=1)
 
+    def _major_points(self, X: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
+        """The rows of ``X`` in the major-axis frame, with ``_major_frame()``."""
+        a, b, swapped = self._major_frame()
+        return (X[:, ::-1] if swapped else X), a, b, swapped
+
     def _nearest(self, X: np.ndarray):
         """Exact feet, with each foot's mirror image across the major axis as its rival."""
-        a, b, swapped = self._major_frame()
-        P = X[:, ::-1] if swapped else X
+        P, a, b, swapped = self._major_points(X)
         feet, mirror, dist, mdist = _ellipse_feet(P, a, b)
         if swapped:
             feet = feet[:, ::-1]
@@ -566,17 +570,12 @@ class Ellipse(Domain):
         return feet, dist, mirror, mdist
 
     def signed_distance_batch(self, X) -> np.ndarray:
-        """Distance-only path: the first-quadrant Newton solve of ``_nearest``
-        and its distance expression, signed by ``rho``; it builds no signed
-        feet, mirror feet or sign vectors, and gives the same bits."""
+        """Distance-only path: the first-quadrant solve and distance of
+        ``_nearest``, signed by ``rho``; it builds no signed feet, mirror feet
+        or sign vectors, and gives the same bits."""
         X = _as_batch(X, 2)
-        a, b, swapped = self._major_frame()
-        P = X[:, ::-1] if swapped else X
-        p, q = np.abs(P[:, 0]), np.abs(P[:, 1])
-        fx, fy = _ellipse_quadrant_feet(p, q, a, b)
-        p -= fx
-        q -= fy
-        dist = np.hypot(p, q, out=p)
+        P, a, b, _ = self._major_points(X)
+        dist = _ellipse_quadrant(P, a, b)[-1]
         return np.negative(dist, out=dist, where=self._rho_values(X) < 0.0)
 
     def boundary_point(self, theta: float) -> np.ndarray:

@@ -172,26 +172,22 @@ def run_walks(
     for it in range(config.max_steps):
         if active.size == 0:
             break
-        delta = np.negative(domain.signed_distance_batch(pos))
-        np.maximum(delta, 0.0, out=delta)
-        if safety != 1.0:
-            delta *= safety
+        delta = -domain.signed_distance_batch(pos)
+        delta = np.maximum(delta, 0.0) * safety
 
         # Retire walkers that settled or left the truncation ball; settling wins.
         # Rows move by index: `keys` stays aligned with `active` and `pos`.
         settled = delta < stop
-        if truncation_radius is None:
-            leave = settled
-        else:
+        outside = np.zeros_like(settled)
+        if truncation_radius is not None:
             outside = _norms(pos) > truncation_radius
-            leave = settled | outside
+        leave = settled | outside
         if np.any(leave):
             out = np.flatnonzero(leave)
             stay = np.flatnonzero(~leave)
             idx = active[out]
             final[idx] = pos.take(out, axis=0)
-            if truncation_radius is not None:
-                truncated[idx] = outside[out] & ~settled[out]
+            truncated[idx] = outside[out] & ~settled[out]
             steps[idx] = it
             active, keys, delta = active[stay], keys[stay], delta[stay]
             pos = pos.take(stay, axis=0)

@@ -87,8 +87,7 @@ def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float
             f"x must be interior to the ball (|x - c| = {inradius:.6g}, radius = {radius:.6g})"
         )
     tol = 1e-9 * max(radius, 1.0)
-    # Subtracting a zero center changes no bit, so the origin skips it.
-    offsets = np.abs(_norms(t - center if center.any() else t) - radius)
+    offsets = np.abs(_norms(t - center) - radius)
     bad = np.flatnonzero(offsets > tol)
     if bad.size:
         j = bad[0]

@@ -202,7 +202,7 @@ def test_ellipse_feet_equal_the_full_array_iteration_bit_for_bit(monkeypatch):
     pk.run_walks(pk.Ellipse([2.0, 1.0]), [0.5, 0.2], pk.WosConfig(walkers=3000, seed=4, stop_tolerance=1e-4))
     monkeypatch.undo()
     assert len(quadrant_batches) > 10 and len(walk_batches) == len(quadrant_batches) - 1
-    for P in quadrant_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
+    for P in quadrant_batches + walk_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
         _assert_bits_equal(_ellipse_feet(P, 2.0, 1.0), _ellipse_feet_full_array(P, 2.0, 1.0))
     # swapped axes: the ellipse (1, 3) solves on (y, x) with a = 3, b = 1
     X = _ellipse_test_points(3.0, 1.0, rng)[:, ::-1]

@@ -73,24 +73,3 @@ def test_sphere_directions_distinct_draw_indices():
     a = _rng.sphere_directions(keys, 0, 2)
     b = _rng.sphere_directions(keys, 1, 2)
     assert not np.allclose(a, b)
-
-
-def _stacked_directions(keys, base_index, dim):
-    """2-D and 3-D directions from separate coordinate arrays stacked at the end (reference)."""
-    if dim == 2:
-        theta = (2.0 * np.pi) * _rng.uniform(keys, base_index)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    c = 2.0 * _rng.uniform(keys, base_index) - 1.0
-    phi = (2.0 * np.pi) * _rng.uniform(keys, base_index + 1)
-    s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=1)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_sphere_directions_filled_in_place_equal_the_stacked_formula_bit_for_bit(dim):
-    keys = _rng.stream_keys(5, np.arange(20011))
-    for base_index in (0, 1, 7, 2**20):
-        for rows in (keys, keys[:1], keys[:7], keys[::3]):
-            got = _rng.sphere_directions(rows, base_index, dim)
-            want = _stacked_directions(rows, base_index, dim)
-            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
