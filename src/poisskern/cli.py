@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -59,7 +60,17 @@ _OUT_DIR_ENV = "POISSKERN_OUT_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors raise (mapped to exit code 1)."""
+    """argparse parser whose usage errors raise (mapped to exit code 1).
+
+    A word that starts with a minus sign and a digit is a value, never an
+    option, since no option starts with a digit: ``--x -0.5,0.2`` gives the
+    point (-0.5, 0.2) to every point, point-list and number-list option.
+    argparse alone reads only single negative numbers that way.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise InvalidInputError(message)

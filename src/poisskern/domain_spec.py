@@ -22,11 +22,10 @@ alone does not certify a nonempty domain.
 from __future__ import annotations
 
 import json
-import numbers
 from pathlib import Path
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .geometry import Ball, Domain, Ellipse, Halfspace, ImplicitPolynomial, _integer
+from .geometry import Ball, Domain, Ellipse, Halfspace, ImplicitPolynomial, _finite, _integer
 
 __all__ = ["parse_domain_spec", "load_domain_spec"]
 
@@ -99,9 +98,7 @@ def parse_domain_spec(text: str) -> Domain:
         exps = _parse_exponents(str(key), dim)
         if exps in coefficients:
             raise InvalidInputError(f"duplicate exponent key '{key}'")
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise InvalidInputError(f"coefficient of '{key}' must be a number, got {value!r}")
-        coefficients[exps] = float(value)
+        coefficients[exps] = _finite(value, f"coefficient of '{key}'")
     bounding_box = _require(spec, "bounding_box")
     interior_point = _require(spec, "interior_point")
     return ImplicitPolynomial(

@@ -170,6 +170,24 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
+def _inscribed_radii(rho: np.ndarray, grad_norm: np.ndarray, hess_bound: float) -> np.ndarray:
+    """Radius of a ball around each point that lies inside ``{rho < 0}``, 0
+    where ``rho >= 0``, given ``|grad rho|`` there and a bound ``M`` on the
+    spectral norm of the Hessian of ``rho`` over the ball.
+
+    By Taylor's theorem ``rho(x + v) <= rho + |g| |v| + M |v|^2 / 2``, which is
+    negative while ``|v|`` is below the positive root ``r`` of the right-hand
+    side; ``r = -2 rho / (|g| + sqrt(|g|^2 - 2 M rho))`` is that root without
+    the cancellation of the textbook form.  The ball is connected and holds
+    the point, so it lies inside the domain; ``r`` never exceeds the boundary
+    distance and tends to it as ``rho -> 0``.
+    """
+    s = np.maximum(-rho, 0.0)
+    denominator = np.sqrt(grad_norm * grad_norm + (2.0 * hess_bound) * s)
+    denominator += grad_norm
+    return np.divide(s + s, denominator, out=np.zeros_like(s), where=s > 0.0)
+
+
 def _direction(tie_break, dim: int) -> np.ndarray:
     t = as_point(tie_break, dim, name="tie_break")
     if np.linalg.norm(t) < 1e-300:
@@ -195,13 +213,15 @@ class Domain:
     ``signed_distance`` and ``project_to_boundary`` are row 0 of a batch of
     one.
 
-    ``exact_distance`` marks domains whose signed distance is computed to full
-    precision (models and the ellipse) as opposed to an iterative solver with
-    its own tolerance (implicit domains).
+    A walk asks two more things of a domain: ``_jump_radii``, the radius of a
+    ball around each point that lies inside the domain, and ``_settled_feet``,
+    the boundary feet of the points where walks settled.  By default they are
+    the boundary distance and ``project_batch``; the ellipse and implicit
+    domains take a certified radius from a bound on the Hessian of ``rho``
+    instead of a nearest-point solve.
     """
 
     dim: int
-    exact_distance: bool = True
 
     # -- batch primitives ---------------------------------------------------
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
@@ -266,6 +286,16 @@ class Domain:
                 f"the projection of point {X[i].tolist()}"
             )
         return feet, -g / gn[:, None]
+
+    # -- walk primitives ----------------------------------------------------
+    def _jump_radii(self, X: np.ndarray) -> np.ndarray:
+        """Radius of a ball around each row of ``X`` that lies inside the
+        domain, 0 where a row is not inside: the boundary distance itself."""
+        return np.maximum(-self.signed_distance_batch(X), 0.0)
+
+    def _settled_feet(self, X: np.ndarray) -> np.ndarray:
+        """Boundary feet of the rows of ``X``, points where walks settled next to the boundary."""
+        return self.project_batch(X)[0]
 
     # -- one-point queries: row 0 of a batch of one ------------------------
     def rho(self, x) -> float:
@@ -499,9 +529,11 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
 
     Returns ``(feet, mirror_feet, dist, mirror_dist)`` where ``mirror_feet``
     are the feet reflected across the major axis -- the competing critical
-    points whose distance ties signal an ambiguous projection.  The feet are
-    the first-quadrant feet of :func:`_ellipse_quadrant_feet` with the signs
-    of ``P`` restored.
+    points whose distance ties signal an ambiguous projection.  Only points
+    inside the evolute, ``(a p)^(2/3) + (b q)^(2/3) < (a^2 - b^2)^(2/3)``,
+    have such a rival; beyond it the nearest point is unique and
+    ``mirror_dist`` is ``inf``.  The feet are the first-quadrant feet of
+    :func:`_ellipse_quadrant_feet` with the signs of ``P`` restored.
     """
     P = np.asarray(P, dtype=float)
     p, q, fx, fy, dist = _ellipse_quadrant(P, a, b)
@@ -510,7 +542,8 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     x, y = sx * fx, sy * fy
     feet = np.stack([x, y], axis=1)
     mirror = np.stack([x, -y], axis=1)
-    mirror_dist = np.hypot(p - fx, q + fy)
+    inside = np.cbrt((a * p) ** 2) + np.cbrt((b * q) ** 2) < np.cbrt((a * a - b * b) ** 2)
+    mirror_dist = np.where(inside, np.hypot(p - fx, q + fy), np.inf)
     return feet, mirror, dist, mirror_dist
 
 
@@ -561,7 +594,8 @@ class Ellipse(Domain):
         return (X[:, ::-1] if swapped else X), a, b, swapped
 
     def _nearest(self, X: np.ndarray):
-        """Exact feet, with each foot's mirror image across the major axis as its rival."""
+        """Exact feet, with each foot's mirror image across the major axis as
+        its rival inside the evolute."""
         P, a, b, swapped = self._major_points(X)
         feet, mirror, dist, mdist = _ellipse_feet(P, a, b)
         if swapped:
@@ -577,6 +611,15 @@ class Ellipse(Domain):
         P, a, b, _ = self._major_points(X)
         dist = _ellipse_quadrant(P, a, b)[-1]
         return np.negative(dist, out=dist, where=self._rho_values(X) < 0.0)
+
+    def _jump_radii(self, X: np.ndarray) -> np.ndarray:
+        """The inscribed radii of :func:`_inscribed_radii`, with no Newton
+        solve: ``rho`` is quadratic, so its Hessian bound ``2 / min(a, b)^2``
+        is exact everywhere."""
+        a, b = self.semi_axes
+        gx = 2.0 * X[:, 0] / (a * a)
+        gy = 2.0 * X[:, 1] / (b * b)
+        return _inscribed_radii(self._rho_values(X), np.sqrt(gx * gx + gy * gy), 2.0 / min(a, b) ** 2)
 
     def boundary_point(self, theta: float) -> np.ndarray:
         """Point ``(a cos(theta), b sin(theta))`` on the boundary."""
@@ -601,6 +644,16 @@ class Ellipse(Domain):
         return {"kind": "ellipse", "dim": 2, "semi_axes": self.semi_axes.tolist()}
 
 
+def _bounding_box(bounding_box) -> np.ndarray:
+    """A ``(2, d)`` float array of lower and upper corners, lower strictly below upper."""
+    box = _float_array(bounding_box, "bounding_box")
+    if box.ndim != 2 or box.shape[0] != 2 or box.shape[1] < 2:
+        raise InvalidInputError(f"bounding_box must have shape (2, d), got {box.shape}")
+    if not np.all(box[0] < box[1]):
+        raise InvalidInputError("bounding_box lower corner must be strictly below the upper corner")
+    return box
+
+
 class Implicit(Domain):
     """Domain defined by a user-supplied C^2 function ``rho`` (negative inside).
 
@@ -610,17 +663,21 @@ class Implicit(Domain):
     row.  ``bounding_box`` is a ``(2, d)`` array of lower/upper corners
     enclosing the closure of the domain, used to seed the nearest-point
     solver; ``interior_point`` is a declared witness with ``rho < 0``, checked
-    at construction.
+    at construction.  ``hess_bound`` is a size that bounds the spectral norm
+    of the Hessian of ``rho`` over the bounding box; walks take their jump
+    radii from it (:func:`_inscribed_radii`, clipped to the distance from the
+    box edge, where the bound stops holding), with no nearest-point solve.
 
     Signed distance and projection solve the nearest-point conditions
     ``y - x + lam * grad(y) = 0, rho(y) = 0`` with a damped Newton iteration
     (cap 100 iterations, tolerance 1e-12 on the residual) from the 5 nearest
     points of a bounding-box grid flowed onto the zero level set.  One solve
     runs over every (point, start) pair of a batch, and each pair stops
-    updating once it has converged.
+    updating once it has converged.  The feet of settled walks come from one
+    Newton solve started at the settled point itself; only rows where it
+    fails go through the multi-start solve.
     """
 
-    exact_distance = False
     kind = "implicit"
 
     def __init__(
@@ -630,17 +687,14 @@ class Implicit(Domain):
         hess: Callable[[np.ndarray], np.ndarray],
         bounding_box,
         interior_point,
+        hess_bound: float,
     ):
         self._rho = rho
         self._grad = grad
         self._hess = hess
-        box = _float_array(bounding_box, "bounding_box")
-        if box.ndim != 2 or box.shape[0] != 2 or box.shape[1] < 2:
-            raise InvalidInputError(f"bounding_box must have shape (2, d), got {box.shape}")
-        if not np.all(box[0] < box[1]):
-            raise InvalidInputError("bounding_box lower corner must be strictly below the upper corner")
-        self.bounding_box = box
+        self.bounding_box = box = _bounding_box(bounding_box)
         self.dim = d = box.shape[1]
+        self.hess_bound = _positive(hess_bound, "hess_bound")
         self.interior_point = as_point(interior_point, d, name="interior_point")
         if not np.all((self.interior_point >= box[0]) & (self.interior_point <= box[1])):
             raise InvalidInputError("interior witness point lies outside the bounding box")
@@ -666,6 +720,24 @@ class Implicit(Domain):
 
     def rho_hess(self, x) -> np.ndarray:
         return np.asarray(self._hess(as_point(x, self.dim)[None, :])[0], dtype=float)
+
+    # -- walk primitives ----------------------------------------------------
+    def _jump_radii(self, X: np.ndarray) -> np.ndarray:
+        """Inscribed radii from ``hess_bound``, clipped to the distance from the bounding-box edge."""
+        lo, hi = self.bounding_box
+        edge = np.minimum(np.min(X - lo, axis=1), np.min(hi - X, axis=1))
+        radii = _inscribed_radii(self._rho_values(X), _norms(np.asarray(self._grad(X), dtype=float)),
+                                 self.hess_bound)
+        return np.minimum(radii, np.maximum(edge, 0.0), out=radii)
+
+    def _settled_feet(self, X: np.ndarray) -> np.ndarray:
+        """One Newton solve from each settled point itself, which lies next to
+        its unique foot; rows where it fails take the multi-start projection."""
+        feet, converged = self._newton(X, X.copy())
+        failed = np.flatnonzero(~converged)
+        if failed.size:
+            feet[failed] = self.project_batch(X[failed])[0]
+        return feet
 
     # -- nearest-point solver ---------------------------------------------
     @functools.cached_property
@@ -810,7 +882,11 @@ class ImplicitPolynomial(Implicit):
     and coefficients finite reals under the scalar rule (README); the terms
     are stored as ints and floats, so the descriptor reports the polynomial
     that is evaluated.  Values, gradients and Hessians are exact, evaluated
-    from one table of monomial powers.
+    from one table of monomial powers.  The Hessian bound comes from the same
+    tables: over the bounding box each second partial is at most the sum of
+    ``|c| max|y^e|`` over its terms, and the Hessian's spectral norm is at
+    most that of the symmetric nonnegative matrix of these bounds, which
+    dominates it entrywise (Perron-Frobenius).
     """
 
     kind = "implicit_polynomial"
@@ -852,12 +928,23 @@ class ImplicitPolynomial(Implicit):
         self._axes = np.arange(d)
         self._degree = int(E.max())
 
+        box = _bounding_box(bounding_box)
+        if box.shape[1] != d:
+            raise DimensionMismatchError(f"bounding_box has dimension {box.shape[1]}, expected {d}")
+        corner = np.max(np.abs(box), axis=0)  # max |y_j| over the box
+        second = slice(1 + d, None)
+        bounds = np.abs(self._table_coeffs[second]) * np.prod(corner ** self._table_powers[second], axis=-1)
+        hess_bound = float(np.linalg.norm(np.sum(bounds, axis=-1).reshape(d, d), 2))
+        if not hess_bound > 0.0:
+            raise InvalidInputError("a polynomial of degree below 2 does not bound a domain")
+
         super().__init__(
             rho=lambda X: self._evaluate(X, slice(0, 1))[:, 0],
             grad=lambda X: self._evaluate(X, slice(1, 1 + d)),
-            hess=lambda X: self._evaluate(X, slice(1 + d, None)).reshape(-1, d, d),
-            bounding_box=bounding_box,
+            hess=lambda X: self._evaluate(X, second).reshape(-1, d, d),
+            bounding_box=box,
             interior_point=interior_point,
+            hess_bound=hess_bound,
         )
 
     def _evaluate(self, X: np.ndarray, tables: slice) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Walk-on-spheres Monte Carlo estimation of harmonic measure and
 Poisson-kernel density on C^2 domains.
 
-A walk started at an interior point jumps to a uniformly random point on the
-largest ball around its current position that stays inside the domain (radius
-= boundary distance), and stops once it comes within ``stop_tolerance`` of the
-boundary, where it is projected onto the nearest boundary point.  The exit
+A walk started at an interior point jumps to a uniformly random point on a
+ball around its current position that lies inside the domain, and stops once
+that ball's radius falls below ``stop_tolerance``, where it is projected onto
+the nearest boundary point.  On balls and halfspaces the radius is the
+boundary distance; on ellipses and implicit domains it is a certified
+inscribed radius from a bound on the Hessian of the defining function, which
+never exceeds the boundary distance and tends to it at the boundary.  The exit
 point is then distributed (up to a boundary-layer bias of order
 ``stop_tolerance``) according to harmonic measure, whose density against
 surface measure is the Poisson kernel -- giving a numerical kernel oracle on
@@ -46,7 +49,6 @@ __all__ = [
 
 _SEED_LIMIT = 1 << 64
 _INDEX_LIMIT = 1 << 63  # walker indices are carried as int64
-_IMPLICIT_SAFETY = 0.99  # shrink solver-derived jump radii to absorb tolerance
 _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
 
 
@@ -54,7 +56,7 @@ _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of trunc
 class WosConfig:
     """Monte Carlo controls for walk-on-spheres runs.
 
-    ``stop_tolerance`` is the boundary distance at which a walk terminates
+    ``stop_tolerance`` is the jump radius below which a walk settles
     (default: 1e-4 times the domain diameter, or the truncation radius for
     unbounded domains).  ``seed`` lies in ``[0, 2**64)``; together with the
     walker index it determines every walk exactly.  Walks exceeding
@@ -168,16 +170,14 @@ def run_walks(
     steps = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
 
-    safety = 1.0 if domain.exact_distance else _IMPLICIT_SAFETY
     for it in range(config.max_steps):
         if active.size == 0:
             break
-        delta = -domain.signed_distance_batch(pos)
-        delta = np.maximum(delta, 0.0) * safety
+        radius = domain._jump_radii(pos)
 
         # Retire walkers that settled or left the truncation ball; settling wins.
         # Rows move by index: `keys` stays aligned with `active` and `pos`.
-        settled = delta < stop
+        settled = radius < stop
         outside = np.zeros_like(settled)
         if truncation_radius is not None:
             outside = _norms(pos) > truncation_radius
@@ -189,11 +189,11 @@ def run_walks(
             final[idx] = pos.take(out, axis=0)
             truncated[idx] = outside[out] & ~settled[out]
             steps[idx] = it
-            active, keys, delta = active[stay], keys[stay], delta[stay]
+            active, keys, radius = active[stay], keys[stay], radius[stay]
             pos = pos.take(stay, axis=0)
 
         directions = _rng.sphere_directions(keys, it * draws, dim)
-        directions *= delta[:, None]
+        directions *= radius[:, None]
         pos += directions
 
     # Walkers still active have used up their step budget.
@@ -204,7 +204,7 @@ def run_walks(
     feet = final.copy()
     settled = ~truncated
     if np.any(settled):
-        feet[settled], _ = domain.project_batch(final[settled])
+        feet[settled] = domain._settled_feet(final[settled])
     return feet, truncated, steps
 
 

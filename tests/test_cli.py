@@ -12,7 +12,7 @@ import pytest
 
 import poisskern as pk
 from poisskern import __version__
-from poisskern.cli import main
+from poisskern.cli import build_parser, main
 
 
 @pytest.fixture
@@ -346,3 +346,29 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, dest, want", [
+    (["kernel", "--x", "-0.5,0.2", "--t", "1,0"], "x", (-0.5, 0.2)),
+    (["kernel", "--x", "0,0", "--t", "-1,0"], "t", (-1.0, 0.0)),
+    (["extend", "--x", "-.3,0.1"], "x", (-0.3, 0.1)),
+    (["scale", "--base", "-1,0", "--deltas", "0.1"], "base", (-1.0, 0.0)),
+    (["wos", "--x", "0,0", "--cap-center", "-1,0", "--cap-radius", "0.1", "--walkers", "10",
+      "--seed", "1"], "cap_center", (-1.0, 0.0)),
+    (["ratio", "--base", "1,0", "--deltas", "0.1", "--targets", "-1,0;0,1"], "targets",
+     ((-1.0, 0.0), (0.0, 1.0))),
+    (["derivative", "--y", "-0.3,0"], "y", (-0.3, 0.0)),
+    (["derivative", "--direction", "-1,0"], "direction", (-1.0, 0.0)),
+    (["derivative", "--offsets", "-0.5,0,0.5"], "offsets", (-0.5, 0.0, 0.5)),
+], ids=["kernel-x", "kernel-t", "extend-x", "base", "cap-center", "targets", "y", "direction", "offsets"])
+def test_point_options_take_values_with_a_leading_minus_sign(argv, dest, want):
+    # argparse used to read "-0.5,0.2" as an unknown option ("expected one argument")
+    config = build_parser().parse_args([argv[0], "--domain", "d.json", *argv[1:]])
+    assert getattr(config, dest) == want
+
+
+def test_kernel_at_a_point_with_negative_coordinates(specs, capsys):
+    code = main(["kernel", "--domain", specs["disc"], "--x", "-0.5,0.2", "--t", "-1,0"])
+    assert code == 0
+    value = json.loads(capsys.readouterr().out)["result"]["value"]
+    assert value == pk.poisson_ball(2, [-0.5, 0.2], [-1.0, 0.0])

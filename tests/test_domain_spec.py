@@ -1,6 +1,7 @@
 """JSON domain-specification parsing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_parse_implicit_polynomial_matches_direct_construction():
         (
             '{"kind": "implicit_polynomial", "dim": 2, "coefficients": {"2,0": 1, "0,2": "1", "0,0": -1},'
             ' "bounding_box": [[-2, -2], [2, 2]], "interior_point": [0, 0]}',
-            "coefficient of '0,2' must be a number, got '1'",
+            "coefficient of '0,2' must be a finite real number, got '1'",
         ),
         (
             '{"kind": "implicit_polynomial", "dim": 2, "coefficients": {"2,0": 1, "0,2": 1, "0,0": -1},'
@@ -142,3 +143,14 @@ def test_parsed_domain_descriptor_round_trips():
     desc = d.descriptor()
     again = pk.parse_domain_spec(json.dumps(desc))
     assert again.descriptor() == desc
+
+
+@pytest.mark.parametrize("value, got", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("true", "True"), ('"1"', "'1'"),
+])
+def test_coefficients_follow_the_scalar_rule_and_name_the_spec_key(value, got):
+    # Python's JSON reader accepts NaN and Infinity; the error names the key as written
+    text = _impl({"2,0": 1.0, "0,0": -1.0}).replace('"0,0": -1.0', f'"0,0": -1.0, "0,2": {value}')
+    named = f"coefficient of '0,2' must be a finite real number, got {got}"
+    with pytest.raises(pk.InvalidInputError, match=re.escape(named)):
+        pk.parse_domain_spec(text)

@@ -155,7 +155,9 @@ def _ellipse_feet_full_array(P, a, b):
         fy[generic] = b * b * qg / u
     feet = np.stack([sx * fx, sy * fy], axis=1)
     mirror = np.stack([sx * fx, -sy * fy], axis=1)
-    return feet, mirror, np.hypot(p - fx, q - fy), np.hypot(p - fx, q + fy)
+    # the mirror foot is a rival only inside the evolute
+    inside = (a * p) ** (2.0 / 3.0) + (b * q) ** (2.0 / 3.0) < (a * a - b * b) ** (2.0 / 3.0)
+    return feet, mirror, np.hypot(p - fx, q - fy), np.where(inside, np.hypot(p - fx, q + fy), np.inf)
 
 
 def _ellipse_test_points(a, b, rng):
@@ -187,21 +189,22 @@ def _nearest_signed_distance(domain, X):
 def test_ellipse_feet_equal_the_full_array_iteration_bit_for_bit(monkeypatch):
     # Converged rows leave the Newton loop early; no row's arithmetic may change.
     rng = np.random.default_rng(9)
-    quadrant_batches = []  # every first-quadrant batch a real walk on the ellipse (2, 1) solves
-    walk_batches = []  # the walk positions whose signed distances it asks for
+    quadrant_batches = []  # the first-quadrant batch a real walk on the ellipse (2, 1) projects
+    walk_batches = []  # the walk positions it takes jump radii at
     monkeypatch.setattr(
         "poisskern.geometry._ellipse_quadrant_feet",
         lambda p, q, a, b: quadrant_batches.append(np.stack([p, q], axis=1))
         or _ellipse_quadrant_feet(p, q, a, b),
     )
-    distance = pk.Ellipse.signed_distance_batch
+    radii = pk.Ellipse._jump_radii
     monkeypatch.setattr(
-        pk.Ellipse, "signed_distance_batch",
-        lambda self, X: walk_batches.append(np.array(X)) or distance(self, X),
+        pk.Ellipse, "_jump_radii",
+        lambda self, X: walk_batches.append(np.array(X)) or radii(self, X),
     )
     pk.run_walks(pk.Ellipse([2.0, 1.0]), [0.5, 0.2], pk.WosConfig(walkers=3000, seed=4, stop_tolerance=1e-4))
     monkeypatch.undo()
-    assert len(quadrant_batches) > 10 and len(walk_batches) == len(quadrant_batches) - 1
+    # walk steps solve no nearest-point problem; only the settled walkers are projected
+    assert len(quadrant_batches) == 1 and len(walk_batches) > 10
     for P in quadrant_batches + walk_batches + [_ellipse_test_points(2.0, 1.0, rng)]:
         _assert_bits_equal(_ellipse_feet(P, 2.0, 1.0), _ellipse_feet_full_array(P, 2.0, 1.0))
     # swapped axes: the ellipse (1, 3) solves on (y, x) with a = 3, b = 1
@@ -247,6 +250,20 @@ def test_ellipse_on_axis_branches():
         e.project_to_boundary([0.0, 0.0])
     foot, _ = e.project_to_boundary([0.0, 0.0], tie_break=[1.0, -1.0])
     np.testing.assert_allclose(foot, [0.0, -1.0])
+
+
+def test_ellipse_mirror_rival_only_inside_the_evolute():
+    e = pk.Ellipse([2.0, 1.0])
+    # Beyond the evolute the nearest point is unique: this settled walk point
+    # next to the vertex used to raise a false tie with its mirror foot.
+    x = [1.9999743341585705, 6.301583975623995e-08]
+    foot, _ = e.project_to_boundary(x)
+    assert foot[1] > 0.0 and abs(e.rho(foot)) < 1e-13
+    _, _, _, mirror_dist = _ellipse_feet(np.array([x, [1.6, 1e-9], [1.0, 0.3]]), 2.0, 1.0)
+    assert np.isinf(mirror_dist[:2]).all() and np.isfinite(mirror_dist[2])
+    # inside it the mirror foot is a rival, and near the axis a tie
+    with pytest.raises(pk.ProjectionAmbiguityError, match=re.escape("point [0.5, 1e-09]")):
+        e.project_to_boundary([0.5, 1e-9])
 
 
 def test_ellipse_signed_distance_signs_and_normals():
@@ -313,6 +330,60 @@ def test_implicit_polynomial_matches_exact_ellipse():
         np.testing.assert_allclose(n_imp, n_exact, atol=1e-8)
 
 
+def test_implicit_hessian_bounds():
+    # The polynomial's bound is the spectral norm of its entrywise bounds,
+    # exact for a quadratic with a diagonal Hessian.
+    assert _ellipse_implicit().hess_bound == 2.0
+    assert _implicit_polynomial_ball3().hess_bound == 2.0
+    saddle = pk.ImplicitPolynomial({(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (0, 0): -1.0},
+                                   [[-2.0, -2.0], [2.0, 2.0]], [0.0, 0.0])
+    assert saddle.hess_bound == pytest.approx(3.0)  # [[2, 1], [1, 2]]
+    with pytest.raises(pk.InvalidInputError, match="degree below 2"):
+        pk.ImplicitPolynomial({(0, 1): -1.0, (0, 0): -1.0}, [[-2.0, -2.0], [2.0, 2.0]], [0.0, 0.0])
+    disc = dict(
+        rho=lambda X: np.sum(X * X, axis=1) - 1.0,
+        grad=lambda X: 2.0 * X,
+        hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
+        bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
+        interior_point=[0.0, 0.0],
+    )
+    with pytest.raises(TypeError, match="hess_bound"):
+        pk.Implicit(**disc)
+    for bad in (0.0, -1.0, math.inf, math.nan, True, "2"):
+        with pytest.raises(pk.InvalidInputError, match=re.escape(f"hess_bound must be positive and finite, got {bad!r}")):
+            pk.Implicit(**disc, hess_bound=bad)
+
+
+def _implicit_polynomial_ball3():
+    return pk.ImplicitPolynomial(
+        {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0},
+        bounding_box=[[-1.5] * 3, [1.5] * 3],
+        interior_point=[0.0, 0.0, 0.0],
+    )
+
+
+@pytest.mark.parametrize("kind", ["ball", "halfspace", "ellipse", "swapped_ellipse", "implicit_polynomial",
+                                  "implicit_ball3"])
+def test_jump_radii_are_inscribed_and_tend_to_the_distance(kind):
+    domain = {
+        "ball": pk.Ball(3, center=[0.0, 1.0, 0.0], radius=2.0), "halfspace": pk.Halfspace(3),
+        "ellipse": pk.Ellipse([2.0, 1.0]), "swapped_ellipse": pk.Ellipse([1.0, 3.0]),
+        "implicit_polynomial": _ellipse_implicit(), "implicit_ball3": _implicit_polynomial_ball3(),
+    }[kind]
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-3.0, 3.0, size=(4000, domain.dim))
+    inside = domain.rho_batch(X) < 0.0
+    X = np.vstack([X[inside][:60], X[~inside][:20]])
+    feet, normals = domain.project_batch(X[:60])
+    depth = 10.0 ** rng.uniform(-7.0, -3.0, 60)
+    near = feet + depth[:, None] * normals  # points at known small depths
+    radii = domain._jump_radii(np.vstack([X, near]))
+    delta = -domain.signed_distance_batch(X[:60])
+    assert np.all(radii[60:80] == 0.0)
+    assert np.all((0.0 < radii[:60]) & (radii[:60] <= delta * (1.0 + 1e-12)))
+    assert np.all((radii[80:] <= depth * (1.0 + 1e-6)) & (radii[80:] >= depth * (1.0 - 1e-2)))
+
+
 def test_implicit_polynomial_gradient_and_hessian_are_exact():
     imp = _ellipse_implicit()
     x = np.array([0.7, -0.3])
@@ -350,6 +421,7 @@ def test_implicit_validation():
             hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
             bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
             interior_point=[5.0, 5.0],  # outside the box
+            hess_bound=2.0,
         )
     with pytest.raises(pk.InvalidInputError):
         pk.Implicit(
@@ -358,6 +430,7 @@ def test_implicit_validation():
             hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
             bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
             interior_point=[1.5, 0.0],  # not actually interior
+            hess_bound=2.0,
         )
     with pytest.raises(pk.InvalidInputError, match=r"rho must be a batch callable"):
         pk.Implicit(
@@ -366,6 +439,7 @@ def test_implicit_validation():
             hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
             bounding_box=[[-2.0, -2.0], [2.0, 2.0]],
             interior_point=[0.0, 0.0],
+            hess_bound=2.0,
         )
     with pytest.raises(pk.InvalidInputError):
         pk.ImplicitPolynomial(
@@ -414,6 +488,7 @@ def test_implicit_ball_in_three_dimensions():
         hess=lambda X: np.broadcast_to(2.0 * np.eye(3), (len(X), 3, 3)),
         bounding_box=[[-1.5] * 3, [1.5] * 3],
         interior_point=[0.0, 0.0, 0.0],
+        hess_bound=2.0,
     )
     sd = imp.signed_distance([0.5, 0.0, 0.0])
     assert sd == pytest.approx(-0.5, abs=1e-9)
@@ -481,6 +556,7 @@ def test_off_boundary_base_is_named_by_every_normal_caller():
         hess=lambda X: np.zeros((len(X), 2, 2)),
         bounding_box=[[-1.5, -1.5], [1.5, 1.5]],
         interior_point=[0.0, 0.0],
+        hess_bound=452.0,  # bounds 6 (r^2 - 1)^2 + 24 (r^2 - 1) r^2 over the box (r^2 <= 4.5)
     )
     with pytest.raises(pk.InvalidInputError, match=re.escape("degenerate gradient at the base point [1.0, 0.0]")):
         inward_normal(cubed, [1.0, 0.0])
@@ -694,6 +770,7 @@ def _implicit_disc():
         hess=lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
         bounding_box=[[-1.5, -1.5], [1.5, 1.5]],
         interior_point=[0.0, 0.0],
+        hess_bound=2.0,
     )
 
 

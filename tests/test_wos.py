@@ -159,6 +159,125 @@ def test_implicit_ellipse_cap_measure_matches_ellipse():
     assert abs(got.estimate - want.estimate) <= 3.0 * math.hypot(got.std_error, want.std_error)
 
 
+def _readme_implicit_ellipse():
+    return pk.ImplicitPolynomial(
+        {(2, 0): 0.25, (0, 2): 1.0, (0, 0): -1.0},
+        bounding_box=[[-2.5, -1.5], [2.5, 1.5]],
+        interior_point=[0.0, 0.0],
+    )
+
+
+def _ellipse_cap_measure_exact(a, b, x, theta0, chord):
+    """Harmonic measure from ``x`` of the chordal cap of the ellipse (a > b)
+    around ``(a cos theta0, b sin theta0)``, by conformal invariance.
+
+    ``f(z) = m^(1/4) sn((2K/pi) asin(z/c); m)`` maps the ellipse onto the unit
+    disc, with foci ``+-c`` and parameter ``m`` fixed by
+    ``K(1 - m) / K(m) = (4/pi) artanh(b/a)``; sn of a complex argument is A&S
+    16.21.2.  From ``w0 = f(x)`` the arc between ``e^(i alpha1)`` and
+    ``e^(i alpha2)`` has measure ``arg((e^(i alpha2) - w0) / (e^(i alpha1) - w0)) / pi
+    - (alpha2 - alpha1) / (2 pi)``.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import ellipj, ellipk
+
+    c = math.sqrt(a * a - b * b)
+    m = brentq(lambda m: ellipk(1.0 - m) / ellipk(m) - 4.0 / math.pi * math.atanh(b / a), 1e-12, 1.0 - 1e-12,
+               xtol=1e-15)
+    K = ellipk(m)
+
+    def f(z):
+        w = (2.0 * K / math.pi) * np.arcsin(z / c)
+        s, cn, dn, _ = ellipj(w.real, m)
+        s1, c1, d1, _ = ellipj(w.imag, 1.0 - m)
+        return m**0.25 * (s * d1 + 1j * cn * dn * s1 * c1) / (c1 * c1 + m * s * s * s1 * s1)
+
+    def point(theta):
+        return a * math.cos(theta) + 1j * b * math.sin(theta)
+
+    center = point(theta0)
+    ends = [brentq(lambda t: abs(point(theta0 + sign * t) - center) - chord, 1e-9, 1.0) for sign in (-1.0, 1.0)]
+    alpha = np.unwrap(np.angle(f(np.array([point(theta0 - ends[0]), point(theta0), point(theta0 + ends[1])]))))
+    w0 = f(np.array([complex(*x)]))[0]
+    arc = (np.exp(1j * alpha[2]) - w0) / (np.exp(1j * alpha[0]) - w0)
+    return float(np.angle(arc) / math.pi - (alpha[2] - alpha[0]) / (2.0 * math.pi))
+
+
+def test_ellipse_cap_measure_matches_the_conformal_map():
+    # Jump radii from the Hessian bound keep the estimate within 3 SE plus an
+    # allowance of 10 stop for the O(stop) boundary layer.  From (1.9, 0), near
+    # the vertex, seeds 0 and 3 used to stop on a false projection tie.
+    e, stop = pk.Ellipse([2.0, 1.0]), 1e-4
+    cases = [([0.5, 0.2], 0.0, [7]), ([1.9, 0.0], 0.05, range(10))]
+    for x, theta0, seeds in cases:
+        exact = _ellipse_cap_measure_exact(2.0, 1.0, x, theta0, 0.1)
+        for seed in seeds:
+            est = pk.estimate_cap_measure(e, x, e.boundary_point(theta0), 0.1,
+                                          _cfg(walkers=100_000, seed=seed, stop_tolerance=stop))
+            assert abs(est.estimate - exact) <= 3.0 * est.std_error + 10.0 * stop, (x, seed, est, exact)
+
+
+@pytest.mark.parametrize("kind", ["ellipse", "implicit_ellipse"])
+def test_no_jump_lands_outside_the_domain(kind, monkeypatch):
+    # Every position a walk takes a jump radius at, after the start, is where a
+    # jump landed; the radii are certified, so all of them lie inside.
+    domain = pk.Ellipse([2.0, 1.0]) if kind == "ellipse" else _readme_implicit_ellipse()
+    highest = []
+    radii = type(domain)._jump_radii
+    monkeypatch.setattr(
+        type(domain), "_jump_radii",
+        lambda self, X: highest.append(float(self.rho_batch(X).max())) or radii(self, X),
+    )
+    x, center = [0.5, 0.2], pk.Ellipse([2.0, 1.0]).boundary_point(1.0)
+    cfg = _cfg(walkers=100_000, seed=11, stop_tolerance=1e-4)
+    est = pk.estimate_cap_measure(domain, x, center, 0.3, cfg)
+    monkeypatch.undo()
+    assert len(highest) > 50 and max(highest) < 0.0
+    assert est.truncated_walks == 0
+    if kind == "implicit_ellipse":  # against the Ellipse on independent streams
+        want = pk.estimate_cap_measure(pk.Ellipse([2.0, 1.0]), x, center, 0.3, _cfg(walkers=100_000, seed=12))
+        assert abs(est.estimate - want.estimate) <= 3.0 * math.hypot(est.std_error, want.std_error)
+
+
+def test_implicit_ball_in_three_dimensions_matches_ball():
+    imp = pk.ImplicitPolynomial(
+        {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0},
+        bounding_box=[[-1.5] * 3, [1.5] * 3],
+        interior_point=[0.0, 0.0, 0.0],
+    )
+    x, center = [0.1, 0.3, -0.2], [0.0, 0.0, 1.0]
+    got = pk.estimate_cap_measure(imp, x, center, 0.5, _cfg(walkers=40_000, seed=11, stop_tolerance=1e-3))
+    want = pk.estimate_cap_measure(pk.Ball(3), x, center, 0.5, _cfg(walkers=40_000, seed=12, stop_tolerance=1e-3))
+    assert got.truncated_walks == 0
+    assert abs(got.estimate - want.estimate) <= 3.0 * math.hypot(got.std_error, want.std_error)
+
+
+def test_settled_implicit_feet_fall_back_to_the_full_projection(monkeypatch):
+    # The feet of settled walkers come from one Newton solve started at each
+    # settled point.  Where it fails (made to here for x < 0), the row takes
+    # the multi-start projection instead and lands on the same foot.
+    imp, x = _readme_implicit_ellipse(), [0.5, 0.2]
+    cfg = _cfg(walkers=300, stop_tolerance=1e-3)
+    want, _, _ = pk.run_walks(imp, x, cfg)
+    newton, project = pk.Implicit._newton, pk.Implicit.project_batch
+    projected = []
+
+    def fails_left_from_the_point_itself(self, P, Y):
+        single_start = np.array_equal(P, Y)
+        Y, converged = newton(self, P, Y)
+        return Y, converged & ~(single_start & (P[:, 0] < 0.0))
+
+    monkeypatch.setattr(pk.Implicit, "_newton", fails_left_from_the_point_itself)
+    monkeypatch.setattr(pk.Implicit, "project_batch",
+                        lambda self, X: projected.append(np.array(X)) or project(self, X))
+    feet, truncated, _ = pk.run_walks(imp, x, cfg)
+    assert not truncated.any()
+    assert len(projected) == 1 and np.all(projected[0][:, 0] < 0.0)
+    assert len(projected[0]) == np.count_nonzero(want[:, 0] < 0.0)
+    np.testing.assert_allclose(feet, want, atol=1e-12)
+    assert np.abs(imp.rho_batch(feet)).max() <= 1e-11  # the Newton residual tolerance, 1e-12 max(1, |x|)
+
+
 def test_run_walks_validation():
     d = pk.Ball(2)
     with pytest.raises(pk.InvalidInputError):
@@ -242,14 +361,23 @@ def test_mixed_truncations_equal_one_walker_runs():
 
 
 def _reference_signed_distance(domain, X):
-    """Signed distances as the walk used to compute them: ellipses from the
-    full nearest-point solve, balls and halfspaces in closed form."""
-    if isinstance(domain, pk.Ellipse):
-        _, dist, _, _ = domain._nearest(X)
-        return np.where(domain.rho_batch(X) < 0.0, -dist, dist)
+    """Signed distances of balls and halfspaces, in closed form."""
     if isinstance(domain, pk.Ball):
         return np.linalg.norm(X - domain.center, axis=1) - domain.radius
     return -X[:, -1]
+
+
+def _reference_jump_radii(domain, X):
+    """Jump radii as the walk takes them: on ellipses the positive root r of
+    rho + |grad rho| r + M r^2 / 2 with M = 2 / min(a, b)^2, written as
+    -2 rho / (|grad rho| + sqrt(|grad rho|^2 - 2 M rho)); on balls and
+    halfspaces the boundary distance."""
+    if isinstance(domain, pk.Ellipse):
+        s = np.maximum(-domain.rho_batch(X), 0.0)
+        g = np.linalg.norm(domain.rho_grad_batch(X), axis=1)
+        M = 2.0 / min(domain.semi_axes) ** 2
+        return 2.0 * s / (g + np.sqrt(g * g + 2.0 * M * s))
+    return np.maximum(-_reference_signed_distance(domain, X), 0.0)
 
 
 def _reference_walks(domain, x, config, truncation_radius=None):
@@ -265,7 +393,7 @@ def _reference_walks(domain, x, config, truncation_radius=None):
     for it in range(config.max_steps):
         if active.size == 0:
             break
-        delta = np.maximum(-_reference_signed_distance(domain, pos), 0.0)
+        delta = _reference_jump_radii(domain, pos)
         settled = delta < config.stop_tolerance
         outside = np.zeros(active.size, dtype=bool)
         if truncation_radius is not None:
