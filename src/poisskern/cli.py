@@ -87,7 +87,10 @@ def _point(text: str) -> tuple:
 
 
 def _points(text: str) -> tuple:
-    return tuple(_point(part) for part in text.split(";") if part.strip())
+    points = tuple(_point(part) for part in text.split(";") if part.strip())
+    if not points:
+        raise InvalidInputError(f"point list '{text}' holds no point")
+    return points
 
 
 def _floats(text: str) -> tuple:
@@ -344,7 +347,7 @@ def _cmd_ratio(config: argparse.Namespace, domain: Domain):
         kernel = WosKernel(domain, wos, config.cap_radius, truncation_radius=config.truncation)
     else:
         kernel = model_kernel(domain)
-    targets = config.targets if config.targets else (config.base,)
+    targets = config.targets or (config.base,)
     report = normal_sweep(
         domain,
         kernel,

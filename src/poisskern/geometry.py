@@ -204,14 +204,11 @@ class Domain:
     whose distance needs a solver implement one nearest-point primitive,
     ``_nearest``, from which ``signed_distance_batch`` and ``project_batch``
     are derived here; domains whose ``rho`` is their signed distance (balls
-    and halfspaces) override those two with closed forms.  The ellipse
-    overrides ``signed_distance_batch`` with a distance-only path: it shares
-    the Newton solve of ``_nearest`` but builds no feet, mirror feet or signs.
-    Each row of a batch result depends only on the same row of the
-    input, so a batch of one, any subset of a batch and the whole batch agree
-    bit for bit.  The one-point queries ``rho``, ``rho_grad``, ``contains``,
-    ``signed_distance`` and ``project_to_boundary`` are row 0 of a batch of
-    one.
+    and halfspaces) override those two with closed forms.  Each row of a
+    batch result depends only on the same row of the input, so a batch of
+    one, any subset of a batch and the whole batch agree bit for bit.  The
+    one-point queries ``rho``, ``rho_grad``, ``contains``, ``signed_distance``
+    and ``project_to_boundary`` are row 0 of a batch of one.
 
     A walk asks two more things of a domain: ``_jump_radii``, the radius of a
     ball around each point that lies inside the domain, and ``_settled_feet``,
@@ -432,14 +429,10 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
     root; the foot is then ``(a^2 p / (u + a^2 - b^2), b^2 q / u)``.  Working
     in ``u`` rather than ``t`` avoids the catastrophic cancellation of
     ``t + b^2`` for points near the major axis, where the root has tiny ``u``.
-    Each row stops updating once it has converged, so its result does not
-    depend on the other rows.  Once more than half of the rows still iterating
-    have converged, those rows leave the iteration and the rest carry on alone;
-    every row goes through the same arithmetic and stops at the same iterate
-    either way.  The iteration works in four scratch buffers, sliced to the
-    rows still iterating.  Points exactly on the major axis (``q == 0``) with
-    ``p < (a^2 - b^2)/a`` take the closed-form off-axis branch instead, and
-    the others on it the vertex ``(a, 0)``.
+    Each row's iterate is frozen once it has converged, so its result does
+    not depend on the other rows.  Points exactly on the major axis
+    (``q == 0``) with ``p < (a^2 - b^2)/a`` take the closed-form off-axis
+    branch instead, and the others on it the vertex ``(a, 0)``.
     """
     on_axis = q == 0.0
     generic = ~on_axis
@@ -464,64 +457,24 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
     pg, qg = p[generic], q[generic]
 
     shift = a * a - b * b
-    ap = a * pg
-    bq = b * qg
-    u = bq.copy()
-    u_final = np.empty_like(u)
-    rows = np.arange(u.size)  # rows of the generic batch still iterating
+    u = b * qg
     done = np.zeros(u.shape, dtype=bool)
-    scratch = np.empty((4, u.size))
-    eps = np.finfo(float).eps
     for _ in range(100):
-        m = u.size
-        us, ra2, rb2, F = scratch[0, :m], scratch[1, :m], scratch[2, :m], scratch[3, :m]
-        np.add(u, shift, out=us)
-        np.divide(ap, us, out=ra2)
-        ra2 *= ra2
-        np.divide(bq, u, out=rb2)
-        rb2 *= rb2
-        np.add(ra2, rb2, out=F)
-        F -= 1.0
-        ra2 /= us
-        rb2 /= u
-        dF = ra2
-        dF += rb2
-        dF *= -2.0
-        step = np.divide(F, dF, out=dF)
+        ra = a * pg / (u + shift)
+        rb = b * qg / u
+        F = ra * ra + rb * rb - 1.0
+        dF = -2.0 * (ra * ra / (u + shift) + rb * rb / u)
+        step = F / dF
         # Monotone increasing sequence; a sub-ulp step means the row is done.
-        np.abs(F, out=F)
-        done |= F < 1e-13
-        np.abs(step, out=rb2)
-        np.multiply(u, eps, out=us)
-        done |= rb2 <= us
-        n_done = np.count_nonzero(done)
-        if n_done == done.size:
+        done |= (np.abs(F) < 1e-13) | (np.abs(step) <= np.finfo(float).eps * u)
+        if np.all(done):
             break
-        if 2 * n_done > done.size:
-            # Converged rows leave the iteration with their final iterate.
-            u_final[rows[done]] = u[done]
-            live = np.flatnonzero(~done)
-            rows, u, ap, bq, step = rows[live], u[live], ap[live], bq[live], step[live]
-            done = np.zeros(live.size, dtype=bool)
-        np.subtract(u, step, out=u, where=~done)
+        u = np.where(done, u, u - step)
     else:
         raise ConvergenceError("ellipse nearest-point iteration did not converge")
-    u_final[rows] = u
-    u = u_final
     fx[generic] = a * a * pg / (u + shift)
     fy[generic] = b * b * qg / u
     return fx, fy
-
-
-def _ellipse_quadrant(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, ...]:
-    """The points ``P`` folded into the first quadrant, ``(p, q) = |P|``, their
-    feet ``(fx, fy)`` on the axis-aligned ellipse (a >= b) and the distance
-    ``dist`` to them: ``(p, q, fx, fy, dist)``.  Both the projection and the
-    distance-only query take their distances from here."""
-    p = np.abs(P[:, 0])
-    q = np.abs(P[:, 1])
-    fx, fy = _ellipse_quadrant_feet(p, q, a, b)
-    return p, q, fx, fy, np.hypot(p - fx, q - fy)
 
 
 def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -533,10 +486,13 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     inside the evolute, ``(a p)^(2/3) + (b q)^(2/3) < (a^2 - b^2)^(2/3)``,
     have such a rival; beyond it the nearest point is unique and
     ``mirror_dist`` is ``inf``.  The feet are the first-quadrant feet of
-    :func:`_ellipse_quadrant_feet` with the signs of ``P`` restored.
+    :func:`_ellipse_quadrant_feet` for ``(p, q) = |P|`` with the signs of
+    ``P`` restored.
     """
     P = np.asarray(P, dtype=float)
-    p, q, fx, fy, dist = _ellipse_quadrant(P, a, b)
+    p = np.abs(P[:, 0])
+    q = np.abs(P[:, 1])
+    fx, fy = _ellipse_quadrant_feet(p, q, a, b)
     sx = np.where(P[:, 0] >= 0.0, 1.0, -1.0)
     sy = np.where(P[:, 1] >= 0.0, 1.0, -1.0)
     x, y = sx * fx, sy * fy
@@ -544,7 +500,7 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     mirror = np.stack([x, -y], axis=1)
     inside = np.cbrt((a * p) ** 2) + np.cbrt((b * q) ** 2) < np.cbrt((a * a - b * b) ** 2)
     mirror_dist = np.where(inside, np.hypot(p - fx, q + fy), np.inf)
-    return feet, mirror, dist, mirror_dist
+    return feet, mirror, np.hypot(p - fx, q - fy), mirror_dist
 
 
 class Ellipse(Domain):
@@ -588,29 +544,15 @@ class Ellipse(Domain):
         a, b = self.semi_axes
         return np.stack([2.0 * X[:, 0] / (a * a), 2.0 * X[:, 1] / (b * b)], axis=1)
 
-    def _major_points(self, X: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
-        """The rows of ``X`` in the major-axis frame, with ``_major_frame()``."""
-        a, b, swapped = self._major_frame()
-        return (X[:, ::-1] if swapped else X), a, b, swapped
-
     def _nearest(self, X: np.ndarray):
         """Exact feet, with each foot's mirror image across the major axis as
         its rival inside the evolute."""
-        P, a, b, swapped = self._major_points(X)
-        feet, mirror, dist, mdist = _ellipse_feet(P, a, b)
+        a, b, swapped = self._major_frame()
+        feet, mirror, dist, mdist = _ellipse_feet(X[:, ::-1] if swapped else X, a, b)
         if swapped:
             feet = feet[:, ::-1]
             mirror = mirror[:, ::-1]
         return feet, dist, mirror, mdist
-
-    def signed_distance_batch(self, X) -> np.ndarray:
-        """Distance-only path: the first-quadrant solve and distance of
-        ``_nearest``, signed by ``rho``; it builds no signed feet, mirror feet
-        or sign vectors, and gives the same bits."""
-        X = _as_batch(X, 2)
-        P, a, b, _ = self._major_points(X)
-        dist = _ellipse_quadrant(P, a, b)[-1]
-        return np.negative(dist, out=dist, where=self._rho_values(X) < 0.0)
 
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
         """The inscribed radii of :func:`_inscribed_radii`, with no Newton

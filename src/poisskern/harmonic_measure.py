@@ -59,11 +59,13 @@ class WosConfig:
     ``stop_tolerance`` is the jump radius below which a walk settles
     (default: 1e-4 times the domain diameter, or the truncation radius for
     unbounded domains).  ``seed`` lies in ``[0, 2**64)``; together with the
-    walker index it determines every walk exactly.  Walks exceeding
-    ``max_steps`` or leaving the truncation region are counted as truncated;
-    if more than half of the walks truncate, estimation fails rather than
-    returning a biased value.  The fields follow the scalar rule (README) and
-    are stored as Python ints and floats.
+    walker index it determines every walk exactly.  ``max_steps`` is the
+    number of jumps a walk may make; the settle rule applies after the last
+    one too.  Walks not settled after ``max_steps`` jumps or leaving the
+    truncation region are counted as truncated; if more than half of the
+    walks truncate, estimation fails rather than returning a biased value.
+    The fields follow the scalar rule (README) and are stored as Python ints
+    and floats.
     """
 
     walkers: int
@@ -137,8 +139,10 @@ def run_walks(
 
     Returns ``(feet, truncated, steps)``: projected boundary exit points (rows
     of truncated walks hold the last interior position instead and must be
-    ignored), a truncation mask (step budget exhausted or left the truncation
-    ball ``|pos| > truncation_radius``), and per-walk step counts.  A
+    ignored), a truncation mask (not settled after ``config.max_steps`` jumps,
+    or left the truncation ball ``|pos| > truncation_radius``), and per-walk
+    step counts, the jumps made before settling or truncating.  Settling and
+    leaving are checked before every jump and after the last allowed one.  A
     ``truncation_radius`` is a size under the scalar rule (README), with ``x``
     inside its ball; unbounded domains require one.
 
@@ -170,7 +174,9 @@ def run_walks(
     steps = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
 
-    for it in range(config.max_steps):
+    # Pass ``it`` follows ``it`` jumps: the settle and leave rule runs after
+    # the last allowed jump too, and only then does the budget end the walk.
+    for it in range(config.max_steps + 1):
         if active.size == 0:
             break
         radius = domain._jump_radii(pos)
@@ -191,6 +197,8 @@ def run_walks(
             steps[idx] = it
             active, keys, radius = active[stay], keys[stay], radius[stay]
             pos = pos.take(stay, axis=0)
+        if it == config.max_steps:
+            break
 
         directions = _rng.sphere_directions(keys, it * draws, dim)
         directions *= radius[:, None]
@@ -219,19 +227,20 @@ def wos_exit(
 
     Deterministic given ``(config.seed, walker_index)`` and identical to row
     ``walker_index`` of a batched run with the same ``truncation_radius``.
-    Raises :class:`WalkTruncatedError`, naming the cause, if this walk
-    exhausts its step budget or leaves the truncation ball (use the
-    estimators to count truncated walks instead of failing).
+    Raises :class:`WalkTruncatedError`, naming the cause, if this walk is not
+    settled after ``config.max_steps`` jumps or leaves the truncation ball;
+    the cause is read from the walk's last position, outside that ball or
+    not (use the estimators to count truncated walks instead of failing).
     """
     feet, truncated, steps = run_walks(
         domain, x, config, truncation_radius=truncation_radius,
         walker_indices=[walker_index],
     )
     if truncated[0]:
-        if steps[0] == config.max_steps:
-            cause = f"exceeded {config.max_steps} steps without exiting"
-        else:
+        if truncation_radius is not None and _norms(feet)[0] > truncation_radius:
             cause = f"left the truncation ball of radius {truncation_radius} after {steps[0]} steps"
+        else:
+            cause = f"exceeded {config.max_steps} steps without exiting"
         raise WalkTruncatedError(f"walk {walker_index} {cause}")
     return feet[0]
 

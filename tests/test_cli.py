@@ -152,7 +152,8 @@ def test_wos_requires_seed(specs, capsys):
 
 
 def test_numerical_failure_exit_code(specs, capsys):
-    code = main(["wos", "--domain", specs["disc"], "--x", "0,0",
+    # Off the center: one jump from the center lands on the circle and settles.
+    code = main(["wos", "--domain", specs["disc"], "--x", "0.5,0",
                  "--cap-center", "1,0", "--cap-radius", "0.4",
                  "--walkers", "50", "--seed", "1", "--stop-tol", "1e-9",
                  "--max-steps", "1"])
@@ -203,6 +204,14 @@ def test_usage_error_exits_one(specs, capsys):
 def test_bad_coordinate_string_exits_one(specs, capsys):
     code = main(["kernel", "--domain", specs["disc"], "--x", "a,b", "--t", "1,0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("option", ["--targets=", "--targets=;", "--deltas="])
+def test_ratio_empty_list_exits_one_naming_the_option(specs, capsys, option):
+    # An empty --targets list used to exit 0 and sweep the base point instead.
+    code = main(["ratio", "--domain", specs["disc"], "--base", "1,0", "--deltas", "0.1", option])
+    assert code == 1
+    assert f"argument {option.split('=')[0]}:" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -382,7 +382,9 @@ def _reference_jump_radii(domain, X):
 
 def _reference_walks(domain, x, config, truncation_radius=None):
     """The walk loop written plainly: boolean masks, fresh arrays every step,
-    and every leaving walker's truncation cause written out."""
+    and every leaving walker's truncation cause written out.  The settle and
+    leave rule runs after each of the ``max_steps`` jumps as well as before
+    the first."""
     n, dim = config.walkers, domain.dim
     keys = _rng.stream_keys(config.seed, np.arange(n))
     pos = np.tile(np.asarray(x, dtype=float), (n, 1))
@@ -390,7 +392,7 @@ def _reference_walks(domain, x, config, truncation_radius=None):
     truncated = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
-    for it in range(config.max_steps):
+    for it in range(config.max_steps + 1):
         if active.size == 0:
             break
         delta = _reference_jump_radii(domain, pos)
@@ -403,6 +405,8 @@ def _reference_walks(domain, x, config, truncation_radius=None):
         truncated[active[leave]] = outside[leave] & ~settled[leave]
         steps[active[leave]] = it
         active, keys, pos, delta = active[~leave], keys[~leave], pos[~leave], delta[~leave]
+        if it == config.max_steps:
+            break
         pos = pos + delta[:, None] * _rng.sphere_directions(keys, it * _rng.draws_per_step(dim), dim)
     final[active] = pos
     truncated[active] = True
@@ -439,12 +443,42 @@ def test_run_walks_equal_the_plain_reference_loop_bit_for_bit(kind, x, radius, c
 
 
 def test_truncation_and_wos_exit_error():
+    # Off the center: one jump from the center lands on the circle and settles.
     d = pk.Ball(2)
-    x = np.array([0.0, 0.0])
+    x = np.array([0.5, 0.0])
     feet, trunc, _ = pk.run_walks(d, x, _cfg(max_steps=1, stop_tolerance=1e-9))
     assert trunc.all()
     with pytest.raises(pk.WalkTruncatedError, match="exceeded 1 steps"):
         pk.wos_exit(d, x, _cfg(max_steps=1, stop_tolerance=1e-9), walker_index=0)
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_walks_settling_on_their_last_allowed_jump_are_not_truncated(k):
+    # The settle rule applies after the max_steps-th jump too: a walk that
+    # settles after k jumps is the same walk whether k or k + 1 are allowed.
+    d, x = pk.Ball(2), [0.5, 0.0]
+    feet, truncated, steps = pk.run_walks(d, x, _cfg(walkers=5000, stop_tolerance=1e-2, max_steps=k + 1))
+    feet_k, truncated_k, steps_k = pk.run_walks(d, x, _cfg(walkers=5000, stop_tolerance=1e-2, max_steps=k))
+    early = ~truncated & (steps <= k)
+    assert (early & (steps == k)).any()
+    assert not truncated_k[early].any()
+    assert np.array_equal(steps_k[early], steps[early])
+    assert np.array_equal(feet_k[early].view(np.int64), feet[early].view(np.int64))
+
+
+def test_wos_exit_names_leaving_on_the_last_allowed_jump():
+    # A walk that leaves the truncation ball on its last allowed jump left it;
+    # it did not exceed its step budget.
+    h, x, radius = pk.Halfspace(2), [1.9, 0.3], 2.0
+    cfg = _cfg(walkers=50, stop_tolerance=1e-9, max_steps=1)
+    feet, truncated, steps = pk.run_walks(h, x, cfg, truncation_radius=radius)
+    left = np.flatnonzero(truncated & (np.linalg.norm(feet, axis=1) > radius))
+    stayed = np.flatnonzero(truncated & (np.linalg.norm(feet, axis=1) <= radius))
+    assert left.size and stayed.size and np.all(steps[truncated] == 1)
+    with pytest.raises(pk.WalkTruncatedError, match="left the truncation ball of radius 2.0 after 1 steps"):
+        pk.wos_exit(h, x, cfg, walker_index=int(left[0]), truncation_radius=radius)
+    with pytest.raises(pk.WalkTruncatedError, match="exceeded 1 steps"):
+        pk.wos_exit(h, x, cfg, walker_index=int(stayed[0]), truncation_radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +610,11 @@ def test_zero_hit_cap_reports_wide_interval():
 
 
 def test_mostly_truncated_run_raises():
+    # Off the center: one jump from the center lands on the circle and settles.
     d = pk.Ball(2)
     cfg = _cfg(walkers=100, seed=1, max_steps=1, stop_tolerance=1e-9)
     with pytest.raises(pk.EstimationFailureError):
-        pk.estimate_cap_measure(d, np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.3, cfg)
+        pk.estimate_cap_measure(d, np.array([0.5, 0.0]), np.array([1.0, 0.0]), 0.3, cfg)
 
 
 # ---------------------------------------------------------------------------
