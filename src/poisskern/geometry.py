@@ -664,12 +664,16 @@ class Implicit(Domain):
         return np.asarray(self._hess(as_point(x, self.dim)[None, :])[0], dtype=float)
 
     # -- walk primitives ----------------------------------------------------
+    def _rho_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rho`` and its gradient at each row of the already validated batch ``X``."""
+        return self._rho_values(X), np.asarray(self._grad(X), dtype=float)
+
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
         """Inscribed radii from ``hess_bound``, clipped to the distance from the bounding-box edge."""
         lo, hi = self.bounding_box
         edge = np.minimum(np.min(X - lo, axis=1), np.min(hi - X, axis=1))
-        radii = _inscribed_radii(self._rho_values(X), _norms(np.asarray(self._grad(X), dtype=float)),
-                                 self.hess_bound)
+        rho, grad = self._rho_and_grad(X)
+        radii = _inscribed_radii(rho, _norms(grad), self.hess_bound)
         return np.minimum(radii, np.maximum(edge, 0.0), out=radii)
 
     def _settled_feet(self, X: np.ndarray) -> np.ndarray:
@@ -888,6 +892,11 @@ class ImplicitPolynomial(Implicit):
             interior_point=interior_point,
             hess_bound=hess_bound,
         )
+
+    def _rho_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rho`` and its gradient from one pass over the first ``1 + d`` tables."""
+        values = self._evaluate(X, slice(0, 1 + self.dim))
+        return values[:, 0], values[:, 1:]
 
     def _evaluate(self, X: np.ndarray, tables: slice) -> np.ndarray:
         """The selected rows of the polynomial tables at each point of ``X``: ``(n, rows)``."""

@@ -50,6 +50,7 @@ __all__ = [
 _SEED_LIMIT = 1 << 64
 _INDEX_LIMIT = 1 << 63  # walker indices are carried as int64
 _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
+_POOL = 16384  # walkers in flight at once: a step's temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,13 @@ def run_walks(
     ``walker_indices`` selects which counter-based streams to run (default
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
     full batch would produce for those indices.
+
+    Walkers step in a pool of at most ``_POOL`` (16384) at a time, so each
+    step's temporaries stay cache-sized; a retiring walker's slot goes to the
+    next walker of the queue, which starts at ``x`` with no jumps made.  Each
+    pool row draws its directions at its own jump count, and no row's
+    arithmetic depends on the rows beside it, so the pool size, any subset
+    and :func:`wos_exit` give every walk bit for bit.
     """
     x = as_point(x, domain.dim, name="x")
     if not domain.contains(x):
@@ -166,54 +174,56 @@ def run_walks(
     n = indices.size
     dim = domain.dim
     draws = _rng.draws_per_step(dim)
-    keys = _rng.stream_keys(config.seed, indices)
+    queue_keys = _rng.stream_keys(config.seed, indices)
 
-    pos = np.tile(x, (n, 1))
     final = np.empty((n, dim))
     truncated = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
 
-    # Pass ``it`` follows ``it`` jumps: the settle and leave rule runs after
-    # the last allowed jump too, and only then does the budget end the walk.
-    for it in range(config.max_steps + 1):
-        if active.size == 0:
-            break
+    # The pool: output row, stream key, position and jumps made of each walker
+    # in flight.  Rows move by index and stay aligned across the four arrays.
+    admitted = min(n, _POOL)
+    rows = np.arange(admitted)
+    keys = queue_keys[:admitted]
+    pos = np.tile(x, (admitted, 1))
+    jumps = np.zeros(admitted, dtype=np.int64)
+    while rows.size:
         radius = domain._jump_radii(pos)
 
-        # Retire walkers that settled or left the truncation ball; settling wins.
-        # Rows move by index: `keys` stays aligned with `active` and `pos`.
+        # Retire walkers that settled, left the truncation ball or made their
+        # last allowed jump; settling wins over both other causes.
         settled = radius < stop
-        outside = np.zeros_like(settled)
+        leave = settled | (jumps == config.max_steps)
         if truncation_radius is not None:
-            outside = _norms(pos) > truncation_radius
-        leave = settled | outside
+            leave |= _norms(pos) > truncation_radius
         if np.any(leave):
             out = np.flatnonzero(leave)
             stay = np.flatnonzero(~leave)
-            idx = active[out]
+            idx = rows[out]
             final[idx] = pos.take(out, axis=0)
-            truncated[idx] = outside[out] & ~settled[out]
-            steps[idx] = it
-            active, keys, radius = active[stay], keys[stay], radius[stay]
+            truncated[idx] = ~settled[out]
+            steps[idx] = jumps[out]
+            rows, keys, jumps, radius = rows[stay], keys[stay], jumps[stay], radius[stay]
             pos = pos.take(stay, axis=0)
-        if it == config.max_steps:
-            break
 
-        directions = _rng.sphere_directions(keys, it * draws, dim)
+        directions = _rng.sphere_directions(keys, jumps * draws, dim)
         directions *= radius[:, None]
         pos += directions
+        jumps += 1
 
-    # Walkers still active have used up their step budget.
-    final[active] = pos
-    truncated[active] = True
-    steps[active] = config.max_steps
+        # Walkers from the queue take the free slots, starting at x with no jumps.
+        refill = min(n - admitted, _POOL - rows.size)
+        if refill:
+            rows = np.concatenate([rows, np.arange(admitted, admitted + refill)])
+            keys = np.concatenate([keys, queue_keys[admitted : admitted + refill]])
+            pos = np.concatenate([pos, np.tile(x, (refill, 1))])
+            jumps = np.concatenate([jumps, np.zeros(refill, dtype=np.int64)])
+            admitted += refill
 
-    feet = final.copy()
-    settled = ~truncated
-    if np.any(settled):
-        feet[settled] = domain._settled_feet(final[settled])
-    return feet, truncated, steps
+    settled = np.flatnonzero(~truncated)
+    if settled.size:
+        final[settled] = domain._settled_feet(final.take(settled, axis=0))
+    return final, truncated, steps
 
 
 def wos_exit(

@@ -73,3 +73,56 @@ def test_sphere_directions_distinct_draw_indices():
     a = _rng.sphere_directions(keys, 0, 2)
     b = _rng.sphere_directions(keys, 1, 2)
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_sphere_directions_take_one_draw_index_per_row(dim):
+    # Rows at different points of their streams equal the same streams drawn
+    # one at a time, bit for bit.
+    keys = _rng.stream_keys(17, np.arange(300))
+    index = (np.arange(300) % 11) * _rng.draws_per_step(dim)
+    batch = _rng.sphere_directions(keys, index, dim)
+    rows = [_rng.sphere_directions(keys[i : i + 1], int(index[i]), dim) for i in range(300)]
+    assert np.array_equal(batch.view(np.int64), np.concatenate(rows).view(np.int64))
+    assert np.array_equal(_rng.uniform(keys, index), np.concatenate(
+        [_rng.uniform(keys[i : i + 1], int(index[i])) for i in range(300)]))
+
+
+def test_plane_directions_match_the_exact_angle():
+    # Each 2-D direction is (cos, sin) of theta = 2 pi m / 2**53, where the
+    # draw's uniform is m / 2**53; compare against 40-digit arithmetic on theta.
+    mpmath = pytest.importorskip("mpmath")
+    keys = _rng.stream_keys(2024, np.arange(2500))
+    m = (_rng.uniform(keys, 3) * 2.0**53).astype(np.int64)
+    dirs = _rng.sphere_directions(keys, 3, 2)
+    with mpmath.workdps(40):
+        scale = 2 * mpmath.pi / mpmath.mpf(2) ** 53
+        error = max(
+            max(abs(mpmath.cos(int(k) * scale) - float(c)), abs(mpmath.sin(int(k) * scale) - float(s)))
+            for k, (c, s) in zip(m, dirs)
+        )
+    assert error <= 4 * 2.0**-53
+    assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() <= 4.5e-16
+
+
+def test_angle_table_is_read_only_and_built_once(monkeypatch):
+    table = _rng._COS_SIN
+    assert table.shape == (2, 4096) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    # quadrant angles are exact, and the octant and quadrant symmetries hold
+    # bit for bit (pi/4 itself is its own mirror, with libm's cos and sin there)
+    i = np.r_[0:512, 513:1025]
+    assert np.array_equal(table[:, [0, 1024, 2048, 3072]], [[1, 0, -1, 0], [0, 1, 0, -1]])
+    assert np.array_equal(table[0, i], table[1, 1024 - i])
+    assert np.array_equal(table[0, 1024:], -table[1, :3072])
+    assert np.array_equal(table[1, 1024:], table[0, :3072])
+
+    def rebuilt():
+        raise AssertionError("the table is built at import only")
+
+    monkeypatch.setattr(_rng, "_cos_sin_table", rebuilt)
+    keys = _rng.stream_keys(1, np.arange(8))
+    for dim in (2, 3, 4):
+        _rng.sphere_directions(keys, 0, dim)
+    assert _rng._COS_SIN is table

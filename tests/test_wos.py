@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern import _rng
+from poisskern import _rng, harmonic_measure
 
 
 def _cfg(**kw):
@@ -440,6 +440,40 @@ def test_run_walks_equal_the_plain_reference_loop_bit_for_bit(kind, x, radius, c
         assert radius is None or (truncated & (steps < cfg.max_steps)).any()
     if cfg.stop_tolerance > 0.01:
         assert (~truncated & (np.linalg.norm(feet, axis=1) > radius + cfg.stop_tolerance)).any()
+
+
+POOL = harmonic_measure._POOL
+POOL_CASES = {
+    "disc": (pk.Ball(2), [0.1, 0.55], None),
+    "ball3": (pk.Ball(3), [0.1, 0.3, -0.2], None),
+    "halfplane": (pk.Halfspace(2), [0.2, 0.7], 2.0),
+    "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.3], None),
+}
+
+
+@pytest.mark.parametrize("walkers", [POOL - 1, POOL, POOL + 1, 2 * POOL + 3])
+@pytest.mark.parametrize("kind", list(POOL_CASES))
+def test_pooled_walks_equal_the_reference_loop_and_their_subsets(kind, walkers):
+    # Walks run in a pool of POOL walkers refilled from the queue as walkers
+    # retire.  Around and beyond one pool, every row still equals the plain
+    # loop over all walkers at once and the same walker run in any subset.
+    # The budget of 12 jumps ends walks admitted by refills too, some of them
+    # settling on their last allowed jump, which must not count as truncated.
+    domain, x, radius = POOL_CASES[kind]
+    cfg = _cfg(walkers=walkers, max_steps=12)
+    got = pk.run_walks(domain, x, cfg, truncation_radius=radius)
+    want = _reference_walks(domain, x, cfg, truncation_radius=radius)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    feet, truncated, steps = got
+    last = steps == cfg.max_steps
+    refilled = np.arange(walkers) >= POOL
+    if refilled.sum() > 1000:
+        assert (refilled & last & truncated).any() and (refilled & last & ~truncated).any()
+    subset = np.r_[walkers - 1 : 0 : -5, 0]  # reversed, and straddling every refill
+    part = pk.run_walks(domain, x, cfg, truncation_radius=radius, walker_indices=subset)
+    for g, p in zip(got, part):
+        assert g[subset].tobytes() == p.tobytes()
 
 
 def test_truncation_and_wos_exit_error():
