@@ -83,23 +83,20 @@ def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     return _ratio_records(domain, kernel, x, delta, y[None, :], name="y")[0]
 
 
-def _kernel_batch(kernel, x: np.ndarray, T: np.ndarray) -> tuple[list, list | None]:
-    """One kernel call at ``x`` over the rows of ``T``: values and standard errors."""
-    m = T.shape[0]
-    if hasattr(kernel, "estimate"):
-        ests = kernel.estimate(x, T)
-        is_sequence = isinstance(ests, (list, tuple))
-        if not is_sequence or len(ests) != m:
-            got = f"{len(ests)} estimates" if is_sequence else type(ests).__name__
-            raise InvalidInputError(
-                f"kernel.estimate returned {got} for {m} targets; expected {m} estimates"
-            )
-        return [e.estimate for e in ests], [e.std_error for e in ests]
-    return _kernel_values(kernel, x, T).tolist(), None
-
-
-def _kernel_values(kernel, x: np.ndarray, T: np.ndarray) -> np.ndarray:
-    return _callable_values(kernel(x, T), T, "kernel", "target")
+def _kernel_values(kernel, x: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """One kernel call at ``x`` over the rows of ``T``: the values and, for a
+    kernel with an ``estimate`` method, their standard errors (else ``None``)."""
+    if not hasattr(kernel, "estimate"):
+        return _callable_values(kernel(x, T), T, "kernel", "target"), None
+    ests = kernel.estimate(x, T)
+    if not isinstance(ests, (list, tuple)):
+        m = T.shape[0]
+        raise InvalidInputError(
+            f"kernel.estimate returned {type(ests).__name__} for {m} targets; expected {m} estimates"
+        )
+    values = _callable_values([e.estimate for e in ests], T, "kernel.estimate", "target")
+    errors = _callable_values([e.std_error for e in ests], T, "kernel.estimate std_error", "target")
+    return values, errors
 
 
 def _ratio_records(
@@ -113,12 +110,12 @@ def _ratio_records(
     if 0.0 in separations:
         j = separations.index(0.0)
         raise InvalidInputError(f"x and {name}[{j}] must be distinct: both are {T[j].tolist()}")
-    values, errors = _kernel_batch(kernel, x, T)
+    values, errors = _kernel_values(kernel, x, T)
+    errors = [0.0] * len(separations) if errors is None else errors.tolist()
     d = domain.dim
     x_tuple = tuple(x.tolist())
     records = []
-    for j, (y, separation, value) in enumerate(zip(T.tolist(), separations, values)):
-        se_ratio = 0.0 if errors is None else errors[j] * separation**d / delta
+    for y, separation, value, error in zip(T.tolist(), separations, values.tolist(), errors):
         records.append(
             RatioRecord(
                 x=x_tuple,
@@ -128,7 +125,7 @@ def _ratio_records(
                 kernel=float(value),
                 ratio=float(value * separation**d / delta),
                 far_field=bool(separation > FAR_FIELD_SEPARATION_FACTOR * delta),
-                std_error=float(se_ratio),
+                std_error=float(error * separation**d / delta),
             )
         )
     return records
@@ -238,7 +235,7 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
         raise InvalidInputError("direction must be a nonzero vector")
     u = u / un
     order, step = _order(order), _positive(step, "step")
-    return float(_difference_quotient(lambda p: _kernel_values(kernel, p, Y), x, u, order, step)[0])
+    return float(_difference_quotient(lambda p: _kernel_values(kernel, p, Y)[0], x, u, order, step)[0])
 
 
 def _difference_quotient(values, x: np.ndarray, u: np.ndarray, order: int, step: float):
@@ -363,7 +360,7 @@ def derivative_report(
         u = direction / np.linalg.norm(direction)
         for order in orders:
             derivs[i, order] = _difference_quotient(
-                lambda p: _kernel_values(kernel, p, Y), x, u, order, step
+                lambda p: _kernel_values(kernel, p, Y)[0], x, u, order, step
             ).tolist()
     delta = -domain.signed_distance(x)
     x_tuple = tuple(x.tolist())

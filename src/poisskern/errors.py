@@ -12,6 +12,19 @@ Two broad families matter to callers (and to the CLI's exit codes):
 
 from __future__ import annotations
 
+__all__ = [
+    "PoisskernError",
+    "InvalidInputError",
+    "DimensionMismatchError",
+    "DomainUnsupportedError",
+    "ProjectionAmbiguityError",
+    "NumericalError",
+    "ConvergenceError",
+    "RefinementNeededError",
+    "WalkTruncatedError",
+    "EstimationFailureError",
+]
+
 
 class PoisskernError(Exception):
     """Base class for all library-specific errors."""

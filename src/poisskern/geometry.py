@@ -31,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "as_point",
     "Domain",
     "Ball",
     "Halfspace",
@@ -39,11 +38,10 @@ __all__ = [
     "Implicit",
     "ImplicitPolynomial",
     "BoundaryFrame",
-    "boundary_frame",
-    "inward_normal",
-    "boundary_distance",
     "QuadratureRule",
+    "boundary_frame",
     "boundary_quadrature",
+    "rotation_to_last_axis",
 ]
 
 _BOUNDARY_TOL = 1e-10
@@ -127,16 +125,23 @@ def _integer(value, name: str, minimum: int, error: type = InvalidInputError) ->
     return int(value)
 
 
-def _callable_values(values, points: np.ndarray, source: str, label: str) -> np.ndarray:
-    """The ``(n,)`` values a user callable returned for the ``n`` rows of ``points``, as floats.
+def _callable_values(
+    values, points: np.ndarray, source: str, label: str, shape: tuple = (), finite: bool = True
+) -> np.ndarray:
+    """What a user callable returned for the ``n`` rows of ``points``: an
+    ``(n,) + shape`` float array, ``shape`` being ``()`` for values, ``(d,)``
+    for gradients and ``(d, d)`` for Hessians.
 
-    A wrong shape, or a NaN or infinite value, is an input error naming it."""
-    values = np.asarray(values, dtype=float)
+    A wrong shape is an input error naming ``source`` and both shapes; so is
+    a NaN or infinite value, naming the ``label`` row it belongs to, unless
+    ``finite`` is false."""
+    values = _float_array(values, source)
     n = points.shape[0]
-    if values.shape != (n,):
-        raise InvalidInputError(f"{source} returned shape {values.shape} for {n} {label}s; expected ({n},)")
-    if not np.isfinite(values).all():
-        j = int(np.argmax(~np.isfinite(values)))
+    expected = (n,) + shape
+    if values.shape != expected:
+        raise InvalidInputError(f"{source} returned shape {values.shape} for {n} {label}s; expected {expected}")
+    if finite and not np.isfinite(values).all():
+        j = int(np.argmax(~np.isfinite(values.reshape(n, -1)).all(axis=1)))
         raise InvalidInputError(f"{source} returned {values[j]} at {label} {j} = {points[j].tolist()}")
     return values
 
@@ -198,17 +203,18 @@ def _direction(tie_break, dim: int) -> np.ndarray:
 class Domain:
     """Open set ``{x : rho(x) < 0}`` described by a defining function.
 
-    Subclasses implement the batch primitives ``_rho_values`` (``rho`` of an
-    already validated ``(n, d)`` batch; ``rho_batch`` is its checked wrapper)
-    and ``rho_grad_batch``, plus ``diameter`` and ``descriptor``.  Domains
-    whose distance needs a solver implement one nearest-point primitive,
-    ``_nearest``, from which ``signed_distance_batch`` and ``project_batch``
-    are derived here; domains whose ``rho`` is their signed distance (balls
-    and halfspaces) override those two with closed forms.  Each row of a
-    batch result depends only on the same row of the input, so a batch of
-    one, any subset of a batch and the whole batch agree bit for bit.  The
-    one-point queries ``rho``, ``rho_grad``, ``contains``, ``signed_distance``
-    and ``project_to_boundary`` are row 0 of a batch of one.
+    Subclasses implement the batch primitives ``_rho_values`` and
+    ``_grad_values`` (``rho`` and its gradient on an already validated
+    ``(n, d)`` batch; ``rho_batch`` and ``rho_grad_batch`` are their checked
+    wrappers), plus ``diameter`` and ``descriptor``.  Domains whose distance
+    needs a solver implement one nearest-point primitive, ``_nearest``, from
+    which ``signed_distance_batch`` and ``project_batch`` are derived here;
+    domains whose ``rho`` is their signed distance (balls and halfspaces)
+    override those two with closed forms.  Each row of a batch result
+    depends only on the same row of the input, so a batch of one, any subset
+    of a batch and the whole batch agree bit for bit.  The one-point queries
+    ``rho``, ``rho_grad``, ``contains``, ``signed_distance`` and
+    ``project_to_boundary`` are row 0 of a batch of one.
 
     A walk asks two more things of a domain: ``_jump_radii``, the radius of a
     ball around each point that lies inside the domain, and ``_settled_feet``,
@@ -225,7 +231,8 @@ class Domain:
         """``rho`` at each row of the already validated batch ``X``."""
         raise NotImplementedError
 
-    def rho_grad_batch(self, X) -> np.ndarray:
+    def _grad_values(self, X: np.ndarray) -> np.ndarray:
+        """The gradient of ``rho`` at each row of the already validated batch ``X``."""
         raise NotImplementedError
 
     def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -240,6 +247,10 @@ class Domain:
     def rho_batch(self, X) -> np.ndarray:
         """The defining function at each row of ``X``."""
         return self._rho_values(_as_batch(X, self.dim))
+
+    def rho_grad_batch(self, X) -> np.ndarray:
+        """The gradient of the defining function at each row of ``X``."""
+        return self._grad_values(_as_batch(X, self.dim))
 
     def signed_distance_batch(self, X) -> np.ndarray:
         """Euclidean distances to the boundary, negative inside."""
@@ -273,7 +284,7 @@ class Domain:
             t = _direction(tie_break, self.dim)
             swap = ties & (np.sum(rival * t, axis=1) > np.sum(feet * t, axis=1))
             feet[swap] = rival[swap]
-        g = self.rho_grad_batch(feet)
+        g = self._grad_values(feet)
         gn = _norms(g)
         flat = gn < 1e-12
         if np.any(flat):
@@ -296,10 +307,10 @@ class Domain:
 
     # -- one-point queries: row 0 of a batch of one ------------------------
     def rho(self, x) -> float:
-        return float(self.rho_batch(as_point(x, self.dim)[None, :])[0])
+        return float(self._rho_values(as_point(x, self.dim)[None, :])[0])
 
     def rho_grad(self, x) -> np.ndarray:
-        return self.rho_grad_batch(as_point(x, self.dim)[None, :])[0]
+        return self._grad_values(as_point(x, self.dim)[None, :])[0]
 
     def contains(self, x) -> bool:
         """Strict interior membership (boundary points are not interior)."""
@@ -341,8 +352,7 @@ class Ball(Domain):
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
         return _norms(X - self.center) - self.radius
 
-    def rho_grad_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, self.dim)
+    def _grad_values(self, X: np.ndarray) -> np.ndarray:
         V = X - self.center
         r = _row_norms(V)
         at_center = r < 1e-300
@@ -395,8 +405,8 @@ class Halfspace(Domain):
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
         return -X[:, -1]
 
-    def rho_grad_batch(self, X) -> np.ndarray:
-        G = np.zeros_like(_as_batch(X, self.dim))
+    def _grad_values(self, X: np.ndarray) -> np.ndarray:
+        G = np.zeros_like(X)
         G[:, -1] = -1.0
         return G
 
@@ -539,8 +549,7 @@ class Ellipse(Domain):
         a, b = self.semi_axes
         return (X[:, 0] / a) ** 2 + (X[:, 1] / b) ** 2 - 1.0
 
-    def rho_grad_batch(self, X) -> np.ndarray:
-        X = _as_batch(X, 2)
+    def _grad_values(self, X: np.ndarray) -> np.ndarray:
         a, b = self.semi_axes
         return np.stack([2.0 * X[:, 0] / (a * a), 2.0 * X[:, 1] / (b * b)], axis=1)
 
@@ -641,32 +650,32 @@ class Implicit(Domain):
         if not np.all((self.interior_point >= box[0]) & (self.interior_point <= box[1])):
             raise InvalidInputError("interior witness point lies outside the bounding box")
         w = self.interior_point[None, :]
-        for name, fn, shape in (("rho", rho, (1,)), ("grad", grad, (1, d)), ("hess", hess, (1, d, d))):
-            got = np.shape(fn(w))
-            if got != shape:
-                raise InvalidInputError(
-                    f"{name} must be a batch callable: on a (1, {d}) array it returned shape {got}, "
-                    f"expected {shape}"
-                )
-        witness = float(self.rho_batch(w)[0])
+        witness = float(self._rho_values(w)[0])
+        self._grad_values(w)
+        self._hess_values(w)
         if not witness < 0.0:
             raise InvalidInputError(
                 f"defining function is not negative at the declared interior point (rho = {witness})"
             )
 
+    # The user's three callables are called only here, each result checked
+    # for shape; non-finite values pass, for the solvers to drop or fail.
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self._rho(X), dtype=float)
+        return _callable_values(self._rho(X), X, "rho", "point", finite=False)
 
-    def rho_grad_batch(self, X) -> np.ndarray:
-        return np.asarray(self._grad(_as_batch(X, self.dim)), dtype=float)
+    def _grad_values(self, X: np.ndarray) -> np.ndarray:
+        return _callable_values(self._grad(X), X, "grad", "point", (self.dim,), finite=False)
+
+    def _hess_values(self, X: np.ndarray) -> np.ndarray:
+        return _callable_values(self._hess(X), X, "hess", "point", (self.dim, self.dim), finite=False)
 
     def rho_hess(self, x) -> np.ndarray:
-        return np.asarray(self._hess(as_point(x, self.dim)[None, :])[0], dtype=float)
+        return self._hess_values(as_point(x, self.dim)[None, :])[0]
 
     # -- walk primitives ----------------------------------------------------
     def _rho_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``rho`` and its gradient at each row of the already validated batch ``X``."""
-        return self._rho_values(X), np.asarray(self._grad(X), dtype=float)
+        return self._rho_values(X), self._grad_values(X)
 
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
         """Inscribed radii from ``hess_bound``, clipped to the distance from the bounding-box edge."""
@@ -701,10 +710,10 @@ class Implicit(Domain):
         y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(8):
-                g = self._grad(y)
+                g = self._grad_values(y)
                 g2 = _sum_squares(g)
                 moves = g2 > 1e-20
-                scale = np.where(moves, self._rho(y) / np.where(moves, g2, 1.0), 0.0)
+                scale = np.where(moves, self._rho_values(y) / np.where(moves, g2, 1.0), 0.0)
                 y = y - scale[:, None] * g
         y = y[np.all(np.isfinite(y), axis=1)]
         if y.shape[0] == 0:
@@ -726,10 +735,10 @@ class Implicit(Domain):
         d = self.dim
 
         def residual(p, y, lam):
-            return np.column_stack([y - p + lam[:, None] * self._grad(y), self._rho(y)])
+            return np.column_stack([y - p + lam[:, None] * self._grad_values(y), self._rho_values(y)])
 
         tol = 1e-12 * np.maximum(1.0, _norms(P))
-        g = self._grad(Y)
+        g = self._grad_values(Y)
         g2 = _sum_squares(g)
         lam = np.where(g2 > 1e-20, np.sum((P - Y) * g, axis=1) / np.where(g2 > 1e-20, g2, 1.0), 0.0)
         R = residual(P, Y, lam)
@@ -739,9 +748,9 @@ class Implicit(Domain):
             if live.size == 0:
                 break
             p, y, lr, res, rn = P[live], Y[live], lam[live], R[live], r[live]
-            g = self._grad(y)
+            g = self._grad_values(y)
             J = np.zeros((live.size, d + 1, d + 1))
-            J[:, :d, :d] = np.eye(d) + lr[:, None, None] * self._hess(y)
+            J[:, :d, :d] = np.eye(d) + lr[:, None, None] * self._hess_values(y)
             J[:, :d, d] = g
             J[:, d, :d] = g
             with np.errstate(invalid="ignore"):  # a non-finite row is frozen as failed

@@ -101,19 +101,6 @@ class MeasureEstimate:
     wide_interval: bool = False
 
 
-def _resolve_stop(domain: Domain, config: WosConfig, truncation_radius: float | None) -> float:
-    if config.stop_tolerance is not None:
-        stop = config.stop_tolerance
-    else:  # run_walks has already required a truncation radius on unbounded domains
-        scale = domain.diameter() if domain.bounded() else truncation_radius
-        stop = 1e-4 * scale
-    if domain.bounded() and not stop < domain.diameter():
-        raise InvalidInputError(
-            f"stop_tolerance {stop} must be smaller than the domain diameter {domain.diameter()}"
-        )
-    return stop
-
-
 def _walker_indices(walker_indices) -> np.ndarray:
     """Validated stream indices: a 1-D sequence of integers in ``[0, 2**63)``, bools excluded."""
     entries = np.asarray(walker_indices, dtype=object)  # keeps each entry's own type
@@ -147,6 +134,10 @@ def run_walks(
     ``truncation_radius`` is a size under the scalar rule (README), with ``x``
     inside its ball; unbounded domains require one.
 
+    The walk origin's own jump radius must exceed the stop tolerance, or
+    every walker would settle where it starts: otherwise
+    :class:`InvalidInputError` names both and ``x``.
+
     ``walker_indices`` selects which counter-based streams to run (default
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
     full batch would produce for those indices.
@@ -169,7 +160,15 @@ def run_walks(
             )
     elif not domain.bounded():
         raise InvalidInputError("unbounded domain: a truncation_radius is required")
-    stop = _resolve_stop(domain, config, truncation_radius)
+    stop = config.stop_tolerance
+    if stop is None:
+        stop = 1e-4 * (domain.diameter() if domain.bounded() else truncation_radius)
+    origin_radius = float(domain._jump_radii(x[None, :])[0])
+    if not origin_radius > stop:
+        raise InvalidInputError(
+            f"stop_tolerance {stop!r} is not below the jump radius {origin_radius!r} at the walk "
+            f"origin x = {x.tolist()}: every walker would settle where it starts"
+        )
     indices = np.arange(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
     n = indices.size
     dim = domain.dim

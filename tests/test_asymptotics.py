@@ -429,6 +429,42 @@ def test_wrong_shape_kernel_is_rejected():
         pk.normal_sweep(d, OneEstimate(), base, [0.1], targets)
 
 
+class _FaultyEstimator:
+    """A kernel object whose ``estimate`` is wrong at its last target."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def estimate(self, x, T):
+        ests = [pk.MeasureEstimate(estimate=1.0, std_error=0.1, walkers_used=10, truncated_walks=0) for _ in T]
+        if self.fault == "nan_estimate":
+            ests[-1] = pk.MeasureEstimate(estimate=np.nan, std_error=0.1, walkers_used=10, truncated_walks=0)
+        elif self.fault == "nan_std_error":
+            ests[-1] = pk.MeasureEstimate(estimate=1.0, std_error=np.nan, walkers_used=10, truncated_walks=0)
+        else:
+            ests.pop()
+        return ests
+
+
+_ESTIMATOR_FAULTS = {
+    "nan_estimate": "kernel.estimate returned nan at target {j} = {y}",
+    "nan_std_error": "kernel.estimate std_error returned nan at target {j} = {y}",
+    "one_too_few": "kernel.estimate returned shape ({m1},) for {m} targets; expected ({m},)",
+}
+
+
+@pytest.mark.parametrize("fault", list(_ESTIMATOR_FAULTS))
+def test_estimator_results_are_checked_by_name(fault):
+    # A NaN estimate used to reach c1_hat as nan, and a NaN standard error the records.
+    named = _ESTIMATOR_FAULTS[fault]
+    d = pk.Ball(2)
+    base, targets = [1.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(pk.InvalidInputError, match=re.escape(named.format(j=1, y=targets[1], m1=1, m=2))):
+        pk.normal_sweep(d, _FaultyEstimator(fault), base, [0.1], targets)
+    with pytest.raises(pk.InvalidInputError, match=re.escape(named.format(j=0, y=targets[1], m1=0, m=1))):
+        pk.kernel_ratio(d, _FaultyEstimator(fault), [0.5, 0.0], targets[1])
+
+
 def test_non_finite_callable_values_are_rejected_by_name():
     # Both used to pass NaN through: the extension returned nan, and the sweep
     # wrote nan ratios while c1_hat/c2_hat came from the other records.

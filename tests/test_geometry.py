@@ -419,7 +419,7 @@ def test_implicit_validation():
             interior_point=[1.5, 0.0],  # not actually interior
             hess_bound=2.0,
         )
-    with pytest.raises(pk.InvalidInputError, match=r"rho must be a batch callable"):
+    with pytest.raises(pk.InvalidInputError, match=r"rho returned shape \(\) for 1 points"):
         pk.Implicit(
             rho=lambda X: float(np.sum(X * X) - 1.0),  # one value, not one per row
             grad=lambda X: 2.0 * X,
@@ -434,6 +434,39 @@ def test_implicit_validation():
             bounding_box=[[0.0, 0.0], [0.0, 1.0]],  # degenerate box
             interior_point=[0.0, 0.5],
         )
+
+
+# Each callable gives the right shape on the one-row witness and a wrong one on
+# larger batches: (its bad shape, its expected shape) for n rows in 2-D.
+_BAD_BATCH_SHAPES = {
+    "rho": (lambda n: (n, 1), lambda n: (n,)),
+    "grad": (lambda n: (n,), lambda n: (n, 2)),
+    "hess": (lambda n: (n, 2), lambda n: (n, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_BATCH_SHAPES))
+def test_implicit_callables_are_shape_checked_on_every_batch(name):
+    good = {
+        "rho": lambda X: X[:, 0] ** 2 + X[:, 1] ** 2 - 1.0,
+        "grad": lambda X: 2.0 * X,
+        "hess": lambda X: np.broadcast_to(2.0 * np.eye(2), (len(X), 2, 2)),
+    }
+    fine = good[name]
+    bad, expected = _BAD_BATCH_SHAPES[name]
+    callables = dict(good)
+    callables[name] = lambda X: fine(X) if len(X) == 1 else np.resize(fine(X), bad(len(X)))
+    domain = pk.Implicit(**callables, bounding_box=[[-1.5, -1.5], [1.5, 1.5]],
+                         interior_point=[0.0, 0.0], hess_bound=2.0)
+    X = np.array([[0.3, 0.4], [-0.9, 0.1], [1.2, -0.5]])
+    queries = {"rho": [domain.rho_batch, domain.signed_distance_batch], "grad": [domain.rho_grad_batch]}
+    for query in queries.get(name, []) + [domain.project_batch]:
+        with pytest.raises(pk.InvalidInputError) as info:
+            query(X)
+        got = re.fullmatch(rf"{name} returned shape (\(.*\)) for (\d+) points; expected (\(.*\))", str(info.value))
+        assert got, str(info.value)
+        n = int(got[2])
+        assert n > 1 and got[1] == str(bad(n)) and got[3] == str(expected(n))
 
 
 def test_implicit_nonconvergence_names_the_point(monkeypatch):

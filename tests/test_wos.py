@@ -295,6 +295,28 @@ def test_run_walks_validation():
         pk.run_walks(d, x, _cfg(), walker_indices=[0, -3, 2])
 
 
+@pytest.mark.parametrize("kind, x, truncation, stop", [
+    ("disc", [0.0, 0.5], None, 1.0),
+    ("ellipse", [1.9, 0.0], None, 0.1),
+    ("halfplane", [0.0, 1.0], 20.0, 50.0),
+])
+def test_walks_may_not_start_inside_their_stop_shell(kind, x, truncation, stop):
+    # Every walker would settle where it starts: the disc and halfplane cases
+    # used to give a cap estimate of 1.0 with standard error 0.0.
+    domain = WALK_CASES[kind][0]
+    radius = float(domain._jump_radii(np.array([x]))[0])
+    assert radius < stop
+    for s in (stop, radius):
+        named = re.escape(
+            f"stop_tolerance {s!r} is not below the jump radius {radius!r} at the walk origin "
+            f"x = {x}: every walker would settle where it starts"
+        )
+        with pytest.raises(pk.InvalidInputError, match=named):
+            pk.run_walks(domain, x, _cfg(walkers=10, stop_tolerance=s), truncation_radius=truncation)
+    _, _, steps = pk.run_walks(domain, x, _cfg(walkers=10, stop_tolerance=0.5 * radius), truncation_radius=truncation)
+    assert steps.min() >= 1
+
+
 def test_walker_indices_must_be_integers():
     # A fractional index used to be truncated onto another walker's stream.
     d, x = pk.Ball(2), np.array([0.3, 0.1])
