@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    Domain, _callable_values, _finite, _integer, _positive, _row_norms, as_point, boundary_distance,
-    boundary_frame, inward_normal,
+    _BOUNDARY_TOL, Domain, _callable_values, _finite, _integer, _positive, _row_norms, as_point,
+    boundary_distance, boundary_distance_batch, boundary_frame, inward_normal,
 )
 
 __all__ = [
@@ -83,39 +83,31 @@ def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     return _ratio_records(domain, kernel, x, delta, y[None, :], name="y")[0]
 
 
-def _kernel_values(kernel, x: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """One kernel call at ``x`` over the rows of ``T``: the values and, for a
-    kernel with an ``estimate`` method, their standard errors (else ``None``)."""
-    if not hasattr(kernel, "estimate"):
-        return _callable_values(kernel(x, T), T, "kernel", "target"), None
-    ests = kernel.estimate(x, T)
-    if not isinstance(ests, (list, tuple)):
-        m = T.shape[0]
-        raise InvalidInputError(
-            f"kernel.estimate returned {type(ests).__name__} for {m} targets; expected {m} estimates"
-        )
-    values = _callable_values([e.estimate for e in ests], T, "kernel.estimate", "target")
-    errors = _callable_values([e.std_error for e in ests], T, "kernel.estimate std_error", "target")
-    return values, errors
-
-
 def _ratio_records(
     domain: Domain, kernel, x: np.ndarray, delta: float, T: np.ndarray, name: str = "targets"
 ) -> list:
     # x is a validated interior point with delta = delta(x) > 0 and T an
     # (m, d) batch of validated points; ``name`` labels T's rows in errors.
     # The separation is the 1-D norm of each difference (``_row_norms``): an
-    # axis-1 norm can differ from it in the last bit.
+    # axis-1 norm can differ from it in the last bit.  Only an estimator (a
+    # kernel with ``estimate``) gives standard errors.
     separations = _row_norms(x - T).tolist()
     if 0.0 in separations:
         j = separations.index(0.0)
         raise InvalidInputError(f"x and {name}[{j}] must be distinct: both are {T[j].tolist()}")
-    values, errors = _kernel_values(kernel, x, T)
-    errors = [0.0] * len(separations) if errors is None else errors.tolist()
+    if not hasattr(kernel, "estimate"):
+        values, errors = _callable_values(kernel(x, T), T, "kernel", "target"), np.zeros(len(T))
+    else:
+        ests = kernel.estimate(x, T)
+        if not isinstance(ests, (list, tuple)):
+            raise InvalidInputError(f"kernel.estimate returned {type(ests).__name__} for {len(T)} "
+                                    f"targets; expected {len(T)} estimates")
+        values = _callable_values([e.estimate for e in ests], T, "kernel.estimate", "target")
+        errors = _callable_values([e.std_error for e in ests], T, "kernel.estimate std_error", "target")
     d = domain.dim
     x_tuple = tuple(x.tolist())
     records = []
-    for y, separation, value, error in zip(T.tolist(), separations, values.tolist(), errors):
+    for y, separation, value, error in zip(T.tolist(), separations, values.tolist(), errors.tolist()):
         records.append(
             RatioRecord(
                 x=x_tuple,
@@ -188,18 +180,7 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
 
     T = np.stack(target_pts)
     X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
-    outside = np.flatnonzero(~(domain.rho_batch(X) < 0.0))
-    if outside.size:
-        raise InvalidInputError(
-            f"delta = {deltas[outside[0]]} leaves the domain from base {base.tolist()}"
-        )
-    dist = -domain.signed_distance_batch(X)
-    shallow = np.flatnonzero(~(dist > 0.0))
-    if shallow.size:
-        k = int(shallow[0])
-        raise InvalidInputError(
-            f"x = {X[k].tolist()} (delta = {deltas[k]}) is not strictly inside the domain"
-        )
+    dist = boundary_distance_batch(domain, X)
     records = []
     for x, delta in zip(X, dist.tolist()):
         records.extend(_ratio_records(domain, kernel, x, delta, T))
@@ -225,7 +206,8 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
     stencil.  ``direction`` is normalized internally; ``step`` is the absolute
     difference step along it.  ``kernel`` is a batch evaluator, called at each
     stencil point on the one-row batch ``[y]`` with the shape check that
-    :func:`derivative_report` applies to its target batches.
+    :func:`derivative_report` applies to its target batches.  A Monte Carlo
+    kernel (one with an ``estimate`` method) raises :class:`InvalidInputError`.
     """
     x = as_point(x, name="x")
     Y = as_point(y, x.size, name="y")[None, :]
@@ -235,11 +217,20 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
         raise InvalidInputError("direction must be a nonzero vector")
     u = u / un
     order, step = _order(order), _positive(step, "step")
-    return float(_difference_quotient(lambda p: _kernel_values(kernel, p, Y)[0], x, u, order, step)[0])
+    return float(_difference_quotient(kernel, x, Y, u, order, step)[0])
 
 
-def _difference_quotient(values, x: np.ndarray, u: np.ndarray, order: int, step: float):
-    """Central difference of ``p -> values(p)`` at ``x`` along the unit vector ``u`` (order 1 or 2)."""
+def _difference_quotient(kernel, x: np.ndarray, Y: np.ndarray, u: np.ndarray, order: int, step: float):
+    """Central difference (order 1 or 2) of ``p -> kernel(p, Y)`` at ``x`` along the unit vector ``u``,
+    the one stencil of the derivative diagnostics.  It refuses a kernel with an ``estimate`` method:
+    differences of Monte Carlo estimates at these steps are noise, or 0 on shared walker streams."""
+    if hasattr(kernel, "estimate"):
+        raise InvalidInputError(f"kernel {type(kernel).__name__} is a Monte Carlo estimator (it has an "
+                                "estimate method); derivative diagnostics need a closed-form kernel")
+
+    def values(p):
+        return _callable_values(kernel(p, Y), Y, "kernel", "target")
+
     if order == 1:
         return (values(x + step * u) - values(x - step * u)) / (2.0 * step)
     return (values(x + step * u) - 2.0 * values(x) + values(x - step * u)) / (step * step)
@@ -255,8 +246,8 @@ def _order(order) -> int:
 def derivative_ratio(domain: Domain, kernel, x, y, order: int, direction) -> float:
     """Direction-resolved derivative ratio ``|D^k P| |x - y|^{d+k} / delta(x)``.
 
-    ``kernel`` must be a closed-form evaluator (finite differences of Monte
-    Carlo estimates are meaningless at these steps).  The difference step is
+    ``kernel`` must be closed-form: a Monte Carlo one (with an ``estimate``
+    method) raises :class:`InvalidInputError`.  The difference step is
     ``max(1e-6, 1e-4 * delta(x))``; ``x`` must be at least 10 steps away from
     ``y`` so the stencil never straddles the singularity.
     """
@@ -329,7 +320,8 @@ def derivative_report(
     targets are the boundary projections of ``base + offset * tangent`` for
     each tangential offset (exact boundary points on flat boundaries).  For
     every target, each tangent direction and the normal direction contribute
-    one record per requested order.
+    one record per requested order.  A Monte Carlo kernel (with an
+    ``estimate`` method) raises :class:`InvalidInputError`.
     """
     base = as_point(base, domain.dim, name="base")
     h = _positive(probe_height, "probe_height")
@@ -348,7 +340,7 @@ def derivative_report(
     if not offsets:
         raise InvalidInputError("at least one tangential offset is required")
     Y = base[None, :] + np.array(offsets)[:, None] * tangents[0][None, :]
-    on = np.abs(domain.rho_batch(Y)) <= 1e-10
+    on = np.abs(domain.rho_batch(Y)) <= _BOUNDARY_TOL
     if not np.all(on):
         Y[~on] = domain.project_batch(Y[~on])[0]
 
@@ -359,9 +351,7 @@ def derivative_report(
     for i, (direction, _) in enumerate(directions):
         u = direction / np.linalg.norm(direction)
         for order in orders:
-            derivs[i, order] = _difference_quotient(
-                lambda p: _kernel_values(kernel, p, Y)[0], x, u, order, step
-            ).tolist()
+            derivs[i, order] = _difference_quotient(kernel, x, Y, u, order, step).tolist()
     delta = -domain.signed_distance(x)
     x_tuple = tuple(x.tolist())
     records = []

@@ -105,17 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"poisskern {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed_required: bool = False):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--domain", dest="domain_spec", metavar="DOMAIN", required=True,
                        help="path to a JSON domain-spec file")
         p.add_argument("--out", dest="output", metavar="OUT", default=None,
                        help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, required=seed_required,
-                       help="random seed (recorded in every report)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="random seed (recorded in every report; required for walk-on-spheres runs)")
 
-    def monte_carlo(p: argparse.ArgumentParser, required: bool):
-        p.add_argument("--cap-radius", required=required, type=float)
-        p.add_argument("--walkers", required=required, type=int)
+    def monte_carlo(p: argparse.ArgumentParser):
+        p.add_argument("--cap-radius", type=float, help="chordal cap radius (required for walk-on-spheres runs)")
+        p.add_argument("--walkers", type=int, help="number of walks (required for walk-on-spheres runs)")
         p.add_argument("--stop-tol", dest="stop_tolerance", metavar="STOP_TOL", type=float,
                        default=None)
         p.add_argument("--max-steps", type=int, default=10_000)
@@ -145,10 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radius of the frame-coordinate ball for the gap supremum")
 
     p = sub.add_parser("wos", help="walk-on-spheres cap measure and kernel density")
-    common(p, seed_required=True)
+    common(p)
     p.add_argument("--x", required=True, type=_point)
     p.add_argument("--cap-center", required=True, type=_point)
-    monte_carlo(p, required=True)
+    monte_carlo(p)
 
     p = sub.add_parser("ratio", help="boundary-asymptotic ratio sweep (CSV)")
     common(p)
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", dest="kernel_kind", choices=("model", "wos"), default="model")
     p.add_argument("--summary-out", dest="summary_output", metavar="SUMMARY_OUT", default=None,
                    help="optional JSON summary file")
-    monte_carlo(p, required=False)
+    monte_carlo(p)
 
     p = sub.add_parser("derivative", help="direction-resolved derivative ratios")
     common(p)
@@ -254,10 +254,10 @@ def _require_truncation(config: argparse.Namespace, domain: Domain) -> None:
 
 
 def _wos_config(config: argparse.Namespace, domain: Domain) -> WosConfig:
-    if config.seed is None:
-        raise InvalidInputError("--seed is required for walk-on-spheres runs")
-    if config.walkers is None:
-        raise InvalidInputError("--walkers is required for walk-on-spheres runs")
+    """The one check of the walk-on-spheres options, for ``wos`` and ``ratio --kernel wos``."""
+    for flag in ("seed", "walkers", "cap_radius"):
+        if getattr(config, flag) is None:
+            raise InvalidInputError(f"--{flag.replace('_', '-')} is required for walk-on-spheres runs")
     _require_truncation(config, domain)
     return WosConfig(
         walkers=config.walkers,
@@ -341,10 +341,7 @@ def _cmd_wos(config: argparse.Namespace, domain: Domain):
 
 def _cmd_ratio(config: argparse.Namespace, domain: Domain):
     if config.kernel_kind == "wos":
-        wos = _wos_config(config, domain)
-        if config.cap_radius is None:
-            raise InvalidInputError("--cap-radius is required for the wos kernel")
-        kernel = WosKernel(domain, wos, config.cap_radius, truncation_radius=config.truncation)
+        kernel = WosKernel(domain, _wos_config(config, domain), config.cap_radius, config.truncation)
     else:
         kernel = model_kernel(domain)
     targets = config.targets or (config.base,)

@@ -101,9 +101,7 @@ def parse_domain_spec(text: str) -> Domain:
         coefficients[exps] = _finite(value, f"coefficient of '{key}'")
     bounding_box = _require(spec, "bounding_box")
     interior_point = _require(spec, "interior_point")
-    return ImplicitPolynomial(
-        coefficients, bounding_box=bounding_box, interior_point=interior_point, dim=dim
-    )
+    return ImplicitPolynomial(coefficients, bounding_box=bounding_box, interior_point=interior_point)
 
 
 def load_domain_spec(path) -> Domain:

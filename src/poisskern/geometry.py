@@ -846,7 +846,7 @@ class ImplicitPolynomial(Implicit):
 
     kind = "implicit_polynomial"
 
-    def __init__(self, coefficients: dict, bounding_box, interior_point, dim: int | None = None):
+    def __init__(self, coefficients: dict, bounding_box, interior_point):
         terms = []
         for key, coeff in coefficients.items():
             if not isinstance(key, tuple):
@@ -861,8 +861,6 @@ class ImplicitPolynomial(Implicit):
         if len(lengths) != 1:
             raise InvalidInputError("all exponent tuples must have the same length")
         d = lengths.pop()
-        if dim is not None and dim != d:
-            raise DimensionMismatchError(f"exponent tuples have length {d}, expected dim {dim}")
         if d < 2:
             raise DimensionMismatchError(f"polynomial domain dimension must be >= 2, got {d}")
         self._poly_terms = items
@@ -1017,19 +1015,29 @@ def inward_normal(domain: Domain, base) -> np.ndarray:
     return -g / gn
 
 
-def boundary_distance(domain: Domain, x) -> float:
-    """Boundary distance ``delta(x) = -signed_distance(x)`` of an interior point.
+def boundary_distance_batch(domain: Domain, X) -> np.ndarray:
+    """Boundary distances ``delta = -signed_distance`` of the rows of ``X``, all strictly inside.
 
-    Raises :class:`InvalidInputError` naming ``x`` and its signed distance if
-    ``x`` is not strictly inside the domain.
+    ``rho < 0`` is checked on every row before any distance is solved; the
+    first row outside, or else the first whose distance is not positive,
+    raises :class:`InvalidInputError` naming it as ``x`` with its signed distance.
     """
-    x = as_point(x, domain.dim, name="x")
-    sd = domain.signed_distance(x)
-    if not sd < 0.0:
+    X = _as_batch(X, domain.dim, name="x")
+    outside = np.flatnonzero(~(domain._rho_values(X) < 0.0))
+    if outside.size:  # only the first row outside is solved, for the message
+        X = X[outside[:1]]
+    sd = domain.signed_distance_batch(X)
+    bad = np.flatnonzero(~(sd < 0.0) | bool(outside.size))
+    if bad.size:
         raise InvalidInputError(
-            f"x = {x.tolist()} must be strictly inside the domain (signed distance {sd:.6g})"
+            f"x = {X[bad[0]].tolist()} must be strictly inside the domain (signed distance {sd[bad[0]]:.6g})"
         )
     return -sd
+
+
+def boundary_distance(domain: Domain, x) -> float:
+    """Boundary distance ``delta(x)`` of one interior point: row 0 of :func:`boundary_distance_batch`."""
+    return float(boundary_distance_batch(domain, as_point(x, domain.dim, name="x")[None, :])[0])
 
 
 def boundary_frame(domain: Domain, base, epsilon: float) -> BoundaryFrame:

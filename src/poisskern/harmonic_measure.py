@@ -254,16 +254,15 @@ def wos_exit(
     return feet[0]
 
 
-def _validate_cap(
-    domain: Domain, cap_center, cap_radius: float, name: str = "cap_center"
-) -> tuple[np.ndarray, float]:
-    center = as_point(cap_center, domain.dim, name=name)
-    rho = domain.rho(center)
-    if abs(rho) > 1e-8:
-        raise InvalidInputError(
-            f"{name} = {center.tolist()} is not on the boundary (rho = {rho:.3e})"
-        )
-    return center, _positive(cap_radius, "cap_radius")
+def _check_cap_centers(domain: Domain, T: np.ndarray, name: str, single: bool) -> None:
+    """The cap-center rule: one ``rho_batch`` over the validated batch ``T``; the first row with
+    ``|rho| > 1e-8`` raises :class:`InvalidInputError` naming it ``name`` (``name[j]`` unless ``single``)."""
+    rho = domain.rho_batch(T)
+    off = np.flatnonzero(~(np.abs(rho) <= 1e-8))
+    if off.size:
+        j = int(off[0])
+        label = name if single else f"{name}[{j}]"
+        raise InvalidInputError(f"{label} = {T[j].tolist()} is not on the boundary (rho = {rho[j]:.3e})")
 
 
 def _cap_estimates(
@@ -299,7 +298,9 @@ def estimate_cap_measure(
     (truncated walks never count as hits), with binomial standard error.  It
     is unbiased up to a boundary-layer bias of order ``stop_tolerance``.
     """
-    center, radius = _validate_cap(domain, cap_center, cap_radius)
+    center = as_point(cap_center, domain.dim, name="cap_center")
+    _check_cap_centers(domain, center[None, :], "cap_center", single=True)
+    radius = _positive(cap_radius, "cap_radius")
     feet, truncated, _ = run_walks(domain, x, config, truncation_radius=truncation_radius)
     return _cap_estimates(feet, truncated, [center], radius)[0]
 
@@ -315,7 +316,13 @@ def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
     must stay below the minimum radius of curvature so the cap is a single
     arc.
     """
-    center, c = _validate_cap(domain, cap_center, cap_radius)
+    center = as_point(cap_center, domain.dim, name="cap_center")
+    _check_cap_centers(domain, center[None, :], "cap_center", single=True)
+    return _cap_area(domain, center, _positive(cap_radius, "cap_radius"))
+
+
+def _cap_area(domain: Domain, center: np.ndarray, c: float) -> float:
+    """:func:`cap_surface_measure` of an already checked cap center and radius."""
     if isinstance(domain, Ball):
         r = domain.radius
         if domain.dim == 2:
@@ -439,21 +446,18 @@ class WosKernel:
     def _area(self, center: np.ndarray) -> float:
         key = center.tobytes()
         if key not in self._areas:
-            self._areas[key] = cap_surface_measure(self.domain, center, self.cap_radius)
+            self._areas[key] = _cap_area(self.domain, center, self.cap_radius)
         return self._areas[key]
 
     def estimate(self, x, y) -> "MeasureEstimate | list[MeasureEstimate]":
         x = as_point(x, self.domain.dim, name="x")
         Y, single = _as_points(y, self.domain.dim, name="y")
-        centers = [
-            _validate_cap(self.domain, t, self.cap_radius, name="y" if single else f"y[{j}]")[0]
-            for j, t in enumerate(Y)
-        ]
-        areas = [self._area(center) for center in centers]
+        _check_cap_centers(self.domain, Y, "y", single)
+        areas = [self._area(center) for center in Y]
         feet, truncated, _ = run_walks(
             self.domain, x, self.config, truncation_radius=self.truncation_radius
         )
-        caps = _cap_estimates(feet, truncated, centers, self.cap_radius)
+        caps = _cap_estimates(feet, truncated, Y, self.cap_radius)
         out = [_density_from_cap(cap, area) for cap, area in zip(caps, areas)]
         return out[0] if single else out
 

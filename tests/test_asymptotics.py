@@ -248,6 +248,19 @@ def test_derivative_ratio_separation_guard():
         pk.derivative_ratio(h, k, x, np.array([0.0, 0.0]), 1, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda k: pk.directional_derivative(k, [0.5, 0.0], [1.0, 0.0], 1, [1.0, 0.0], 1e-4),
+    lambda k: pk.derivative_ratio(pk.Ball(2), k, [0.5, 0.0], [1.0, 0.0], 1, [1.0, 0.0]),
+    lambda k: pk.derivative_report(pk.Ball(2), k, [1.0, 0.0], 0.1, [0.0, 0.2]),
+], ids=["directional_derivative", "derivative_ratio", "derivative_report"])
+def test_derivatives_refuse_monte_carlo_kernels(call):
+    # Unrefused, derivative_ratio returned 0.0 here (the model kernel gives
+    # 0.3183): every stencil point reused the same walker streams.
+    kernel = pk.WosKernel(pk.Ball(2), pk.WosConfig(walkers=2000, seed=1, stop_tolerance=1e-4), 0.1)
+    with pytest.raises(pk.InvalidInputError, match="kernel WosKernel is a Monte Carlo estimator"):
+        call(kernel)
+
+
 def test_derivative_report_flags_unbounded_normal_regime():
     h = pk.Halfspace(2)
     k = pk.model_kernel(h)

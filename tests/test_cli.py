@@ -297,6 +297,22 @@ def test_ratio_wos_requires_cap_radius(specs, capsys):
     assert "cap-radius" in capsys.readouterr().err
 
 
+_WOS_OPTIONS = {"--seed": "1", "--walkers": "100", "--cap-radius": "0.1"}
+
+
+@pytest.mark.parametrize("missing", list(_WOS_OPTIONS))
+@pytest.mark.parametrize("command", [
+    ["wos", "--x", "0,0", "--cap-center", "1,0"],
+    ["ratio", "--kernel", "wos", "--base", "1,0", "--deltas", "0.1"],
+])
+def test_wos_options_are_checked_by_one_rule(specs, capsys, command, missing):
+    # wos and ratio --kernel wos need the same three options, named by the same message.
+    options = [word for flag, value in _WOS_OPTIONS.items() if flag != missing for word in (flag, value)]
+    code = main(command + ["--domain", specs["disc"]] + options)
+    assert code == 1
+    assert capsys.readouterr().err == f"poisskern: error: {missing} is required for walk-on-spheres runs\n"
+
+
 def test_out_dir_environment_prefix(specs, tmp_path, monkeypatch):
     outdir = tmp_path / "reports"
     outdir.mkdir()

@@ -9,7 +9,8 @@ import pytest
 
 import poisskern as pk
 from poisskern.geometry import (
-    _ellipse_feet, _ellipse_quadrant_feet, _gauss_legendre, _norms, _sum_squares, as_point, inward_normal,
+    _ellipse_feet, _ellipse_quadrant_feet, _gauss_legendre, _norms, _sum_squares, as_point, boundary_distance,
+    boundary_distance_batch, inward_normal,
 )
 
 
@@ -599,9 +600,14 @@ def test_off_boundary_base_is_named_by_every_normal_caller():
          ["x = [0.0, -1.2]", "frame base [0.0, -1.0]", "height -0.2"]),
         (lambda: pk.boundary_quadrature(pk.Halfspace(2), 64), ["got None"]),
         (lambda: pk.Ball(2, center=[1.0, -2.0]).rho_grad([1.0, -2.0]), ["point [1.0, -2.0]"]),
+        (lambda: pk.normal_sweep(pk.Ball(2), pk.model_kernel(pk.Ball(2)), [1.0, 0.0], [0.1, 2.5], [[0.0, 1.0]]),
+         ["x = [-1.5, 0.0] must be strictly inside", "signed distance 0.5"]),
+        (lambda: pk.normal_sweep(pk.Ellipse([2.0, 1.0]), lambda x, T: np.ones(len(T)), [0.0, 1.0], [0.5, 3.0],
+                                 [[2.0, 0.0]]),
+         ["x = [0.0, -2.0] must be strictly inside", "signed distance 1"]),
     ],
     ids=["harmonic_extend", "kernel_ratio", "derivative_ratio", "truncation_tail",
-         "surrogate", "halfspace_rule", "ball_gradient"],
+         "surrogate", "halfspace_rule", "ball_gradient", "normal_sweep_disc", "normal_sweep_ellipse"],
 )
 def test_errors_name_the_rejected_input(call, named):
     with pytest.raises(pk.InvalidInputError) as info:
@@ -817,6 +823,10 @@ def test_one_point_queries_equal_batch_rows(kind):
     grad = domain.rho_grad_batch(X)
     sd = domain.signed_distance_batch(X)
     feet, normals = domain.project_batch(X)
+    inside = X[rho < 0.0]
+    delta = boundary_distance_batch(domain, inside)
+    assert delta.tolist() == (-sd[rho < 0.0]).tolist()
+    assert [boundary_distance(domain, x) for x in inside] == delta.tolist()
     for i, x in enumerate(X):
         assert domain.rho(x) == rho[i]
         np.testing.assert_array_equal(domain.rho_grad(x), grad[i])

@@ -705,22 +705,38 @@ def test_wos_kernel_computes_each_cap_area_once(monkeypatch):
     from poisskern import harmonic_measure
 
     calls = []
+    area = harmonic_measure._cap_area
 
     def counting(*args):
         calls.append(args)
-        return pk.cap_surface_measure(*args)
+        return area(*args)
 
     e = pk.Ellipse([2.0, 1.0])
     cfg = _cfg(walkers=200)
     targets = [e.boundary_point(th) for th in (0.3, 1.2)]
     expected = [pk.estimate_kernel_density(e, [0.5, 0.3], y, 0.1, cfg) for y in targets]
-    monkeypatch.setattr(harmonic_measure, "cap_surface_measure", counting)
+    monkeypatch.setattr(harmonic_measure, "_cap_area", counting)
     kern = pk.WosKernel(e, cfg, cap_radius=0.1)
     assert [kern.estimate([0.5, 0.3], y) for y in targets] == expected
     for x in ([0.2, -0.4], [-1.0, 0.1]):
         for y in targets:
             kern.estimate(x, y)
     assert len(calls) == len(targets)
+
+
+def test_wos_kernel_checks_its_targets_in_one_batch_query(monkeypatch):
+    # The ellipse's walks never call rho or rho_batch except on the walk origin.
+    e = pk.Ellipse([2.0, 1.0])
+    T = np.array([e.boundary_point(th) for th in (0.3, 1.2, 2.5, 4.0)])
+    kern = pk.WosKernel(e, _cfg(walkers=200), cap_radius=0.1)
+    batches, points = [], []
+    rho_batch, rho = e.rho_batch, e.rho
+    monkeypatch.setattr(e, "rho_batch", lambda X: batches.append(np.shape(X)) or rho_batch(X))
+    monkeypatch.setattr(e, "rho", lambda x: points.append(list(x)) or rho(x))
+    for _ in range(2):  # the first query also computes the cap areas
+        kern.estimate([0.5, 0.3], T)
+    assert batches == [T.shape, T.shape]
+    assert points == [[0.5, 0.3], [0.5, 0.3]]  # the walk origin's contains check
 
 
 def test_wos_kernel_descriptor_and_validation():
