@@ -99,16 +99,29 @@ def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
 
 def _cos_sin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cos`` and ``sin`` of the angles ``2 pi m / 2**53`` of 53-bit integers ``m``:
-    the table entry of the top bits rotated by the remainder ``delta``."""
-    i = (m >> np.uint64(_REMAINDER_BITS)).astype(np.intp)
-    delta = (m & _REMAINDER_MASK).astype(np.float64)
-    delta *= _REMAINDER_ANGLE
+    the table entry of the top bits rotated by the remainder ``delta``, evaluated in
+    buffers reused once their value is spent, in the order of the series written out."""
+    i = (m >> np.uint64(_REMAINDER_BITS)).view(np.intp)  # below 2**12, so the view is exact
+    delta = np.multiply(m & _REMAINDER_MASK, _REMAINDER_ANGLE)  # below 2**41, so exact as floats
     d2 = delta * delta
-    sin_d = delta * (1.0 - d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0)))  # error below 1e-22
-    vers_d = d2 * (0.5 - d2 * (1.0 / 24.0))  # 1 - cos delta, error below 1e-19
-    c = _COS_SIN[0].take(i)
+    sin_d = d2 * (1.0 / 120.0)
+    np.subtract(1.0 / 6.0, sin_d, out=sin_d)
+    sin_d *= d2
+    np.subtract(1.0, sin_d, out=sin_d)
+    sin_d *= delta  # delta (1 - d2 (1/6 - d2/120)), error below 1e-22
+    vers_d = np.multiply(d2, 1.0 / 24.0, out=delta)
+    np.subtract(0.5, vers_d, out=vers_d)
+    vers_d *= d2  # 1 - cos delta = d2 (1/2 - d2/24), error below 1e-19
+    c = _COS_SIN[0].take(i, out=d2)
     s = _COS_SIN[1].take(i)
-    return c - (c * vers_d + s * sin_d), s + (c * sin_d - s * vers_d)
+    cos = c * vers_d
+    cos += s * sin_d
+    np.subtract(c, cos, out=cos)  # c - (c vers_d + s sin_d)
+    sin_d *= c
+    vers_d *= s
+    sin_d -= vers_d
+    s += sin_d  # s + (c sin_d - s vers_d)
+    return cos, s
 
 
 def draws_per_step(dim: int) -> int:

@@ -42,8 +42,8 @@ from .geometry import Domain, Halfspace, boundary_frame
 from .harmonic_measure import (
     WosConfig,
     WosKernel,
+    _cap_area,
     _density_from_cap,
-    cap_surface_measure,
     estimate_cap_measure,
 )
 from .model_kernels import (
@@ -318,19 +318,16 @@ def _cmd_scale(config: argparse.Namespace, domain: Domain):
 
 def _cmd_wos(config: argparse.Namespace, domain: Domain):
     wos = _wos_config(config, domain)
+    center = np.asarray(config.cap_center, dtype=float)
     cap = estimate_cap_measure(
-        domain,
-        np.asarray(config.x),
-        np.asarray(config.cap_center),
-        config.cap_radius,
-        wos,
-        truncation_radius=config.truncation,
+        domain, np.asarray(config.x), center, config.cap_radius, wos, truncation_radius=config.truncation
     )
     result = {"cap_measure": _estimate_record(cap)}
-    # The density divides this cap measure by the cap area, which not every
-    # domain and cap has; the report then says why instead of giving one.
+    # The density divides this cap measure by the area of the cap just
+    # checked, which not every domain and cap has; the report then says why
+    # instead of giving one.
     try:
-        area = cap_surface_measure(domain, np.asarray(config.cap_center), config.cap_radius)
+        area = _cap_area(domain, center, config.cap_radius)
     except InvalidInputError as exc:
         result["density"] = None
         result["density_unavailable"] = str(exc)

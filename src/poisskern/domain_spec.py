@@ -51,8 +51,6 @@ def _parse_exponents(key: str, dim: int) -> tuple:
         raise InvalidInputError(f"bad exponent key '{key}': expected comma-separated integers") from exc
     if len(exps) != dim:
         raise InvalidInputError(f"exponent key '{key}' has {len(exps)} entries, expected dim = {dim}")
-    if any(e < 0 for e in exps):
-        raise InvalidInputError(f"exponent key '{key}' has negative exponents")
     return exps
 
 

@@ -50,7 +50,7 @@ __all__ = [
 _SEED_LIMIT = 1 << 64
 _INDEX_LIMIT = 1 << 63  # walker indices are carried as int64
 _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
-_POOL = 16384  # walkers in flight at once: a step's temporaries stay cache-sized
+_POOL = 16384  # walker slots, refilled in place: a step's temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,13 @@ def run_walks(
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
     full batch would produce for those indices.
 
-    Walkers step in a pool of at most ``_POOL`` (16384) at a time, so each
-    step's temporaries stay cache-sized; a retiring walker's slot goes to the
-    next walker of the queue, which starts at ``x`` with no jumps made.  Each
-    pool row draws its directions at its own jump count, and no row's
-    arithmetic depends on the rows beside it, so the pool size, any subset
-    and :func:`wos_exit` give every walk bit for bit.
+    Walkers step in a pool of at most ``_POOL`` (16384) slots, so each step's
+    temporaries stay cache-sized; a freed slot is refilled in place by the
+    next queued walker, which jumps from ``x`` by the origin's jump radius in
+    that same pass, and the pool shrinks only once the queue is empty.  Each
+    pool row draws its directions at its own jump count, and no row depends
+    on the rows beside it, so the pool size, any subset and :func:`wos_exit`
+    give every walk bit for bit.
     """
     x = as_point(x, domain.dim, name="x")
     if not domain.contains(x):
@@ -180,10 +181,10 @@ def run_walks(
     steps = np.zeros(n, dtype=np.int64)
 
     # The pool: output row, stream key, position and jumps made of each walker
-    # in flight.  Rows move by index and stay aligned across the four arrays.
+    # in flight, in fixed slots that stay aligned across the four arrays.
     admitted = min(n, _POOL)
     rows = np.arange(admitted)
-    keys = queue_keys[:admitted]
+    keys = queue_keys[:admitted].copy()
     pos = np.tile(x, (admitted, 1))
     jumps = np.zeros(admitted, dtype=np.int64)
     while rows.size:
@@ -197,27 +198,28 @@ def run_walks(
             leave |= _norms(pos) > truncation_radius
         if np.any(leave):
             out = np.flatnonzero(leave)
-            stay = np.flatnonzero(~leave)
             idx = rows[out]
             final[idx] = pos.take(out, axis=0)
             truncated[idx] = ~settled[out]
             steps[idx] = jumps[out]
-            rows, keys, jumps, radius = rows[stay], keys[stay], jumps[stay], radius[stay]
-            pos = pos.take(stay, axis=0)
+            # Queued walkers take the freed slots at x, no jumps made, and jump in this pass.
+            slots = out[: n - admitted]
+            rows[slots] = np.arange(admitted, admitted + slots.size)
+            keys[slots] = queue_keys[admitted : admitted + slots.size]
+            pos[slots] = x
+            jumps[slots] = 0
+            radius[slots] = origin_radius
+            admitted += slots.size
+            if slots.size < out.size:  # the queue is empty: drop the slots left free
+                leave[slots] = False
+                stay = np.flatnonzero(~leave)
+                rows, keys, jumps, radius = rows[stay], keys[stay], jumps[stay], radius[stay]
+                pos = pos.take(stay, axis=0)
 
         directions = _rng.sphere_directions(keys, jumps * draws, dim)
         directions *= radius[:, None]
         pos += directions
         jumps += 1
-
-        # Walkers from the queue take the free slots, starting at x with no jumps.
-        refill = min(n - admitted, _POOL - rows.size)
-        if refill:
-            rows = np.concatenate([rows, np.arange(admitted, admitted + refill)])
-            keys = np.concatenate([keys, queue_keys[admitted : admitted + refill]])
-            pos = np.concatenate([pos, np.tile(x, (refill, 1))])
-            jumps = np.concatenate([jumps, np.zeros(refill, dtype=np.int64)])
-            admitted += refill
 
     settled = np.flatnonzero(~truncated)
     if settled.size:

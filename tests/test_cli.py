@@ -144,6 +144,25 @@ def test_wos_density_unavailable_reports_why(specs, capsys):
     assert "d = 4" in result["density_unavailable"]
 
 
+def test_wos_checks_its_cap_center_once(specs, capsys, monkeypatch):
+    # The cap estimate and the density's cap area share one check of
+    # --cap-center; the ellipse's walks never call rho_batch.
+    centers = []
+    rho_batch = pk.Ellipse.rho_batch
+
+    def counted(self, X):
+        centers.append(np.asarray(X).tolist())
+        return rho_batch(self, X)
+
+    monkeypatch.setattr(pk.Ellipse, "rho_batch", counted)
+    code = main(["wos", "--domain", specs["ellipse"], "--x", "0.5,0.2",
+                 "--cap-center", "2,0", "--cap-radius", "0.1",
+                 "--walkers", "200", "--seed", "5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["density"]["walkers"] == 200
+    assert centers == [[[2.0, 0.0]]]
+
+
 def test_wos_requires_seed(specs, capsys):
     code = main(["wos", "--domain", specs["disc"], "--x", "0,0",
                  "--cap-center", "1,0", "--cap-radius", "0.4", "--walkers", "100"])

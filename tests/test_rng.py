@@ -126,3 +126,27 @@ def test_angle_table_is_read_only_and_built_once(monkeypatch):
     for dim in (2, 3, 4):
         _rng.sphere_directions(keys, 0, dim)
     assert _rng._COS_SIN is table
+
+
+def test_cos_sin_equals_its_expression_form_bit_for_bit():
+    # _cos_sin evaluates its series and rotation in reused buffers; every bit
+    # must equal the expressions written out, one fresh array per operation.
+    def written_out(m):
+        i = (m >> np.uint64(41)).astype(np.intp)
+        delta = (m & np.uint64((1 << 41) - 1)).astype(np.float64)
+        delta *= _rng._REMAINDER_ANGLE
+        d2 = delta * delta
+        sin_d = delta * (1.0 - d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0)))
+        vers_d = d2 * (0.5 - d2 * (1.0 / 24.0))
+        c = _rng._COS_SIN[0].take(i)
+        s = _rng._COS_SIN[1].take(i)
+        return c - (c * vers_d + s * sin_d), s + (c * sin_d - s * vers_d)
+
+    top = (1 << 53) - 1
+    edges = [k << 41 for k in range(4096)]  # each table angle, and the last remainder below it
+    special = np.array([0, top] + edges + [e - 1 for e in edges[1:]], dtype=np.uint64)
+    drawn = _rng._bits(_rng.stream_keys(19, np.arange(100_000)), 0)
+    for m in (special, drawn):
+        got, want = _rng._cos_sin(m), written_out(m)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

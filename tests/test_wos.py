@@ -470,6 +470,7 @@ POOL_CASES = {
     "ball3": (pk.Ball(3), [0.1, 0.3, -0.2], None),
     "halfplane": (pk.Halfspace(2), [0.2, 0.7], 2.0),
     "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.3], None),
+    "ball5": (pk.Ball(5), [0.1, 0.3, -0.2, 0.1, 0.0], None),  # Box-Muller directions
 }
 
 
@@ -493,6 +494,26 @@ def test_pooled_walks_equal_the_reference_loop_and_their_subsets(kind, walkers):
     if refilled.sum() > 1000:
         assert (refilled & last & truncated).any() and (refilled & last & ~truncated).any()
     subset = np.r_[walkers - 1 : 0 : -5, 0]  # reversed, and straddling every refill
+    part = pk.run_walks(domain, x, cfg, truncation_radius=radius, walker_indices=subset)
+    for g, p in zip(got, part):
+        assert g[subset].tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(POOL_CASES))
+def test_a_pass_retiring_more_walkers_than_the_queue_holds(kind):
+    # With a large stop tolerance the first retiring pass frees far more
+    # slots than the 7 queued walkers fill, so that pass refills slots in
+    # place and drops the rest; every row still equals the plain loop and
+    # any subset.
+    domain, x, radius = POOL_CASES[kind]
+    cfg = _cfg(walkers=POOL + 7, max_steps=2, stop_tolerance=0.2)
+    got = pk.run_walks(domain, x, cfg, truncation_radius=radius)
+    want = _reference_walks(domain, x, cfg, truncation_radius=radius)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    first = got[2][:POOL]
+    assert (first == first.min()).sum() > 7
+    subset = np.r_[POOL + 6 : 0 : -5, 0]
     part = pk.run_walks(domain, x, cfg, truncation_radius=radius, walker_indices=subset)
     for g, p in zip(got, part):
         assert g[subset].tobytes() == p.tobytes()
