@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .geometry import _distances
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -97,10 +99,13 @@ def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
     return _bits(keys, draw_index).astype(np.float64) * _INV_2_53
 
 
-def _cos_sin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cos`` and ``sin`` of the angles ``2 pi m / 2**53`` of 53-bit integers ``m``:
-    the table entry of the top bits rotated by the remainder ``delta``, evaluated in
-    buffers reused once their value is spent, in the order of the series written out."""
+def _cos_sin(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``cos`` and ``sin`` of the angles ``2 pi m / 2**53`` of 53-bit integers ``m``,
+    the two rows of ``out`` (a fresh ``(2, n)`` array if None): the table entry of the
+    top bits rotated by the remainder ``delta``, evaluated in buffers reused once
+    their value is spent, in the order of the series written out."""
+    if out is None:
+        out = np.empty((2, m.shape[0]))
     i = (m >> np.uint64(_REMAINDER_BITS)).view(np.intp)  # below 2**12, so the view is exact
     delta = np.multiply(m & _REMAINDER_MASK, _REMAINDER_ANGLE)  # below 2**41, so exact as floats
     d2 = delta * delta
@@ -113,15 +118,15 @@ def _cos_sin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(0.5, vers_d, out=vers_d)
     vers_d *= d2  # 1 - cos delta = d2 (1/2 - d2/24), error below 1e-19
     c = _COS_SIN[0].take(i, out=d2)
-    s = _COS_SIN[1].take(i)
-    cos = c * vers_d
+    s = _COS_SIN[1].take(i, out=out[1])
+    cos = np.multiply(c, vers_d, out=out[0])
     cos += s * sin_d
     np.subtract(c, cos, out=cos)  # c - (c vers_d + s sin_d)
     sin_d *= c
     vers_d *= s
     sin_d -= vers_d
     s += sin_d  # s + (c sin_d - s vers_d)
-    return cos, s
+    return out
 
 
 def draws_per_step(dim: int) -> int:
@@ -148,31 +153,32 @@ def sphere_directions(keys: np.ndarray, base_index, dim: int) -> np.ndarray:
     row equals the same stream's direction drawn alone.  The cosine and sine
     of each angle come from the table rotation of the module docstring:
     components are within about 1.5 * 2**-53 of those of the exact angle and
-    unit norms within 4.5e-16 of 1 in 2-D.
+    unit norms within 4.5e-16 of 1 in 2-D.  The ``(n, dim)`` result is the
+    transpose of a coordinate-major ``(dim, n)`` buffer.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     n = keys.shape[0]
     if dim == 2:
-        return np.stack(_cos_sin(_bits(keys, base_index)), axis=1)
+        return _cos_sin(_bits(keys, base_index)).T
     if dim == 3:
-        c = 2.0 * uniform(keys, base_index) - 1.0
-        cos_phi, sin_phi = _cos_sin(_bits(keys, base_index + 1))
-        s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-        return np.stack([s * cos_phi, s * sin_phi, c], axis=1)
+        g = np.empty((3, n))
+        c = np.subtract(2.0 * uniform(keys, base_index), 1.0, out=g[2])
+        _cos_sin(_bits(keys, base_index + 1), g[:2])
+        g[:2] *= np.sqrt(np.maximum(0.0, 1.0 - c * c))
+        return g.T
     pairs = (dim + 1) // 2
-    g = np.empty((n, 2 * pairs))
+    g = np.empty((2 * pairs, n))
     for j in range(pairs):
         u1 = uniform(keys, base_index + 2 * j)
-        cos_w, sin_w = _cos_sin(_bits(keys, base_index + 2 * j + 1))
-        r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], so the log is finite
-        g[:, 2 * j] = r * cos_w
-        g[:, 2 * j + 1] = r * sin_w
-    v = g[:, :dim]
-    norms = np.linalg.norm(v, axis=1)
+        _cos_sin(_bits(keys, base_index + 2 * j + 1), g[2 * j : 2 * j + 2])
+        g[2 * j : 2 * j + 2] *= np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], so the log is finite
+    v = g[:dim]
+    norms = _distances(v.T)  # numpy's axis-1 norm bit for bit, C-order from 8 columns on
     # A zero Gaussian vector has probability ~0; fall back to a fixed axis.
     degenerate = norms < 1e-14
     if np.any(degenerate):
-        v[degenerate] = 0.0
-        v[degenerate, 0] = 1.0
+        v[:, degenerate] = 0.0
+        v[0, degenerate] = 1.0
         norms[degenerate] = 1.0
-    return v / norms[:, None]
+    v /= norms
+    return v.T

@@ -152,27 +152,25 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
 
 
-def _sum_squares(V: np.ndarray) -> np.ndarray:
-    """Sum of squares of each row, bit for bit ``np.sum(V * V, axis=1)``.
+def _distances(T: np.ndarray, p: np.ndarray | None = None, squared: bool = False) -> np.ndarray:
+    """Euclidean distance from each row of ``T`` to the point ``p`` (the origin
+    if None), or its square, bit for bit ``np.linalg.norm(T - p, axis=1)`` on C-order rows.
 
-    Below 8 columns numpy's axis-1 sum adds the squares in column order, which
-    a column-by-column sum repeats several times faster on narrow batches;
-    from 8 columns on numpy sums pairwise, so its own reduction is used.
+    Below 8 columns numpy adds the squares in column order, which a sum over
+    the columns of ``T`` repeats several times faster, with no ``(n, d)``
+    difference array; from 8 columns on numpy sums pairwise, so its own
+    reduction is used, on C-order squares whatever the layout of ``T``.
     """
-    if V.shape[1] >= 8:
-        return np.add.reduce(V * V, axis=1)
-    s = V[:, 0] * V[:, 0]
-    for j in range(1, V.shape[1]):
-        s += V[:, j] * V[:, j]
-    return s
-
-
-def _norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm(V, axis=1)``:
-    the square root of :func:`_sum_squares`, so the same column-order sum
-    below 8 columns and numpy's own reduction from 8 columns on."""
-    s = _sum_squares(V)
-    return np.sqrt(s, out=s)
+    if T.shape[1] >= 8:
+        D = T if p is None else T - p
+        s = np.add.reduce(np.multiply(D, D, order="C"), axis=1)
+    else:
+        t = T[:, 0] if p is None else T[:, 0] - p[0]
+        s = t * t
+        for j in range(1, T.shape[1]):
+            t = T[:, j] if p is None else T[:, j] - p[j]
+            s += t * t
+    return s if squared else np.sqrt(s, out=s)
 
 
 def _inscribed_radii(rho: np.ndarray, grad_norm: np.ndarray, hess_bound: float) -> np.ndarray:
@@ -272,7 +270,7 @@ class Domain:
         """
         X = _as_batch(X, self.dim)
         feet, dist, rival, rival_dist = self._nearest(X)
-        distinct = _norms(feet - rival) > _TIE_TOL
+        distinct = _distances(feet - rival) > _TIE_TOL
         ties = distinct & (rival_dist - dist < _TIE_TOL)
         if np.any(ties):
             if tie_break is None:
@@ -285,7 +283,7 @@ class Domain:
             swap = ties & (np.sum(rival * t, axis=1) > np.sum(feet * t, axis=1))
             feet[swap] = rival[swap]
         g = self._grad_values(feet)
-        gn = _norms(g)
+        gn = _distances(g)
         flat = gn < 1e-12
         if np.any(flat):
             i = int(np.argmax(flat))
@@ -350,7 +348,9 @@ class Ball(Domain):
         self.radius = _positive(radius, "radius")
 
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
-        return _norms(X - self.center) - self.radius
+        r = _distances(X, self.center)
+        r -= self.radius
+        return r
 
     def _grad_values(self, X: np.ndarray) -> np.ndarray:
         V = X - self.center
@@ -369,7 +369,7 @@ class Ball(Domain):
     def project_batch(self, X, tie_break=None):
         X = _as_batch(X, self.dim)
         V = X - self.center
-        r = _norms(V)
+        r = _distances(V)
         tied = r < _TIE_TOL
         if np.any(tied):
             # Every boundary point is (nearly) equidistant from the center.
@@ -679,10 +679,11 @@ class Implicit(Domain):
 
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
         """Inscribed radii from ``hess_bound``, clipped to the distance from the bounding-box edge."""
+        X = np.ascontiguousarray(X)  # the user's callables see C-order rows, whatever the walk's layout
         lo, hi = self.bounding_box
         edge = np.minimum(np.min(X - lo, axis=1), np.min(hi - X, axis=1))
         rho, grad = self._rho_and_grad(X)
-        radii = _inscribed_radii(rho, _norms(grad), self.hess_bound)
+        radii = _inscribed_radii(rho, _distances(grad), self.hess_bound)
         return np.minimum(radii, np.maximum(edge, 0.0), out=radii)
 
     def _settled_feet(self, X: np.ndarray) -> np.ndarray:
@@ -711,7 +712,7 @@ class Implicit(Domain):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(8):
                 g = self._grad_values(y)
-                g2 = _sum_squares(g)
+                g2 = _distances(g, squared=True)
                 moves = g2 > 1e-20
                 scale = np.where(moves, self._rho_values(y) / np.where(moves, g2, 1.0), 0.0)
                 y = y - scale[:, None] * g
@@ -737,12 +738,12 @@ class Implicit(Domain):
         def residual(p, y, lam):
             return np.column_stack([y - p + lam[:, None] * self._grad_values(y), self._rho_values(y)])
 
-        tol = 1e-12 * np.maximum(1.0, _norms(P))
+        tol = 1e-12 * np.maximum(1.0, _distances(P))
         g = self._grad_values(Y)
-        g2 = _sum_squares(g)
+        g2 = _distances(g, squared=True)
         lam = np.where(g2 > 1e-20, np.sum((P - Y) * g, axis=1) / np.where(g2 > 1e-20, g2, 1.0), 0.0)
         R = residual(P, Y, lam)
-        r = _norms(R)
+        r = _distances(R)
         live = np.flatnonzero(~(r <= tol))
         for _ in range(100):
             if live.size == 0:
@@ -767,7 +768,7 @@ class Implicit(Domain):
                 y_try = y[s] + alpha[s, None] * step[s, :d]
                 lam_try = lr[s] + alpha[s] * step[s, d]
                 R_try = residual(p[s], y_try, lam_try)
-                r_try = _norms(R_try)
+                r_try = _distances(R_try)
                 good = r_try < (1.0 - 1e-4 * alpha[s]) * rn[s]
                 a = s[good]
                 y[a], lr[a], res[a], rn[a] = y_try[good], lam_try[good], R_try[good], r_try[good]
@@ -808,10 +809,10 @@ class Implicit(Domain):
                 "did not converge from any starting point"
             )
         row = np.arange(n)
-        dist = np.where(converged, _norms((Y - X[:, None, :]).reshape(-1, d)).reshape(n, k), np.inf)
+        dist = np.where(converged, _distances((Y - X[:, None, :]).reshape(-1, d)).reshape(n, k), np.inf)
         best = np.argmin(dist, axis=1)
         feet = Y[row, best]
-        distinct = _norms((Y - feet[:, None, :]).reshape(-1, d)).reshape(n, k) > 1e-6
+        distinct = _distances((Y - feet[:, None, :]).reshape(-1, d)).reshape(n, k) > 1e-6
         rival_dist = np.where(distinct, dist, np.inf)
         rival = np.argmin(rival_dist, axis=1)
         return feet, dist[row, best], Y[row, rival], rival_dist[row, rival]

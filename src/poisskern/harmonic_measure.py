@@ -33,7 +33,7 @@ from .errors import (
     WalkTruncatedError,
 )
 from .geometry import (
-    Ball, Domain, Ellipse, Halfspace, _as_points, _gauss_legendre, _integer, _norms, _positive, as_point,
+    Ball, Domain, Ellipse, Halfspace, _as_points, _distances, _gauss_legendre, _integer, _positive, as_point,
 )
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 _SEED_LIMIT = 1 << 64
 _INDEX_LIMIT = 1 << 63  # walker indices are carried as int64
 _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
-_POOL = 16384  # walker slots, refilled in place: a step's temporaries stay cache-sized
+_POOL = 16384  # walker slots, refilled in place: a step's (dim, slots) temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,12 @@ def run_walks(
     Walkers step in a pool of at most ``_POOL`` (16384) slots, so each step's
     temporaries stay cache-sized; a freed slot is refilled in place by the
     next queued walker, which jumps from ``x`` by the origin's jump radius in
-    that same pass, and the pool shrinks only once the queue is empty.  Each
-    pool row draws its directions at its own jump count, and no row depends
-    on the rows beside it, so the pool size, any subset and :func:`wos_exit`
+    that same pass, and the pool shrinks only once the queue is empty.
+    Positions are coordinate-major, ``(d, slots)``, and domains get the
+    ``(slots, d)`` transpose: elementwise arithmetic does not depend on the
+    layout, and row sums from 8 columns on reduce C-order copies.  Each pool
+    row draws its directions at its own jump count, and no row depends on
+    the rows beside it, so the pool size, any subset and :func:`wos_exit`
     give every walk bit for bit.
     """
     x = as_point(x, domain.dim, name="x")
@@ -155,7 +158,7 @@ def run_walks(
         raise InvalidInputError(f"walk origin {x.tolist()} is not strictly inside the domain")
     if truncation_radius is not None:
         truncation_radius = _positive(truncation_radius, "truncation_radius")
-        if _norms(x[None, :])[0] > truncation_radius:
+        if _distances(x[None, :])[0] > truncation_radius:
             raise InvalidInputError(
                 f"walk origin {x.tolist()} lies outside the truncation ball of radius {truncation_radius!r}"
             )
@@ -180,33 +183,34 @@ def run_walks(
     truncated = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=np.int64)
 
-    # The pool: output row, stream key, position and jumps made of each walker
-    # in flight, in fixed slots that stay aligned across the four arrays.
+    # The pool: output row, stream key, position (a column of the coordinate-major
+    # pos) and jumps made of each walker in flight, in fixed slots that stay
+    # aligned across the four arrays.
     admitted = min(n, _POOL)
     rows = np.arange(admitted)
     keys = queue_keys[:admitted].copy()
-    pos = np.tile(x, (admitted, 1))
+    pos = np.repeat(x[:, None], admitted, axis=1)
     jumps = np.zeros(admitted, dtype=np.int64)
     while rows.size:
-        radius = domain._jump_radii(pos)
+        radius = domain._jump_radii(pos.T)
 
         # Retire walkers that settled, left the truncation ball or made their
         # last allowed jump; settling wins over both other causes.
         settled = radius < stop
         leave = settled | (jumps == config.max_steps)
         if truncation_radius is not None:
-            leave |= _norms(pos) > truncation_radius
+            leave |= _distances(pos.T) > truncation_radius
         if np.any(leave):
             out = np.flatnonzero(leave)
             idx = rows[out]
-            final[idx] = pos.take(out, axis=0)
+            final[idx] = pos[:, out].T
             truncated[idx] = ~settled[out]
             steps[idx] = jumps[out]
             # Queued walkers take the freed slots at x, no jumps made, and jump in this pass.
             slots = out[: n - admitted]
             rows[slots] = np.arange(admitted, admitted + slots.size)
             keys[slots] = queue_keys[admitted : admitted + slots.size]
-            pos[slots] = x
+            pos[:, slots] = x[:, None]
             jumps[slots] = 0
             radius[slots] = origin_radius
             admitted += slots.size
@@ -214,10 +218,10 @@ def run_walks(
                 leave[slots] = False
                 stay = np.flatnonzero(~leave)
                 rows, keys, jumps, radius = rows[stay], keys[stay], jumps[stay], radius[stay]
-                pos = pos.take(stay, axis=0)
+                pos = pos.take(stay, axis=1)
 
-        directions = _rng.sphere_directions(keys, jumps * draws, dim)
-        directions *= radius[:, None]
+        directions = _rng.sphere_directions(keys, jumps * draws, dim).T
+        directions *= radius
         pos += directions
         jumps += 1
 
@@ -248,7 +252,7 @@ def wos_exit(
         walker_indices=[walker_index],
     )
     if truncated[0]:
-        if truncation_radius is not None and _norms(feet)[0] > truncation_radius:
+        if truncation_radius is not None and _distances(feet)[0] > truncation_radius:
             cause = f"left the truncation ball of radius {truncation_radius} after {steps[0]} steps"
         else:
             cause = f"exceeded {config.max_steps} steps without exiting"
@@ -279,7 +283,7 @@ def _cap_estimates(
         )
     out = []
     for center in centers:
-        hits = (~truncated) & (_norms(feet - center[None, :]) < radius)
+        hits = (~truncated) & (_distances(feet, center) < radius)
         p = float(hits.sum()) / n
         se = math.sqrt(p * (1.0 - p) / n)
         out.append(MeasureEstimate(estimate=p, std_error=se, walkers_used=n, truncated_walks=n_trunc))

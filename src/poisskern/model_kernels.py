@@ -33,10 +33,9 @@ from .geometry import (
     Halfspace,
     _as_points,
     _callable_values,
+    _distances,
     _integer,
-    _norms,
     _positive,
-    _sum_squares,
     as_point,
     boundary_distance,
     boundary_quadrature,
@@ -87,7 +86,7 @@ def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float
             f"x must be interior to the ball (|x - c| = {inradius:.6g}, radius = {radius:.6g})"
         )
     tol = 1e-9 * max(radius, 1.0)
-    offsets = np.abs(_norms(t - center) - radius)
+    offsets = np.abs(_distances(t, center) - radius)
     bad = np.flatnonzero(offsets > tol)
     if bad.size:
         j = bad[0]
@@ -95,7 +94,7 @@ def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float
             f"boundary point t[{j}] = {t[j].tolist()} is off the sphere by {offsets[j]:.3e} "
             f"(tolerance {tol:.1e})"
         )
-    sep = _norms(t - x[None, :])
+    sep = _distances(t, x)
     _check_nonsingular(sep == 0.0, t)
     return ball_constant(d) * (radius**2 - inradius**2) / (radius * sep**d)
 
@@ -110,7 +109,7 @@ def _halfspace_values(x: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"boundary point t[{j}] = {t[j].tolist()} is off the hyperplane by {abs(t[j, -1]):.3e}"
         )
-    sq = _sum_squares(t[:, :-1] - x[None, :-1]) + x[-1] ** 2
+    sq = _distances(t[:, :-1], x[:-1], squared=True) + x[-1] ** 2
     _check_nonsingular(sq == 0.0, t)
     return halfspace_constant(d) * x[-1] / sq ** (d / 2.0)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainUnsupportedError, InvalidInputError
 from .geometry import (
-    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _norms, _positive, as_point, inward_normal,
+    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _distances, _positive, as_point, inward_normal,
 )
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
@@ -131,7 +131,7 @@ def _unit_directions(u: np.ndarray) -> np.ndarray:
     """Rows of ``(0, 1)^d`` mapped to unit vectors through the normal quantile."""
     inv_cdf = NormalDist().inv_cdf
     g = np.array([inv_cdf(v) for v in u.ravel()]).reshape(u.shape)
-    norms = _norms(g)
+    norms = _distances(g)
     norms[norms < 1e-14] = 1.0
     return g / norms[:, None]
 

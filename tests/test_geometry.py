@@ -9,8 +9,8 @@ import pytest
 
 import poisskern as pk
 from poisskern.geometry import (
-    _ellipse_feet, _ellipse_quadrant_feet, _gauss_legendre, _norms, _sum_squares, as_point, boundary_distance,
-    boundary_distance_batch, inward_normal,
+    _distances, _ellipse_feet, _ellipse_quadrant_feet, _gauss_legendre, as_point,
+    boundary_distance, boundary_distance_batch, inward_normal,
 )
 
 
@@ -218,8 +218,27 @@ def test_row_norms_equal_the_axis1_norm_bit_for_bit():
     for d in range(1, 12):
         V = rng.standard_normal((20000, d)) * 10.0 ** rng.integers(-8, 9, size=(20000, d))
         for rows in (V, V[:1], V[:7], V[::3]):
-            _assert_bits_equal([_sum_squares(rows)], [np.sum(rows * rows, axis=1)])
-            _assert_bits_equal([_norms(rows)], [np.linalg.norm(rows, axis=1)])
+            _assert_bits_equal([_distances(rows, squared=True)], [np.sum(rows * rows, axis=1)])
+            _assert_bits_equal([_distances(rows)], [np.linalg.norm(rows, axis=1)])
+
+
+def test_row_reductions_do_not_depend_on_the_memory_layout():
+    # Walks hand domains the transpose of a coordinate-major pool: a Fortran-order
+    # batch gives the bits numpy's axis-1 reductions give the same rows in C
+    # order, pairwise sums from 8 columns on included.
+    rng = np.random.default_rng(3)
+    for d in range(1, 13):
+        V = rng.standard_normal((3000, d)) * 10.0 ** rng.integers(-8, 9, size=(3000, d))
+        p = rng.standard_normal(d)
+        F = np.asfortranarray(V)
+        for rows in (V, F, F[::2], V[::3]):
+            C = np.ascontiguousarray(rows)
+            D = C - p
+            _assert_bits_equal(
+                [_distances(rows, squared=True), _distances(rows),
+                 _distances(rows, p, squared=True), _distances(rows, p)],
+                [np.sum(C * C, axis=1), np.linalg.norm(C, axis=1), np.sum(D * D, axis=1), np.linalg.norm(D, axis=1)],
+            )
 
 
 def test_ellipse_on_axis_branches():

@@ -150,3 +150,32 @@ def test_cos_sin_equals_its_expression_form_bit_for_bit():
         got, want = _rng._cos_sin(m), written_out(m)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_sphere_directions_equal_a_row_major_reference_bit_for_bit(dim):
+    # The directions fill a coordinate-major buffer; every bit must equal the
+    # same formulas stacked into a C-order (n, dim) array, with numpy's own
+    # axis-1 norm of that array (pairwise from 8 columns on).
+    keys = _rng.stream_keys(23, np.arange(4000))
+    for base in (5 * _rng.draws_per_step(dim), (np.arange(4000) % 9) * _rng.draws_per_step(dim)):
+        def angle(k):
+            return _rng._cos_sin(_rng._bits(keys, base + k))
+
+        if dim == 2:
+            want = np.stack(angle(0), axis=1)
+        elif dim == 3:
+            c = 2.0 * _rng.uniform(keys, base) - 1.0
+            cos_phi, sin_phi = angle(1)
+            s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+            want = np.stack([s * cos_phi, s * sin_phi, c], axis=1)
+        else:
+            columns = []
+            for j in range((dim + 1) // 2):
+                r = np.sqrt(-2.0 * np.log1p(-_rng.uniform(keys, base + 2 * j)))
+                cos_w, sin_w = angle(2 * j + 1)
+                columns += [r * cos_w, r * sin_w]
+            v = np.stack(columns[:dim], axis=1)
+            want = v / np.linalg.norm(v, axis=1)[:, None]
+        got = _rng.sphere_directions(keys, base, dim)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -403,9 +403,9 @@ def _reference_jump_radii(domain, X):
 
 
 def _reference_walks(domain, x, config, truncation_radius=None):
-    """The walk loop written plainly: boolean masks, fresh arrays every step,
-    and every leaving walker's truncation cause written out.  The settle and
-    leave rule runs after each of the ``max_steps`` jumps as well as before
+    """The walk loop written plainly: boolean masks, fresh C-order arrays every
+    step, and every leaving walker's truncation cause written out.  The settle
+    and leave rule runs after each of the ``max_steps`` jumps as well as before
     the first."""
     n, dim = config.walkers, domain.dim
     keys = _rng.stream_keys(config.seed, np.arange(n))
@@ -429,7 +429,8 @@ def _reference_walks(domain, x, config, truncation_radius=None):
         active, keys, pos, delta = active[~leave], keys[~leave], pos[~leave], delta[~leave]
         if it == config.max_steps:
             break
-        pos = pos + delta[:, None] * _rng.sphere_directions(keys, it * _rng.draws_per_step(dim), dim)
+        directions = _rng.sphere_directions(keys, it * _rng.draws_per_step(dim), dim)
+        pos = np.add(pos, delta[:, None] * directions, order="C")
     final[active] = pos
     truncated[active] = True
     steps[active] = config.max_steps
@@ -471,7 +472,12 @@ POOL_CASES = {
     "halfplane": (pk.Halfspace(2), [0.2, 0.7], 2.0),
     "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.3], None),
     "ball5": (pk.Ball(5), [0.1, 0.3, -0.2, 0.1, 0.0], None),  # Box-Muller directions
+    # pairwise row sums, which must reduce C-order rows of the coordinate-major pool
+    "ball9": (pk.Ball(9), [0.1, 0.3, -0.2, 0.1, 0.0, 0.2, -0.1, 0.05, 0.1], None),
 }
+# A 9-D walk from the middle takes about 86 jumps to come within 1e-4 of the
+# sphere; at 1e-2 walks settle within the 12-jump budget, on its last jump too.
+POOL_STOP = {"ball9": 1e-2}
 
 
 @pytest.mark.parametrize("walkers", [POOL - 1, POOL, POOL + 1, 2 * POOL + 3])
@@ -483,7 +489,7 @@ def test_pooled_walks_equal_the_reference_loop_and_their_subsets(kind, walkers):
     # The budget of 12 jumps ends walks admitted by refills too, some of them
     # settling on their last allowed jump, which must not count as truncated.
     domain, x, radius = POOL_CASES[kind]
-    cfg = _cfg(walkers=walkers, max_steps=12)
+    cfg = _cfg(walkers=walkers, max_steps=12, stop_tolerance=POOL_STOP.get(kind, 1e-4))
     got = pk.run_walks(domain, x, cfg, truncation_radius=radius)
     want = _reference_walks(domain, x, cfg, truncation_radius=radius)
     for g, w in zip(got, want):
