@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    _BOUNDARY_TOL, Domain, _callable_values, _finite, _integer, _positive, _row_norms, as_point,
+    _BOUNDARY_TOL, Domain, _callable_values, _direction, _finite, _integer, _positive, _row_norms, as_point,
     boundary_distance, boundary_distance_batch, boundary_frame, inward_normal,
 )
 
@@ -211,11 +211,8 @@ def directional_derivative(kernel, x, y, order: int, direction, step: float) -> 
     """
     x = as_point(x, name="x")
     Y = as_point(y, x.size, name="y")[None, :]
-    u = as_point(direction, x.size, name="direction")
-    un = np.linalg.norm(u)
-    if un < 1e-300:
-        raise InvalidInputError("direction must be a nonzero vector")
-    u = u / un
+    u = _direction(direction, x.size, "direction")
+    u = u / np.linalg.norm(u)
     order, step = _order(order), _positive(step, "step")
     return float(_difference_quotient(kernel, x, Y, u, order, step)[0])
 
@@ -248,21 +245,48 @@ def derivative_ratio(domain: Domain, kernel, x, y, order: int, direction) -> flo
 
     ``kernel`` must be closed-form: a Monte Carlo one (with an ``estimate``
     method) raises :class:`InvalidInputError`.  The difference step is
-    ``max(1e-6, 1e-4 * delta(x))``; ``x`` must be at least 10 steps away from
-    ``y`` so the stencil never straddles the singularity.
+    ``max(1e-6, 1e-4 * delta(x))``; the error names ``x`` if ``delta(x)`` is
+    not above the step, where the stencil would leave the domain, and ``y``
+    if it lies within 10 steps of ``x``, where the stencil would straddle it.
     """
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
     order = _order(order)
+    direction = _direction(direction, domain.dim, "direction")
     delta = boundary_distance(domain, x)
     step = max(1e-6, 1e-4 * delta)
-    separation = float(np.linalg.norm(x - y))
-    if separation < 10.0 * step:
-        raise InvalidInputError(
-            f"x is too close to y for the difference step ({separation:.3e} < 10 x {step:.3e})"
-        )
-    deriv = directional_derivative(kernel, x, y, order, direction, step)
-    return abs(deriv) * separation ** (domain.dim + order) / delta
+    (record,) = _derivative_records(domain, kernel, x, delta, y[None, :], [(direction, "")], (order,), step, "y")
+    return record.ratio
+
+
+def _derivative_records(domain: Domain, kernel, x, delta: float, Y, directions, orders, step: float, name: str):
+    """The records of the interior point ``x`` at boundary distance ``delta``
+    against the targets ``Y``, target-major, then by direction and order: the
+    one home of the separations, the two stencil guards and the ratio
+    ``|D^k P| |x - y|^{d+k} / delta``.  ``directions`` are ``(vector, label)``
+    pairs, each vector normalized for its stencil.  ``name`` labels ``Y`` in
+    errors: ``"y"``, one target of a given ``x``, or ``"targets"``, whose
+    ``x`` the probe height set."""
+    one = name == "y"
+    source = "x" if one else "x = base + probe_height * nu"
+    if not delta > step:
+        raise InvalidInputError(f"{source} = {x.tolist()} is within one difference step of the boundary "
+                                f"(delta = {delta:.6g} <= step = {step:.6g}): the stencil would leave the domain")
+    separations = _row_norms(x - Y).tolist()
+    close = [j for j, s in enumerate(separations) if s < 10.0 * step]
+    if close:
+        j = close[0]
+        raise InvalidInputError(f"{name if one else f'{name}[{j}]'} = {Y[j].tolist()} is too close to {source} = "
+                                f"{x.tolist()} for the difference step ({separations[j]:.3e} < 10 x {step:.3e})")
+    # Each (direction, order) stencil is evaluated over all targets at once.
+    derivs = {(i, k): _difference_quotient(kernel, x, Y, v / np.linalg.norm(v), k, step).tolist()
+              for i, (v, _) in enumerate(directions) for k in orders}
+    x_tuple = tuple(x.tolist())
+    return [DerivativeRecord(x=x_tuple, y=tuple(y), direction=tuple(v.tolist()), direction_label=label, order=k,
+                             derivative=derivs[i, k][j], delta=float(delta), separation=s,
+                             ratio=float(abs(derivs[i, k][j]) * s ** (domain.dim + k) / delta))
+            for j, (y, s) in enumerate(zip(Y.tolist(), separations)) for i, (v, label) in enumerate(directions)
+            for k in orders]
 
 
 @dataclass(frozen=True)
@@ -342,36 +366,10 @@ def derivative_report(
     Y = base[None, :] + np.array(offsets)[:, None] * tangents[0][None, :]
     on = np.abs(domain.rho_batch(Y)) <= _BOUNDARY_TOL
     if not np.all(on):
-        Y[~on] = domain.project_batch(Y[~on])[0]
-
-    # Each (direction, order) stencil is evaluated over all targets at once.
-    step = max(1e-6, 1e-4 * h)
+        Y[~on] = domain._project(Y[~on], None)[0]
     directions = [(t, "tangential") for t in tangents] + [(nu, "normal")]
-    derivs = {}
-    for i, (direction, _) in enumerate(directions):
-        u = direction / np.linalg.norm(direction)
-        for order in orders:
-            derivs[i, order] = _difference_quotient(kernel, x, Y, u, order, step).tolist()
     delta = -domain.signed_distance(x)
-    x_tuple = tuple(x.tolist())
-    records = []
-    for j, (y, separation) in enumerate(zip(Y, _row_norms(x - Y).tolist())):
-        for i, (direction, label) in enumerate(directions):
-            for order in orders:
-                deriv = derivs[i, order][j]
-                records.append(
-                    DerivativeRecord(
-                        x=x_tuple,
-                        y=tuple(y.tolist()),
-                        direction=tuple(direction.tolist()),
-                        direction_label=label,
-                        order=order,
-                        derivative=deriv,
-                        ratio=float(abs(deriv) * separation ** (domain.dim + order) / delta),
-                        delta=float(delta),
-                        separation=separation,
-                    )
-                )
+    records = _derivative_records(domain, kernel, x, delta, Y, directions, orders, max(1e-6, 1e-4 * h), "targets")
 
     normal_first = [
         r for r in records if r.direction_label == "normal" and r.order == min(orders)

@@ -191,33 +191,36 @@ def _inscribed_radii(rho: np.ndarray, grad_norm: np.ndarray, hess_bound: float) 
     return np.divide(s + s, denominator, out=np.zeros_like(s), where=s > 0.0)
 
 
-def _direction(tie_break, dim: int) -> np.ndarray:
-    t = as_point(tie_break, dim, name="tie_break")
+def _direction(vector, dim: int, name: str = "tie_break") -> np.ndarray:
+    """A direction: a point of dimension ``dim`` that is not the zero vector."""
+    t = as_point(vector, dim, name=name)
     if np.linalg.norm(t) < 1e-300:
-        raise InvalidInputError("tie_break direction must be nonzero")
+        raise InvalidInputError(f"{name} must be a nonzero vector")
     return t
 
 
 class Domain:
     """Open set ``{x : rho(x) < 0}`` described by a defining function.
 
-    Subclasses implement the batch primitives ``_rho_values`` and
-    ``_grad_values`` (``rho`` and its gradient on an already validated
-    ``(n, d)`` batch; ``rho_batch`` and ``rho_grad_batch`` are their checked
-    wrappers), plus ``diameter`` and ``descriptor``.  Domains whose distance
+    Subclasses implement private primitives on an already validated
+    ``(n, d)`` batch: ``_rho_values`` and ``_grad_values`` (``rho`` and its
+    gradient), plus ``diameter`` and ``descriptor``.  Domains whose distance
     needs a solver implement one nearest-point primitive, ``_nearest``, from
-    which ``signed_distance_batch`` and ``project_batch`` are derived here;
-    domains whose ``rho`` is their signed distance (balls and halfspaces)
-    override those two with closed forms.  Each row of a batch result
-    depends only on the same row of the input, so a batch of one, any subset
-    of a batch and the whole batch agree bit for bit.  The one-point queries
-    ``rho``, ``rho_grad``, ``contains``, ``signed_distance`` and
+    which the ``_signed_distances`` and ``_project`` primitives are derived
+    here; domains whose ``rho`` is their signed distance (balls and
+    halfspaces) set ``_signed_distances = _rho_values`` and write
+    ``_project`` in closed form.  Only this class writes the public queries,
+    each of which validates its input once and calls a primitive; the library
+    calls the primitives on batches it already holds.  Each row of a batch
+    result depends only on the same row of the input, so a batch of one, any
+    subset of a batch and the whole batch agree bit for bit.  The one-point
+    queries ``rho``, ``rho_grad``, ``contains``, ``signed_distance`` and
     ``project_to_boundary`` are row 0 of a batch of one.
 
     A walk asks two more things of a domain: ``_jump_radii``, the radius of a
     ball around each point that lies inside the domain, and ``_settled_feet``,
     the boundary feet of the points where walks settled.  By default they are
-    the boundary distance and ``project_batch``; the ellipse and implicit
+    the boundary distance and ``_project``; the ellipse and implicit
     domains take a certified radius from a bound on the Hessian of ``rho``
     instead of a nearest-point solve.
     """
@@ -241,34 +244,13 @@ class Domain:
         """
         raise NotImplementedError
 
-    # -- batch queries derived from the primitives --------------------------
-    def rho_batch(self, X) -> np.ndarray:
-        """The defining function at each row of ``X``."""
-        return self._rho_values(_as_batch(X, self.dim))
-
-    def rho_grad_batch(self, X) -> np.ndarray:
-        """The gradient of the defining function at each row of ``X``."""
-        return self._grad_values(_as_batch(X, self.dim))
-
-    def signed_distance_batch(self, X) -> np.ndarray:
-        """Euclidean distances to the boundary, negative inside."""
-        X = _as_batch(X, self.dim)
+    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
+        """Euclidean distances of the rows of ``X`` to the boundary, negative inside."""
         _, dist, _, _ = self._nearest(X)
         return np.where(self._rho_values(X) < 0.0, -dist, dist)
 
-    def project_batch(self, X, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest boundary points and the inward unit normals there.
-
-        Intended for points inside the collar where the nearest boundary point
-        is unique.  If a row's rival foot is distinct from its foot and no more
-        than 1e-8 farther away, a :class:`ProjectionAmbiguityError` naming the
-        first such point is raised, unless ``tie_break`` (a direction vector)
-        is supplied, in which case each tied row takes the foot with the larger
-        projection onto ``tie_break``.  Normals are ``-grad rho / |grad rho|``
-        at the feet; a degenerate gradient raises :class:`InvalidInputError`
-        naming the point.
-        """
-        X = _as_batch(X, self.dim)
+    def _project(self, X: np.ndarray, tie_break) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest boundary points of the rows of ``X`` and the inward unit normals there."""
         feet, dist, rival, rival_dist = self._nearest(X)
         distinct = _distances(feet - rival) > _TIE_TOL
         ties = distinct & (rival_dist - dist < _TIE_TOL)
@@ -297,11 +279,38 @@ class Domain:
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
         """Radius of a ball around each row of ``X`` that lies inside the
         domain, 0 where a row is not inside: the boundary distance itself."""
-        return np.maximum(-self.signed_distance_batch(X), 0.0)
+        return np.maximum(-self._signed_distances(X), 0.0)
 
     def _settled_feet(self, X: np.ndarray) -> np.ndarray:
         """Boundary feet of the rows of ``X``, points where walks settled next to the boundary."""
-        return self.project_batch(X)[0]
+        return self._project(X, None)[0]
+
+    # -- public queries: each validates its input once ----------------------
+    def rho_batch(self, X) -> np.ndarray:
+        """The defining function at each row of ``X``."""
+        return self._rho_values(_as_batch(X, self.dim))
+
+    def rho_grad_batch(self, X) -> np.ndarray:
+        """The gradient of the defining function at each row of ``X``."""
+        return self._grad_values(_as_batch(X, self.dim))
+
+    def signed_distance_batch(self, X) -> np.ndarray:
+        """Euclidean distances to the boundary, negative inside."""
+        return self._signed_distances(_as_batch(X, self.dim))
+
+    def project_batch(self, X, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest boundary points and the inward unit normals there.
+
+        Intended for points inside the collar where the nearest boundary point
+        is unique.  If a row's rival foot is distinct from its foot and no more
+        than 1e-8 farther away, a :class:`ProjectionAmbiguityError` naming the
+        first such point is raised, unless ``tie_break`` (a direction vector)
+        is supplied, in which case each tied row takes the foot with the larger
+        projection onto ``tie_break``.  Normals are ``-grad rho / |grad rho|``
+        at the feet; a degenerate gradient raises :class:`InvalidInputError`
+        naming the point.
+        """
+        return self._project(_as_batch(X, self.dim), tie_break)
 
     # -- one-point queries: row 0 of a batch of one ------------------------
     def rho(self, x) -> float:
@@ -316,11 +325,11 @@ class Domain:
 
     def signed_distance(self, x) -> float:
         """Euclidean distance to the boundary, negative inside."""
-        return float(self.signed_distance_batch(as_point(x, self.dim)[None, :])[0])
+        return float(self._signed_distances(as_point(x, self.dim)[None, :])[0])
 
     def project_to_boundary(self, x, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary point and the inward unit normal there (see :meth:`project_batch`)."""
-        feet, normals = self.project_batch(as_point(x, self.dim)[None, :], tie_break=tie_break)
+        feet, normals = self._project(as_point(x, self.dim)[None, :], tie_break)
         return feet[0], normals[0]
 
     def diameter(self) -> float:
@@ -363,11 +372,9 @@ class Ball(Domain):
             )
         return V / r[:, None]
 
-    def signed_distance_batch(self, X) -> np.ndarray:
-        return self.rho_batch(X)
+    _signed_distances = _rho_values
 
-    def project_batch(self, X, tie_break=None):
-        X = _as_batch(X, self.dim)
+    def _project(self, X: np.ndarray, tie_break):
         V = X - self.center
         r = _distances(V)
         tied = r < _TIE_TOL
@@ -410,11 +417,9 @@ class Halfspace(Domain):
         G[:, -1] = -1.0
         return G
 
-    def signed_distance_batch(self, X) -> np.ndarray:
-        return self.rho_batch(X)
+    _signed_distances = _rho_values
 
-    def project_batch(self, X, tie_break=None):
-        X = _as_batch(X, self.dim)
+    def _project(self, X: np.ndarray, tie_break):
         feet = X.copy()
         feet[:, -1] = 0.0
         normals = np.zeros_like(X)
@@ -601,7 +606,9 @@ def _bounding_box(bounding_box) -> np.ndarray:
     if box.ndim != 2 or box.shape[0] != 2 or box.shape[1] < 2:
         raise InvalidInputError(f"bounding_box must have shape (2, d), got {box.shape}")
     if not np.all(box[0] < box[1]):
-        raise InvalidInputError("bounding_box lower corner must be strictly below the upper corner")
+        raise InvalidInputError(
+            f"bounding_box {box.tolist()}: the lower corner must be strictly below the upper corner"
+        )
     return box
 
 
@@ -646,10 +653,10 @@ class Implicit(Domain):
         self.bounding_box = box = _bounding_box(bounding_box)
         self.dim = d = box.shape[1]
         self.hess_bound = _positive(hess_bound, "hess_bound")
-        self.interior_point = as_point(interior_point, d, name="interior_point")
-        if not np.all((self.interior_point >= box[0]) & (self.interior_point <= box[1])):
-            raise InvalidInputError("interior witness point lies outside the bounding box")
-        w = self.interior_point[None, :]
+        self.interior_point = p = as_point(interior_point, d, name="interior_point")
+        if not np.all((p >= box[0]) & (p <= box[1])):
+            raise InvalidInputError(f"interior_point {p.tolist()} lies outside the bounding box {box.tolist()}")
+        w = p[None, :]
         witness = float(self._rho_values(w)[0])
         self._grad_values(w)
         self._hess_values(w)
@@ -692,7 +699,7 @@ class Implicit(Domain):
         feet, converged = self._newton(X, X.copy())
         failed = np.flatnonzero(~converged)
         if failed.size:
-            feet[failed] = self.project_batch(X[failed])[0]
+            feet[failed] = self._project(X[failed], None)[0]
         return feet
 
     # -- nearest-point solver ---------------------------------------------
@@ -860,7 +867,7 @@ class ImplicitPolynomial(Implicit):
         exps = [key for key, _ in items]
         lengths = {len(e) for e in exps}
         if len(lengths) != 1:
-            raise InvalidInputError("all exponent tuples must have the same length")
+            raise InvalidInputError(f"exponent tuples must all have one length, got lengths {sorted(lengths)}")
         d = lengths.pop()
         if d < 2:
             raise DimensionMismatchError(f"polynomial domain dimension must be >= 2, got {d}")
@@ -1027,7 +1034,7 @@ def boundary_distance_batch(domain: Domain, X) -> np.ndarray:
     outside = np.flatnonzero(~(domain._rho_values(X) < 0.0))
     if outside.size:  # only the first row outside is solved, for the message
         X = X[outside[:1]]
-    sd = domain.signed_distance_batch(X)
+    sd = domain._signed_distances(X)
     bad = np.flatnonzero(~(sd < 0.0) | bool(outside.size))
     if bad.size:
         raise InvalidInputError(

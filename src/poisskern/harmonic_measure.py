@@ -261,9 +261,9 @@ def wos_exit(
 
 
 def _check_cap_centers(domain: Domain, T: np.ndarray, name: str, single: bool) -> None:
-    """The cap-center rule: one ``rho_batch`` over the validated batch ``T``; the first row with
+    """The cap-center rule: one ``_rho_values`` over the validated batch ``T``; the first row with
     ``|rho| > 1e-8`` raises :class:`InvalidInputError` naming it ``name`` (``name[j]`` unless ``single``)."""
-    rho = domain.rho_batch(T)
+    rho = domain._rho_values(T)
     off = np.flatnonzero(~(np.abs(rho) <= 1e-8))
     if off.size:
         j = int(off[0])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern import __version__
+from poisskern import __version__, harmonic_measure
 from poisskern.cli import build_parser, main
 
 
@@ -145,16 +145,15 @@ def test_wos_density_unavailable_reports_why(specs, capsys):
 
 
 def test_wos_checks_its_cap_center_once(specs, capsys, monkeypatch):
-    # The cap estimate and the density's cap area share one check of
-    # --cap-center; the ellipse's walks never call rho_batch.
+    # The cap estimate and the density's cap area share one check of --cap-center.
     centers = []
-    rho_batch = pk.Ellipse.rho_batch
+    check = harmonic_measure._check_cap_centers
 
-    def counted(self, X):
-        centers.append(np.asarray(X).tolist())
-        return rho_batch(self, X)
+    def counted(domain, T, *args, **kwargs):
+        centers.append(np.asarray(T).tolist())
+        return check(domain, T, *args, **kwargs)
 
-    monkeypatch.setattr(pk.Ellipse, "rho_batch", counted)
+    monkeypatch.setattr(harmonic_measure, "_check_cap_centers", counted)
     code = main(["wos", "--domain", specs["ellipse"], "--x", "0.5,0.2",
                  "--cap-center", "2,0", "--cap-radius", "0.1",
                  "--walkers", "200", "--seed", "5"])
@@ -368,6 +367,15 @@ def test_derivative_sweep_mode(specs, tmp_path):
     assert result["normal_ratio_unbounded"] is True
     labels = {rec["direction_label"] for rec in result["records"]}
     assert labels == {"tangential", "normal"}
+
+
+def test_derivative_sweep_refuses_targets_inside_the_stencil(specs, capsys):
+    # At probe height 2e-6 the step is 1e-6, so the target at offset 0 lies
+    # within 10 steps of x; unrefused, its normal ratio read 0.4244 against 1/pi.
+    code = main(["derivative", "--domain", specs["halfplane"], "--base", "0,0",
+                 "--probe-height", "2e-6", "--offsets", "0,1"])
+    assert code == 1
+    assert "targets[0] = [0.0, 0.0] is too close" in capsys.readouterr().err
 
 
 def test_derivative_mode_validation(specs, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
+from poisskern import geometry
 from poisskern.geometry import (
     _distances, _ellipse_feet, _ellipse_quadrant_feet, _gauss_legendre, as_point,
     boundary_distance, boundary_distance_batch, inward_normal,
@@ -16,6 +17,18 @@ from poisskern.geometry import (
 
 # ---------------------------------------------------------------------------
 # point validation
+
+
+def test_only_domain_writes_the_validating_queries():
+    # Subclasses implement the private primitives on validated batches; the
+    # public queries, each validating its input once, live in Domain alone.
+    public = {"rho_batch", "rho_grad_batch", "signed_distance_batch", "project_batch",
+              "signed_distance", "project_to_boundary"}
+    subclasses = [c for c in vars(geometry).values()
+                  if isinstance(c, type) and issubclass(c, pk.Domain) and c is not pk.Domain]
+    assert {c.__name__ for c in subclasses} == {"Ball", "Halfspace", "Ellipse", "Implicit", "ImplicitPolynomial"}
+    for cls in subclasses:
+        assert not public & set(vars(cls)), cls.__name__
 
 
 def test_as_point_accepts_lists_and_rejects_bad_shapes():
@@ -624,9 +637,33 @@ def test_off_boundary_base_is_named_by_every_normal_caller():
         (lambda: pk.normal_sweep(pk.Ellipse([2.0, 1.0]), lambda x, T: np.ones(len(T)), [0.0, 1.0], [0.5, 3.0],
                                  [[2.0, 0.0]]),
          ["x = [0.0, -2.0] must be strictly inside", "signed distance 1"]),
+        # The derivative stencil x +- step * u, step = 1e-6 here, must stay inside
+        # the domain and 10 steps clear of every target.
+        (lambda: pk.derivative_ratio(pk.Halfspace(2), pk.model_kernel(pk.Halfspace(2)),
+                                     [0, 5e-7], [1, 0], 1, [0, 1]),
+         ["x = [0.0, 5e-07]", "delta = 5e-07", "step = 1e-06"]),
+        (lambda: pk.derivative_report(pk.Halfspace(2), pk.model_kernel(pk.Halfspace(2)), [0, 0], 5e-7, [0.0, 1.0]),
+         ["probe_height", "delta = 5e-07", "step = 1e-06"]),
+        (lambda: pk.derivative_ratio(pk.Halfspace(2), pk.model_kernel(pk.Halfspace(2)),
+                                     [0, 2e-6], [0, 0], 1, [0, 1]),
+         ["y = [0.0, 0.0] is too close to x = [0.0, 2e-06]", "1.000e-06"]),
+        # Unrefused, the report gave a normal ratio of 0.4244 here against the exact 1/pi.
+        (lambda: pk.derivative_report(pk.Halfspace(2), pk.model_kernel(pk.Halfspace(2)), [0, 0], 2e-6, [0.0]),
+         ["targets[0] = [0.0, 0.0] is too close", "probe_height", "1.000e-06"]),
+        (lambda: pk.parse_domain_spec('{"kind": "implicit_polynomial", "dim": 2, "coefficients": '
+                                      '{"2,0": 1, "0,2": 1, "0,0": -1}, "bounding_box": [[-2, 2], [2, -2]], '
+                                      '"interior_point": [0, 0]}'),
+         ["bounding_box [[-2.0, 2.0], [2.0, -2.0]]"]),
+        (lambda: pk.ImplicitPolynomial({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}, [[-2, -2], [2, 2]], [3, 0]),
+         ["interior_point [3.0, 0.0]", "bounding box [[-2.0, -2.0], [2.0, 2.0]]"]),
+        (lambda: pk.ImplicitPolynomial({(2, 0): 1.0, (0, 2, 0): 1.0, (0, 0): -1.0}, [[-2, -2], [2, 2]], [0, 0]),
+         ["lengths [2, 3]"]),
     ],
     ids=["harmonic_extend", "kernel_ratio", "derivative_ratio", "truncation_tail",
-         "surrogate", "halfspace_rule", "ball_gradient", "normal_sweep_disc", "normal_sweep_ellipse"],
+         "surrogate", "halfspace_rule", "ball_gradient", "normal_sweep_disc", "normal_sweep_ellipse",
+         "derivative_ratio_stencil_exit", "derivative_report_stencil_exit", "derivative_ratio_target_near",
+         "derivative_report_target_near", "spec_bounding_box", "interior_point_outside_box",
+         "exponent_lengths"],
 )
 def test_errors_name_the_rejected_input(call, named):
     with pytest.raises(pk.InvalidInputError) as info:

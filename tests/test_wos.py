@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern import _rng, harmonic_measure
+from poisskern import _rng, geometry, harmonic_measure
 
 
 def _cfg(**kw):
@@ -259,7 +259,7 @@ def test_settled_implicit_feet_fall_back_to_the_full_projection(monkeypatch):
     imp, x = _readme_implicit_ellipse(), [0.5, 0.2]
     cfg = _cfg(walkers=300, stop_tolerance=1e-3)
     want, _, _ = pk.run_walks(imp, x, cfg)
-    newton, project = pk.Implicit._newton, pk.Implicit.project_batch
+    newton, project = pk.Implicit._newton, pk.Implicit._project
     projected = []
 
     def fails_left_from_the_point_itself(self, P, Y):
@@ -268,14 +268,34 @@ def test_settled_implicit_feet_fall_back_to_the_full_projection(monkeypatch):
         return Y, converged & ~(single_start & (P[:, 0] < 0.0))
 
     monkeypatch.setattr(pk.Implicit, "_newton", fails_left_from_the_point_itself)
-    monkeypatch.setattr(pk.Implicit, "project_batch",
-                        lambda self, X: projected.append(np.array(X)) or project(self, X))
+    monkeypatch.setattr(pk.Implicit, "_project",
+                        lambda self, X, tie_break: projected.append(np.array(X)) or project(self, X, tie_break))
     feet, truncated, _ = pk.run_walks(imp, x, cfg)
     assert not truncated.any()
     assert len(projected) == 1 and np.all(projected[0][:, 0] < 0.0)
     assert len(projected[0]) == np.count_nonzero(want[:, 0] < 0.0)
     np.testing.assert_allclose(feet, want, atol=1e-12)
     assert np.abs(imp.rho_batch(feet)).max() <= 1e-11  # the Newton residual tolerance, 1e-12 max(1, |x|)
+
+
+@pytest.mark.parametrize("domain, x, radius", [
+    (pk.Ball(2), [0.3, 0.2], None),
+    (pk.Halfspace(2), [0.2, 0.7], 20.0),
+    (pk.Ellipse([2.0, 1.0]), [0.5, 0.3], None),
+], ids=["disc", "halfplane", "ellipse"])
+def test_walks_validate_only_their_origin(domain, x, radius, monkeypatch):
+    # The walk calls the geometry primitives on the pool it already holds as
+    # floats: only the origin passes the input checks (as_point and contains).
+    rows, to_floats = [], geometry._float_array
+
+    def counted(a, name):
+        out = to_floats(a, name)
+        rows.append(np.atleast_2d(out).shape[0])
+        return out
+
+    monkeypatch.setattr(geometry, "_float_array", counted)
+    pk.run_walks(domain, x, _cfg(walkers=100_000, seed=7, stop_tolerance=1e-4), truncation_radius=radius)
+    assert 0 < sum(rows) <= 2
 
 
 def test_run_walks_validation():
@@ -752,13 +772,14 @@ def test_wos_kernel_computes_each_cap_area_once(monkeypatch):
 
 
 def test_wos_kernel_checks_its_targets_in_one_batch_query(monkeypatch):
-    # The ellipse's walks never call rho or rho_batch except on the walk origin.
+    # The ellipse's walks never call rho except on the walk origin.
     e = pk.Ellipse([2.0, 1.0])
     T = np.array([e.boundary_point(th) for th in (0.3, 1.2, 2.5, 4.0)])
     kern = pk.WosKernel(e, _cfg(walkers=200), cap_radius=0.1)
     batches, points = [], []
-    rho_batch, rho = e.rho_batch, e.rho
-    monkeypatch.setattr(e, "rho_batch", lambda X: batches.append(np.shape(X)) or rho_batch(X))
+    check, rho = harmonic_measure._check_cap_centers, e.rho
+    monkeypatch.setattr(harmonic_measure, "_check_cap_centers",
+                        lambda domain, X, *args, **kw: batches.append(np.shape(X)) or check(domain, X, *args, **kw))
     monkeypatch.setattr(e, "rho", lambda x: points.append(list(x)) or rho(x))
     for _ in range(2):  # the first query also computes the cap areas
         kern.estimate([0.5, 0.3], T)
