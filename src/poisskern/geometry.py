@@ -222,7 +222,10 @@ class Domain:
     the boundary feet of the points where walks settled.  By default they are
     the boundary distance and ``_project``; the ellipse and implicit
     domains take a certified radius from a bound on the Hessian of ``rho``
-    instead of a nearest-point solve.
+    instead of a nearest-point solve.  A walk asks both on batches of at
+    most its pool size: ``_jump_radii`` on the walkers in flight and
+    ``_settled_feet`` on settled walkers projected in blocks of at most
+    ``harmonic_measure._POOL`` (16384) rows.
     """
 
     dim: int
@@ -445,11 +448,12 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
     in ``u`` rather than ``t`` avoids the catastrophic cancellation of
     ``t + b^2`` for points near the major axis, where the root has tiny ``u``.
     Each row's iterate is frozen once it has converged, so its result does
-    not depend on the other rows.  Points exactly on the major axis
-    (``q == 0``) with ``p < (a^2 - b^2)/a`` take the closed-form off-axis
-    branch instead, and the others on it the vertex ``(a, 0)``.
+    not depend on the other rows.  Points on the major axis, where ``b q``
+    is 0 or subnormal (its start would overflow ``1 / u``), with
+    ``p < (a^2 - b^2)/a`` take the closed-form off-axis branch instead, and
+    the others on it the vertex ``(a, 0)``.
     """
-    on_axis = q == 0.0
+    on_axis = b * q < np.finfo(float).tiny
     generic = ~on_axis
     fx = np.empty_like(p)
     fy = np.empty_like(q)

@@ -151,7 +151,10 @@ def run_walks(
     layout, and row sums from 8 columns on reduce C-order copies.  Each pool
     row draws its directions at its own jump count, and no row depends on
     the rows beside it, so the pool size, any subset and :func:`wos_exit`
-    give every walk bit for bit.
+    give every walk bit for bit.  Settled walkers are projected onto the
+    boundary in blocks of at most ``_POOL`` rows too, so the settle's
+    temporaries stay as small as a step's; each foot depends only on its
+    own row, so the blocks give the bits of one call over all of them.
     """
     x = as_point(x, domain.dim, name="x")
     if not domain.contains(x):
@@ -226,8 +229,9 @@ def run_walks(
         jumps += 1
 
     settled = np.flatnonzero(~truncated)
-    if settled.size:
-        final[settled] = domain._settled_feet(final.take(settled, axis=0))
+    for lo in range(0, settled.size, _POOL):
+        block = settled[lo : lo + _POOL]
+        final[block] = domain._settled_feet(final.take(block, axis=0))
     return final, truncated, steps
 
 

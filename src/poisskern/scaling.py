@@ -61,8 +61,13 @@ def phi_eps(frame: BoundaryFrame, x) -> np.ndarray:
 def phi_eps_inverse(frame: BoundaryFrame, s) -> np.ndarray:
     """Exact inverse dilation ``Phi^{-1}(s) = P + eps * Q^T s``."""
     S, single = _as_points(s, frame.dim, name="s")
-    X = frame.base[None, :] + frame.epsilon * (S @ frame.rotation)
+    X = _undilate(frame, S)
     return X[0] if single else X
+
+
+def _undilate(frame: BoundaryFrame, S: np.ndarray) -> np.ndarray:
+    """:func:`phi_eps_inverse` of the already validated batch ``S``."""
+    return frame.base[None, :] + frame.epsilon * (S @ frame.rotation)
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,16 @@ class TransferredDefiningFunction:
 
     def __call__(self, s) -> "float | np.ndarray":
         S, single = _as_points(s, self.frame.dim, name="s")
-        X = phi_eps_inverse(self.frame, S)
-        vals = self.domain.rho_batch(X) / (self.frame.epsilon * self.gradient_scale)
+        with np.errstate(over="ignore"):  # an overflowing row is named below
+            X = _undilate(self.frame, S)
+        if not np.isfinite(X).all():
+            i = int(np.argmax(~np.isfinite(X).all(axis=1)))
+            label = "s" if single else f"s[{i}]"
+            raise InvalidInputError(
+                f"{label} = {S[i].tolist()} maps to non-finite coordinates {X[i].tolist()} "
+                f"at epsilon = {self.frame.epsilon!r}"
+            )
+        vals = self.domain._rho_values(X) / (self.frame.epsilon * self.gradient_scale)
         return float(vals[0]) if single else vals
 
     @property

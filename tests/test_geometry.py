@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,20 @@ def test_ellipse_on_axis_branches():
         e.project_to_boundary([0.0, 0.0])
     foot, _ = e.project_to_boundary([0.0, 0.0], tie_break=[1.0, -1.0])
     np.testing.assert_allclose(foot, [0.0, -1.0])
+
+
+@pytest.mark.parametrize("axes", [(2.0, 1.0), (0.002, 0.001)])
+@pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-306])
+def test_ellipse_feet_at_subnormal_heights_lie_on_the_boundary(axes, q):
+    # A Newton start b q below the smallest normal float overflows 1 / u, so
+    # such heights take the on-axis branch, with no floating-point warning.
+    e, a = pk.Ellipse(axes), axes[0]
+    P = np.stack([np.linspace(0.0, 1.5 * a, 3001), np.full(3001, q)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        feet, _ = e.project_batch(P, tie_break=[0.0, 1.0])
+        assert np.abs(e.rho_batch(feet)).max() <= 1e-13
+        assert e.signed_distance([1.7 * a / 2.0, q]) == pytest.approx(-0.15 * a, rel=1e-12)
 
 
 def test_ellipse_mirror_rival_only_inside_the_evolute():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import poisskern as pk
-from poisskern import scaling
+from poisskern import geometry, scaling
 
 
 def _disc_frame(eps=0.1, base=(0.0, -1.0)):
@@ -59,6 +59,37 @@ def test_frame_maps_of_one_point_equal_batch_rows(kind):
             evaluate(X)
         with pytest.raises(pk.DimensionMismatchError, match=f"point of dimension {domain.dim}"):
             evaluate(np.zeros(domain.dim + 1))
+
+
+def test_transferred_defining_function_validates_its_batch_once(monkeypatch):
+    # One check of s, then the mapped batch goes straight to rho; the values
+    # are those of rho_batch on phi_eps_inverse, bit for bit.
+    domain = pk.Ellipse([2.0, 1.0])
+    fr = pk.boundary_frame(domain, [0.0, 1.0], 0.1)
+    tdf = pk.transfer_defining_function(fr, domain)
+    S = np.random.default_rng(5).normal(size=(1000, 2))
+    want = domain.rho_batch(pk.phi_eps_inverse(fr, S)) / (fr.epsilon * tdf.gradient_scale)
+    rows, to_floats = [], geometry._float_array
+
+    def counted(a, name):
+        out = to_floats(a, name)
+        rows.append(np.atleast_2d(out).shape[0])
+        return out
+
+    monkeypatch.setattr(geometry, "_float_array", counted)
+    got = tdf(S)
+    monkeypatch.undo()
+    assert sum(rows) == 1000
+    assert got.tobytes() == want.tobytes()
+
+
+def test_transferred_defining_function_names_an_overflowing_point():
+    fr = pk.boundary_frame(pk.Halfspace(2), [0.0, 0.0], 10.0)
+    tdf = pk.transfer_defining_function(fr, pk.Halfspace(2))
+    with pytest.raises(pk.InvalidInputError, match=r"^s\[0\] = \[1e\+308, 0\.0\] maps to non-finite"):
+        tdf([[1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(pk.InvalidInputError, match=r"^s = \[1e\+308, 0\.0\] maps to non-finite"):
+        tdf([1e308, 0.0])
 
 
 def test_phi_eps_is_a_similarity_with_ratio_one_over_eps():

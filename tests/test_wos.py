@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,13 +413,18 @@ def _reference_signed_distance(domain, X):
 def _reference_jump_radii(domain, X):
     """Jump radii as the walk takes them: on ellipses the positive root r of
     rho + |grad rho| r + M r^2 / 2 with M = 2 / min(a, b)^2, written as
-    -2 rho / (|grad rho| + sqrt(|grad rho|^2 - 2 M rho)); on balls and
-    halfspaces the boundary distance."""
-    if isinstance(domain, pk.Ellipse):
+    -2 rho / (|grad rho| + sqrt(|grad rho|^2 - 2 M rho)); on implicit domains
+    the same root with M = hess_bound, clipped to the distance from the
+    bounding-box edge; on balls and halfspaces the boundary distance."""
+    if isinstance(domain, (pk.Ellipse, pk.Implicit)):
         s = np.maximum(-domain.rho_batch(X), 0.0)
         g = np.linalg.norm(domain.rho_grad_batch(X), axis=1)
-        M = 2.0 / min(domain.semi_axes) ** 2
-        return 2.0 * s / (g + np.sqrt(g * g + 2.0 * M * s))
+        M = domain.hess_bound if isinstance(domain, pk.Implicit) else 2.0 / min(domain.semi_axes) ** 2
+        r = 2.0 * s / (g + np.sqrt(g * g + 2.0 * M * s))
+        if isinstance(domain, pk.Implicit):
+            lo, hi = domain.bounding_box
+            r = np.minimum(r, np.maximum(np.minimum((X - lo).min(axis=1), (hi - X).min(axis=1)), 0.0))
+        return r
     return np.maximum(-_reference_signed_distance(domain, X), 0.0)
 
 
@@ -455,7 +461,10 @@ def _reference_walks(domain, x, config, truncation_radius=None):
     truncated[active] = True
     steps[active] = config.max_steps
     feet = final.copy()
-    feet[~truncated] = domain.project_batch(final[~truncated])[0]
+    # Implicit feet come from one Newton solve started at each settled point,
+    # here in one call over all settled walkers.
+    settle = domain._settled_feet if isinstance(domain, pk.Implicit) else lambda X: domain.project_batch(X)[0]
+    feet[~truncated] = settle(final[~truncated])
     return feet, truncated, steps
 
 
@@ -523,6 +532,66 @@ def test_pooled_walks_equal_the_reference_loop_and_their_subsets(kind, walkers):
     part = pk.run_walks(domain, x, cfg, truncation_radius=radius, walker_indices=subset)
     for g, p in zip(got, part):
         assert g[subset].tobytes() == p.tobytes()
+
+
+def test_pooled_implicit_walks_equal_the_reference_loop_and_their_subsets():
+    # The README implicit ellipse over two refills of the pool: with every
+    # walk settled, its walkers are projected in three blocks, whose feet must
+    # be those of one settle over all of them.
+    domain, x, walkers = _readme_implicit_ellipse(), [0.5, 0.3], 2 * POOL + 3
+    cfg = _cfg(walkers=walkers, stop_tolerance=1e-3)
+    got = pk.run_walks(domain, x, cfg)
+    want = _reference_walks(domain, x, cfg)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    feet, truncated, _ = got
+    assert not truncated.any()
+    assert np.abs(domain.rho_batch(feet)).max() <= 1e-11
+    subset = np.r_[walkers - 1 : 0 : -5, 0]
+    part = pk.run_walks(domain, x, cfg, walker_indices=subset)
+    for g, p in zip(got, part):
+        assert g[subset].tobytes() == p.tobytes()
+
+
+SETTLE_CASES = {
+    **{kind: POOL_CASES[kind] for kind in ("disc", "ball3", "halfplane", "ellipse")},
+    "implicit_ellipse": (_readme_implicit_ellipse(), [0.5, 0.3], None),
+}
+
+
+@pytest.mark.parametrize("kind", list(SETTLE_CASES))
+def test_settled_walkers_are_projected_in_pool_sized_blocks(kind, monkeypatch):
+    # Every settled walker goes through _settled_feet exactly once, in order,
+    # in blocks of at most POOL rows; truncated walkers never do.
+    domain, x, radius = SETTLE_CASES[kind]
+    batches, settle = [], type(domain)._settled_feet
+    monkeypatch.setattr(type(domain), "_settled_feet",
+                        lambda self, X: batches.append(X.copy()) or settle(self, X))
+    cfg = _cfg(walkers=2 * POOL + 3, max_steps=12, stop_tolerance=1e-2)
+    feet, truncated, _ = pk.run_walks(domain, x, cfg, truncation_radius=radius)
+    monkeypatch.undo()
+    settled = int((~truncated).sum())
+    assert truncated.any() and settled > POOL
+    assert [len(X) for X in batches] == [POOL] * (settled // POOL) + [settled % POOL]
+    assert settle(domain, np.concatenate(batches)).tobytes() == feet[~truncated].tobytes()
+
+
+@pytest.mark.parametrize("kind, limit_mb", [
+    ("disc", 10), ("ball3", 10), ("ellipse", 10), ("implicit_ellipse", 25),
+])
+def test_a_walk_allocates_little_beyond_its_results(kind, limit_mb):
+    # The walk's temporaries are pool-sized, the settle's included: the
+    # allocation peak of 1e5 walkers stays within a few results' worth.
+    domain, x, _ = SETTLE_CASES[kind]
+    cfg = _cfg(walkers=100_000, stop_tolerance=1e-4)
+    tracemalloc.start()
+    try:
+        feet, truncated, _ = pk.run_walks(domain, x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not truncated.any()
+    assert peak < limit_mb * 1e6, f"{peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("kind", list(POOL_CASES))
