@@ -23,7 +23,7 @@ two-sided bound in every direction would be false and is not encoded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,7 +48,7 @@ __all__ = [
 FAR_FIELD_SEPARATION_FACTOR = 10.0  # separation > factor * delta tags a record far-field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioRecord:
     """One sample of the boundary-asymptotic ratio.
 
@@ -57,6 +57,10 @@ class RatioRecord:
     ``separation > 10 * delta``, where the two-sided bound is trivially loose;
     ``std_error`` is the Monte Carlo standard error of ``ratio`` when the
     kernel value was estimated (0 for closed-form kernels).
+
+    Records are frozen and slotted.  The ratio diagnostics fill the slots
+    directly, with the constructor's Python float arithmetic, so a record
+    equals, hashes and prints as the constructor's, bit for bit.
     """
 
     x: tuple
@@ -67,6 +71,9 @@ class RatioRecord:
     ratio: float
     far_field: bool = False
     std_error: float = 0.0
+
+
+_FIELD_SETTERS = tuple(getattr(RatioRecord, f.name).__set__ for f in fields(RatioRecord))
 
 
 def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
@@ -80,17 +87,24 @@ def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
     delta = boundary_distance(domain, x)
-    return _ratio_records(domain, kernel, x, delta, y[None, :], name="y")[0]
+    return _ratio_records(domain, kernel, x, delta, y[None, :], [tuple(y.tolist())], name="y")[0]
 
 
 def _ratio_records(
-    domain: Domain, kernel, x: np.ndarray, delta: float, T: np.ndarray, name: str = "targets"
+    domain: Domain, kernel, x: np.ndarray, delta: float, T: np.ndarray, ys: list, name: str = "targets"
 ) -> list:
-    # x is a validated interior point with delta = delta(x) > 0 and T an
-    # (m, d) batch of validated points; ``name`` labels T's rows in errors.
-    # The separation is the 1-D norm of each difference (``_row_norms``): an
-    # axis-1 norm can differ from it in the last bit.  Only an estimator (a
-    # kernel with ``estimate``) gives standard errors.
+    """The records of the interior point ``x`` at boundary distance ``delta``
+    against the validated ``(m, d)`` targets ``T``, whose rows as tuples are
+    ``ys`` (a sweep shares them across its deltas); ``name`` labels ``T``'s rows.
+
+    The separation is the 1-D norm of each difference (``_row_norms``): an
+    axis-1 norm can differ from it in the last bit.  Only an estimator (a
+    kernel with ``estimate``) gives standard errors.  Each record's slots are
+    filled directly from Python floats, at half the cost of the frozen
+    constructor's ``object.__setattr__`` calls, and the ratio is computed as
+    ``value * separation**d / delta``: numpy's power or a regrouped product
+    would move the last bit of some records.
+    """
     separations = _row_norms(x - T).tolist()
     if 0.0 in separations:
         j = separations.index(0.0)
@@ -104,22 +118,21 @@ def _ratio_records(
                                     f"targets; expected {len(T)} estimates")
         values = _callable_values([e.estimate for e in ests], T, "kernel.estimate", "target")
         errors = _callable_values([e.std_error for e in ests], T, "kernel.estimate std_error", "target")
-    d = domain.dim
-    x_tuple = tuple(x.tolist())
+    d, delta, new = domain.dim, float(delta), object.__new__
+    x_tuple, far = tuple(x.tolist()), FAR_FIELD_SEPARATION_FACTOR * delta
+    set_x, set_y, set_delta, set_separation, set_kernel, set_ratio, set_far, set_error = _FIELD_SETTERS
     records = []
-    for y, separation, value, error in zip(T.tolist(), separations, values.tolist(), errors.tolist()):
-        records.append(
-            RatioRecord(
-                x=x_tuple,
-                y=tuple(y),
-                delta=float(delta),
-                separation=separation,
-                kernel=float(value),
-                ratio=float(value * separation**d / delta),
-                far_field=bool(separation > FAR_FIELD_SEPARATION_FACTOR * delta),
-                std_error=float(error * separation**d / delta),
-            )
-        )
+    for y, separation, value, error in zip(ys, separations, values.tolist(), errors.tolist()):
+        power, record = separation**d, new(RatioRecord)
+        set_x(record, x_tuple)
+        set_y(record, y)
+        set_delta(record, delta)
+        set_separation(record, separation)
+        set_kernel(record, value)
+        set_ratio(record, value * power / delta)
+        set_far(record, separation > far)
+        set_error(record, error * power / delta)
+        records.append(record)
     return records
 
 
@@ -179,11 +192,12 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
         raise InvalidInputError("normal_sweep requires at least one target")
 
     T = np.stack(target_pts)
+    ys = [tuple(y) for y in T.tolist()]
     X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
     dist = boundary_distance_batch(domain, X)
     records = []
     for x, delta in zip(X, dist.tolist()):
-        records.extend(_ratio_records(domain, kernel, x, delta, T))
+        records.extend(_ratio_records(domain, kernel, x, delta, T, ys))
     ratios = [rec.ratio for rec in records]
     return SweepReport(
         records=tuple(records),

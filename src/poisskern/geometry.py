@@ -59,7 +59,7 @@ def as_point(x, dim: int | None = None, name: str = "point") -> np.ndarray:
         raise DimensionMismatchError(f"{name} must have dimension >= 2, got {arr.size}")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"{name} has dimension {arr.size}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} has non-finite coordinates: {arr}")
     return arr
 
@@ -158,18 +158,23 @@ def _distances(T: np.ndarray, p: np.ndarray | None = None, squared: bool = False
 
     Below 8 columns numpy adds the squares in column order, which a sum over
     the columns of ``T`` repeats several times faster, with no ``(n, d)``
-    difference array; from 8 columns on numpy sums pairwise, so its own
-    reduction is used, on C-order squares whatever the layout of ``T``.
+    difference array: each column's difference and square go to one scratch
+    column and are added into the result, which holds the first square, so
+    the bits are numpy's and only two ``n``-arrays are made.  From 8 columns
+    on numpy sums pairwise, so its own reduction is used, on C-order squares
+    whatever the layout of ``T``.
     """
     if T.shape[1] >= 8:
         D = T if p is None else T - p
         s = np.add.reduce(np.multiply(D, D, order="C"), axis=1)
     else:
-        t = T[:, 0] if p is None else T[:, 0] - p[0]
-        s = t * t
-        for j in range(1, T.shape[1]):
-            t = T[:, j] if p is None else T[:, j] - p[j]
-            s += t * t
+        s, w = np.empty(len(T)), np.empty(len(T))
+        for j in range(T.shape[1]):
+            t = T[:, j] if p is None else np.subtract(T[:, j], p[j], out=w)
+            if j:
+                s += np.multiply(t, t, out=w)
+            else:
+                np.multiply(t, t, out=s)
     return s if squared else np.sqrt(s, out=s)
 
 

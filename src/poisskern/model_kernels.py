@@ -73,12 +73,14 @@ def halfspace_constant(d: int) -> float:
 
 
 def _check_nonsingular(hit: np.ndarray, t: np.ndarray) -> None:
-    if np.any(hit):
+    if hit.any():
         j = np.flatnonzero(hit)[0]
         raise InvalidInputError(f"kernel is singular at x = t[{j}] = {t[j].tolist()}")
 
 
-def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float, constant: float) -> np.ndarray:
+    # ``constant`` is ball_constant(d); the tail works in place, in the order and
+    # so with the bits of ``constant * (radius**2 - inradius**2) / (radius * sep**d)``.
     d = x.size
     inradius = np.linalg.norm(x - center)
     if not inradius < radius:
@@ -86,7 +88,9 @@ def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float
             f"x must be interior to the ball (|x - c| = {inradius:.6g}, radius = {radius:.6g})"
         )
     tol = 1e-9 * max(radius, 1.0)
-    offsets = np.abs(_distances(t, center) - radius)
+    offsets = _distances(t, center)
+    offsets -= radius
+    np.abs(offsets, out=offsets)
     bad = np.flatnonzero(offsets > tol)
     if bad.size:
         j = bad[0]
@@ -96,10 +100,13 @@ def _ball_values(x: np.ndarray, t: np.ndarray, center: np.ndarray, radius: float
         )
     sep = _distances(t, x)
     _check_nonsingular(sep == 0.0, t)
-    return ball_constant(d) * (radius**2 - inradius**2) / (radius * sep**d)
+    sep **= d
+    sep *= radius
+    return np.divide(constant * (radius**2 - inradius**2), sep, out=sep)
 
 
-def _halfspace_values(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _halfspace_values(x: np.ndarray, t: np.ndarray, constant: float) -> np.ndarray:
+    # ``constant`` is halfspace_constant(d); in place, as ``constant * x_d / sq**(d / 2)``.
     d = x.size
     if not x[-1] > 0.0:
         raise InvalidInputError(f"x must lie in the open upper halfspace (x_d = {x[-1]:.6g})")
@@ -109,9 +116,11 @@ def _halfspace_values(x: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"boundary point t[{j}] = {t[j].tolist()} is off the hyperplane by {abs(t[j, -1]):.3e}"
         )
-    sq = _distances(t[:, :-1], x[:-1], squared=True) + x[-1] ** 2
+    sq = _distances(t[:, :-1], x[:-1], squared=True)
+    sq += x[-1] ** 2
     _check_nonsingular(sq == 0.0, t)
-    return halfspace_constant(d) * x[-1] / sq ** (d / 2.0)
+    sq **= d / 2.0
+    return np.divide(constant * x[-1], sq, out=sq)
 
 
 def model_kernel(domain: Domain) -> KernelEvaluator:
@@ -124,9 +133,10 @@ def model_kernel(domain: Domain) -> KernelEvaluator:
     halfspace kernel takes boundary points with ``|t_d| <= 1e-8``.
     """
     if isinstance(domain, Ball):
-        values = functools.partial(_ball_values, center=domain.center, radius=domain.radius)
+        values = functools.partial(_ball_values, center=domain.center, radius=domain.radius,
+                                   constant=ball_constant(domain.dim))
     elif isinstance(domain, Halfspace):
-        values = _halfspace_values
+        values = functools.partial(_halfspace_values, constant=halfspace_constant(domain.dim))
     else:
         raise DomainUnsupportedError(
             f"no closed-form Poisson kernel for {type(domain).__name__} domains; "

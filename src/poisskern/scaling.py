@@ -49,25 +49,36 @@ def phi_eps(frame: BoundaryFrame, x) -> np.ndarray:
 
     Sends the base point to the origin and the interior probe
     ``P + eps * nu`` to the unit normal point ``e_d``; the exact inverse is
-    :func:`phi_eps_inverse`.
+    :func:`phi_eps_inverse`.  A point whose image overflows is an input error
+    naming it.
     """
-    X, single = _as_points(x, frame.dim, name="x")
-    # With Q^T in C order a batch of one rounds as each row of a larger batch
-    # does; the transposed view of Q does not.
-    S = (X - frame.base[None, :]) @ np.ascontiguousarray(frame.rotation.T) / frame.epsilon
+    S, single = _frame_map(frame, x, "x")
     return S[0] if single else S
 
 
 def phi_eps_inverse(frame: BoundaryFrame, s) -> np.ndarray:
-    """Exact inverse dilation ``Phi^{-1}(s) = P + eps * Q^T s``."""
-    S, single = _as_points(s, frame.dim, name="s")
-    X = _undilate(frame, S)
+    """Exact inverse dilation ``Phi^{-1}(s) = P + eps * Q^T s``; a point whose
+    image overflows is an input error naming it."""
+    X, single = _frame_map(frame, s, "s", inverse=True)
     return X[0] if single else X
 
 
-def _undilate(frame: BoundaryFrame, S: np.ndarray) -> np.ndarray:
-    """:func:`phi_eps_inverse` of the already validated batch ``S``."""
-    return frame.base[None, :] + frame.epsilon * (S @ frame.rotation)
+def _frame_map(frame: BoundaryFrame, points, name: str, inverse: bool = False) -> tuple[np.ndarray, bool]:
+    """:func:`phi_eps` (or :func:`phi_eps_inverse`) of ``points`` as a batch,
+    and whether ``points`` was one point.  It holds the one check that every
+    image is finite: the first point whose image overflowed is an input error
+    naming it as ``name`` (one point) or ``name[i]``, with its value and epsilon."""
+    P, single = _as_points(points, frame.dim, name=name)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is named below
+        if inverse:
+            Y = frame.base[None, :] + frame.epsilon * (P @ frame.rotation)
+        else:  # with Q^T in C order a batch of one rounds as each row of a larger batch does
+            Y = (P - frame.base[None, :]) @ np.ascontiguousarray(frame.rotation.T) / frame.epsilon
+    if not np.isfinite(Y).all():
+        i = int(np.argmax(~np.isfinite(Y).all(axis=1)))
+        raise InvalidInputError(f"{name if single else f'{name}[{i}]'} = {P[i].tolist()} maps to non-finite "
+                                f"coordinates {Y[i].tolist()} at epsilon = {frame.epsilon!r}")
+    return Y, single
 
 
 @dataclass(frozen=True)
@@ -85,16 +96,7 @@ class TransferredDefiningFunction:
     gradient_scale: float
 
     def __call__(self, s) -> "float | np.ndarray":
-        S, single = _as_points(s, self.frame.dim, name="s")
-        with np.errstate(over="ignore"):  # an overflowing row is named below
-            X = _undilate(self.frame, S)
-        if not np.isfinite(X).all():
-            i = int(np.argmax(~np.isfinite(X).all(axis=1)))
-            label = "s" if single else f"s[{i}]"
-            raise InvalidInputError(
-                f"{label} = {S[i].tolist()} maps to non-finite coordinates {X[i].tolist()} "
-                f"at epsilon = {self.frame.epsilon!r}"
-            )
+        X, single = _frame_map(self.frame, s, "s", inverse=True)
         vals = self.domain._rho_values(X) / (self.frame.epsilon * self.gradient_scale)
         return float(vals[0]) if single else vals
 

@@ -1,7 +1,12 @@
 """Boundary-asymptotic ratios, sweeps, and derivative diagnostics."""
 
+import copy
+import dataclasses
+import gc
 import math
+import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +379,107 @@ def test_sweep_records_equal_one_target_ratios(kind):
         for t in targets
     ]
     assert list(report.records) == one_by_one  # field for field, bit for bit
+
+
+def _constructor_records(dom, kernel, X, T):
+    """The records of the sources ``X`` against the targets ``T``, delta-major,
+    as the dataclass constructor builds them from the written-out ratio."""
+    records = []
+    for x in X:
+        delta = -dom.signed_distance(x)
+        if hasattr(kernel, "estimate"):
+            ests = kernel.estimate(x, T)
+            values, errors = [e.estimate for e in ests], [e.std_error for e in ests]
+        else:
+            values, errors = kernel(x, T).tolist(), [0.0] * len(T)
+        for y, value, error in zip(T, values, errors):
+            separation, d = float(np.linalg.norm(x - y)), dom.dim
+            records.append(pk.RatioRecord(
+                x=tuple(x.tolist()), y=tuple(y.tolist()), delta=float(delta), separation=separation,
+                kernel=float(value), ratio=float(value * separation**d / delta),
+                far_field=bool(separation > 10.0 * delta), std_error=float(error * separation**d / delta)))
+    return records
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball3", "halfplane", "halfspace3", "wos_disc", "wos_ellipse"])
+def test_sweep_records_equal_constructor_records_bit_for_bit(kind):
+    # The sweep fills each record's slots itself; every field must carry the
+    # bits of the constructor fed the written-out ratio.  The grid is the
+    # benchmark's 30 x 30 on the model domains.
+    dom, make, base, deltas, targets = _sweep_case(kind)
+    if not kind.startswith("wos"):
+        rng = np.random.default_rng(23)
+        deltas = list(np.geomspace(0.2, 2e-3, 30))
+        if isinstance(dom, pk.Ball):
+            T = rng.normal(size=(30, dom.dim))
+            targets = list(T / np.linalg.norm(T, axis=1)[:, None])
+        else:
+            targets = [np.append(base[:-1] + rng.normal(size=dom.dim - 1), 0.0) for _ in range(30)]
+    report = pk.normal_sweep(dom, make(), base, deltas, targets)
+    X = np.array([report.records[k * len(targets)].x for k in range(len(deltas))])
+    want = _constructor_records(dom, make(), X, np.array(targets))
+    assert list(report.records) == want
+    assert repr(report.records) == repr(tuple(want))  # repr tells -0.0 from 0.0
+    if kind.startswith("wos"):
+        assert any(r.std_error > 0.0 for r in report.records)
+
+
+def test_sweep_records_behave_as_constructor_records():
+    dom, make, base, deltas, targets = _sweep_case("wos_ellipse")
+    report = pk.normal_sweep(dom, make(), base, deltas, targets)
+    rec = report.records[1]
+    built = pk.RatioRecord(**{f.name: getattr(rec, f.name) for f in dataclasses.fields(pk.RatioRecord)})
+    assert rec == built and hash(rec) == hash(built) and repr(rec) == repr(built)
+    assert rec.std_error > 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.ratio = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rec.kernel
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(twin) is pk.RatioRecord and twin == rec and repr(twin) == repr(rec)
+    moved = dataclasses.replace(rec, ratio=2.5)
+    assert moved.ratio == 2.5 and dataclasses.replace(moved, ratio=rec.ratio) == rec
+    assert dataclasses.asdict(rec) == dataclasses.asdict(built)
+    assert list(dataclasses.asdict(rec)) == [f.name for f in dataclasses.fields(pk.RatioRecord)]
+    assert {rec: 1}[built] == 1
+    assert not hasattr(rec, "__dict__")  # slotted: no per-record instance dict
+
+
+def test_sweep_records_take_no_more_memory_than_constructor_records():
+    # What the records of a 30 x 30 sweep retain, against the same records
+    # built by the constructor from fresh floats, with one source tuple per
+    # delta and one target tuple per target, as the sweep shares them.
+    # Records that carried a filled instance dict would take more and fail.
+    dom = pk.Ball(2)
+    kernel = pk.model_kernel(dom)
+    base, deltas = _circle(0.4), list(np.geomspace(0.2, 2e-3, 30))
+    targets = [_circle(a) for a in np.random.default_rng(29).uniform(0, 2 * math.pi, 30)]
+    warm = pk.normal_sweep(dom, kernel, base, deltas, targets)  # warms caches outside the trace
+    X = np.array([warm.records[30 * k].x for k in range(30)])
+    T = np.array(targets)
+    values = np.array([kernel(x, T) for x in X])
+    separations = np.array([np.linalg.norm(x - T, axis=1) for x in X])
+    depths = np.array([-dom.signed_distance(x) for x in X])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        records = pk.normal_sweep(dom, kernel, base, deltas, targets).records
+        gc.collect()  # empties the float and tuple free lists, which tracemalloc counts as held
+        swept = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        ys, built = [tuple(y) for y in T.tolist()], []
+        for x, delta, sep, val in zip(X.tolist(), depths.tolist(), separations.tolist(), values.tolist()):
+            x = tuple(x)
+            built += [pk.RatioRecord(x=x, y=y, delta=delta, separation=s, kernel=v, ratio=v * s**2 / delta,
+                                     far_field=s > 10.0 * delta, std_error=0.0 * s**2 / delta)
+                      for y, s, v in zip(ys, sep, val)]
+        built = tuple(built)
+        gc.collect()
+        constructed = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(built) == 900
+    assert swept <= constructed, (swept, constructed)
 
 
 class _Counting:

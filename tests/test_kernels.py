@@ -26,25 +26,31 @@ def _assert_bits_equal(got, want):
 
 
 def test_model_kernels_and_separations_equal_the_numpy_norms_bit_for_bit():
-    # Reference copies of the kernel expressions written with numpy's own
-    # axis-1 norm and sum; ratio separations are the 1-D norm of each pair.
+    # Reference copies of the kernel formulas written out whole, constants
+    # included, with numpy's own axis-1 norm and sum; the evaluators work in
+    # place with their constants computed once, and must keep these bits.
+    # Ratio separations are the 1-D norm of each pair.
     rng = np.random.default_rng(11)
 
     def ball_reference(x, T, center, radius):
-        inradius = np.linalg.norm(x - center)
+        d = x.size
         sep = np.linalg.norm(T - x[None, :], axis=1)
-        return pk.ball_constant(x.size) * (radius**2 - inradius**2) / (radius * sep**x.size)
+        c = math.gamma(d / 2) / (2 * math.pi ** (d / 2))
+        return c * (radius**2 - np.linalg.norm(x - center) ** 2) / (radius * sep**d)
 
     def halfspace_reference(x, T):
+        d = x.size
         sq = np.sum((T[:, :-1] - x[None, :-1]) ** 2, axis=1) + x[-1] ** 2
-        return pk.halfspace_constant(x.size) * x[-1] / sq ** (x.size / 2.0)
+        return math.gamma(d / 2) / math.pi ** (d / 2) * x[-1] / sq ** (d / 2)
 
     for d in (2, 3, 5, 9):
         T = rng.standard_normal((5000, d))
         T /= np.linalg.norm(T, axis=1)[:, None]
         for scale in (0.0, 0.3, 0.999):
             x = scale * T[0] + 1e-3 * rng.standard_normal(d) * (scale < 0.9)
-            _assert_bits_equal(pk.poisson_ball(d, x, T[1:]), ball_reference(x, T[1:], np.zeros(d), 1.0))
+            want = ball_reference(x, T[1:], np.zeros(d), 1.0)
+            _assert_bits_equal(pk.poisson_ball(d, x, T[1:]), want)
+            assert pk.poisson_ball(d, x, T[1]) == want[0]
     center, radius = np.array([0.3, -1.2, 2.0]), 2.5
     T = rng.standard_normal((5000, 3))
     T = center + radius * T / np.linalg.norm(T, axis=1)[:, None]
@@ -56,6 +62,20 @@ def test_model_kernels_and_separations_equal_the_numpy_norms_bit_for_bit():
         for height in (1e-4, 0.3, 7.0):
             x = np.append(rng.standard_normal(d - 1), height)
             _assert_bits_equal(pk.poisson_halfspace(d, x, T), halfspace_reference(x, T))
+    more = np.random.default_rng(43)  # off-centre radius-3.7 balls and 5-D halfspaces; one point is a batch row
+    for d in (2, 3, 5, 9):
+        center, U = more.standard_normal(d), more.standard_normal((4000, d))
+        T = center + 3.7 * U / np.linalg.norm(U, axis=1)[:, None]
+        for x in (center + 0.6 * (T[0] - center), center + 0.999 * (T[1] - center) + 1e-4 * more.standard_normal(d)):
+            want = ball_reference(x, T, center, 3.7)
+            _assert_bits_equal(pk.ball_kernel(center, 3.7)(x, T), want)
+            assert pk.ball_kernel(center, 3.7)(x, T[7]) == want[7]
+        T = more.standard_normal((4000, d)) * 10.0 ** more.integers(-3, 3, size=(4000, d))
+        T[:, -1] = 0.0
+        x = np.append(more.standard_normal(d - 1), 0.3)
+        want = halfspace_reference(x, T)
+        _assert_bits_equal(pk.poisson_halfspace(d, x, T), want)
+        assert pk.poisson_halfspace(d, x, T[7]) == want[7]
 
     for domain, base, targets in (
         (pk.Ball(2), [0.0, -1.0], [[np.cos(a), np.sin(a)] for a in np.linspace(0.1, 6.2, 13)]),

@@ -92,6 +92,24 @@ def test_transferred_defining_function_names_an_overflowing_point():
         tdf([1e308, 0.0])
 
 
+def test_frame_maps_name_an_overflowing_point():
+    # Finite points whose image overflows used to come back as inf with only a
+    # RuntimeWarning (an error under this suite's warning filter).
+    far = pk.boundary_frame(pk.Halfspace(2), [0.0, 0.0], 10.0)
+    with pytest.raises(pk.InvalidInputError, match=r"^s = \[1e\+308, 0\.0\] maps to non-finite coordinates "
+                                                   r"\[inf, 0\.0\] at epsilon = 10\.0$"):
+        pk.phi_eps_inverse(far, [1e308, 0.0])
+    with pytest.raises(pk.InvalidInputError, match=r"^s\[1\] = \[1e\+308, 0\.0\] maps to non-finite"):
+        pk.phi_eps_inverse(far, [[0.0, 1.0], [1e308, 0.0]])
+    near = pk.boundary_frame(pk.Halfspace(2), [0.0, 0.0], 1e-3)
+    with pytest.raises(pk.InvalidInputError, match=r"^x = \[1e\+306, 0\.0\] maps to non-finite coordinates "
+                                                   r"\[inf, 0\.0\] at epsilon = 0\.001$"):
+        pk.phi_eps(near, [1e306, 0.0])
+    with pytest.raises(pk.InvalidInputError, match=r"^x\[2\] = \[1e\+306, 0\.0\] maps to non-finite"):
+        pk.phi_eps(near, [[0.0, 1.0], [2.0, 0.5], [1e306, 0.0]])
+    np.testing.assert_array_equal(pk.phi_eps(near, [1e300, 0.0]), [1e303, 0.0])  # large but finite
+
+
 def test_phi_eps_is_a_similarity_with_ratio_one_over_eps():
     fr = _disc_frame(0.2)
     a = np.array([0.1, -0.4])
