@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (
-    _BOUNDARY_TOL, Domain, _callable_values, _direction, _finite, _integer, _positive, _row_norms, as_point,
-    boundary_distance, boundary_distance_batch, boundary_frame, inward_normal,
+    _BOUNDARY_TOL, Domain, _as_points, _callable_values, _direction, _finite, _integer, _interior_probe, _positive,
+    _row_norms, as_point, boundary_distance, boundary_distance_batch, inward_normal, rotation_to_last_axis,
 )
 
 __all__ = [
@@ -369,20 +369,21 @@ def derivative_report(
     for i, order in enumerate(orders):
         if order in orders[:i]:
             raise InvalidInputError(f"derivative order {order!r} is requested more than once")
-    frame = boundary_frame(domain, base, h)
-    nu = frame.inward_normal
-    x = base + h * nu
-    tangents = [frame.rotation[i] for i in range(domain.dim - 1)]
+    nu = inward_normal(domain, base)
+    x = _interior_probe(domain, base, nu, h, "probe_height")
+    tangents = list(rotation_to_last_axis(nu)[:-1])
 
     offsets = [_finite(t, f"tangential_offsets[{j}]") for j, t in enumerate(tangential_offsets)]
     if not offsets:
         raise InvalidInputError("at least one tangential offset is required")
-    Y = base[None, :] + np.array(offsets)[:, None] * tangents[0][None, :]
-    on = np.abs(domain.rho_batch(Y)) <= _BOUNDARY_TOL
+    with np.errstate(over="ignore"):  # a row that an offset sends to infinity is named below
+        Y = base[None, :] + np.array(offsets)[:, None] * tangents[0][None, :]
+    Y, _ = _as_points(Y, domain.dim, name="targets")
+    on = np.abs(domain._rho_values(Y)) <= _BOUNDARY_TOL
     if not np.all(on):
         Y[~on] = domain._project(Y[~on], None)[0]
     directions = [(t, "tangential") for t in tangents] + [(nu, "normal")]
-    delta = -domain.signed_distance(x)
+    delta = -float(domain._signed_distances(x[None, :])[0])
     records = _derivative_records(domain, kernel, x, delta, Y, directions, orders, max(1e-6, 1e-4 * h), "targets")
 
     normal_first = [

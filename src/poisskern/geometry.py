@@ -60,7 +60,7 @@ def as_point(x, dim: int | None = None, name: str = "point") -> np.ndarray:
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"{name} has dimension {arr.size}, expected {dim}")
     if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} has non-finite coordinates: {arr}")
+        raise InvalidInputError(f"{name} has non-finite coordinates: {arr.tolist()}")
     return arr
 
 
@@ -86,10 +86,6 @@ def _as_points(X, dim: int, name: str = "points") -> tuple[np.ndarray, bool]:
         label = name if single else f"{name}[{i}]"
         raise InvalidInputError(f"{label} has non-finite coordinates: {arr[i].tolist()}")
     return arr, single
-
-
-def _as_batch(X, dim: int, name: str = "points") -> np.ndarray:
-    return _as_points(X, dim, name)[0]
 
 
 def _float_array(x, name: str) -> np.ndarray:
@@ -296,15 +292,15 @@ class Domain:
     # -- public queries: each validates its input once ----------------------
     def rho_batch(self, X) -> np.ndarray:
         """The defining function at each row of ``X``."""
-        return self._rho_values(_as_batch(X, self.dim))
+        return self._rho_values(_as_points(X, self.dim)[0])
 
     def rho_grad_batch(self, X) -> np.ndarray:
         """The gradient of the defining function at each row of ``X``."""
-        return self._grad_values(_as_batch(X, self.dim))
+        return self._grad_values(_as_points(X, self.dim)[0])
 
     def signed_distance_batch(self, X) -> np.ndarray:
         """Euclidean distances to the boundary, negative inside."""
-        return self._signed_distances(_as_batch(X, self.dim))
+        return self._signed_distances(_as_points(X, self.dim)[0])
 
     def project_batch(self, X, tie_break=None) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary points and the inward unit normals there.
@@ -318,7 +314,7 @@ class Domain:
         at the feet; a degenerate gradient raises :class:`InvalidInputError`
         naming the point.
         """
-        return self._project(_as_batch(X, self.dim), tie_break)
+        return self._project(_as_points(X, self.dim)[0], tie_break)
 
     # -- one-point queries: row 0 of a batch of one ------------------------
     def rho(self, x) -> float:
@@ -513,7 +509,6 @@ def _ellipse_feet(P: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.nda
     :func:`_ellipse_quadrant_feet` for ``(p, q) = |P|`` with the signs of
     ``P`` restored.
     """
-    P = np.asarray(P, dtype=float)
     p = np.abs(P[:, 0])
     q = np.abs(P[:, 1])
     fx, fy = _ellipse_quadrant_feet(p, q, a, b)
@@ -1022,10 +1017,10 @@ def inward_normal(domain: Domain, base) -> np.ndarray:
     boundary (|rho| > 1e-10) or the gradient there is degenerate.
     """
     base = as_point(base, domain.dim, name="base")
-    rho = domain.rho(base)
+    rho = float(domain._rho_values(base[None, :])[0])
     if abs(rho) > _BOUNDARY_TOL:
         raise InvalidInputError(f"base point {base.tolist()} is not on the boundary (rho = {rho:.3e})")
-    g = domain.rho_grad(base)
+    g = domain._grad_values(base[None, :])[0]
     gn = np.linalg.norm(g)
     if gn < 1e-12:
         raise InvalidInputError(f"degenerate gradient at the base point {base.tolist()}")
@@ -1039,7 +1034,7 @@ def boundary_distance_batch(domain: Domain, X) -> np.ndarray:
     first row outside, or else the first whose distance is not positive,
     raises :class:`InvalidInputError` naming it as ``x`` with its signed distance.
     """
-    X = _as_batch(X, domain.dim, name="x")
+    X, _ = _as_points(X, domain.dim, name="x")
     outside = np.flatnonzero(~(domain._rho_values(X) < 0.0))
     if outside.size:  # only the first row outside is solved, for the message
         X = X[outside[:1]]
@@ -1067,12 +1062,16 @@ def boundary_frame(domain: Domain, base, epsilon: float) -> BoundaryFrame:
     base = as_point(base, domain.dim, name="base")
     nu = inward_normal(domain, base)
     epsilon = _positive(epsilon, "epsilon")
-    probe = base + epsilon * nu
-    if not domain.contains(probe):
-        raise InvalidInputError(
-            f"epsilon = {epsilon} steps outside the domain from base {base.tolist()}"
-        )
+    _interior_probe(domain, base, nu, epsilon, "epsilon")
     return BoundaryFrame(base=base, inward_normal=nu, rotation=rotation_to_last_axis(nu), epsilon=epsilon)
+
+
+def _interior_probe(domain: Domain, base: np.ndarray, nu: np.ndarray, height: float, name: str) -> np.ndarray:
+    """The point ``base + height * nu``, finite with ``rho < 0``, or else an input error naming ``name``."""
+    probe = base + height * nu
+    if not (np.isfinite(probe).all() and domain._rho_values(probe[None, :])[0] < 0.0):
+        raise InvalidInputError(f"{name} = {height} steps outside the domain from base {base.tolist()}")
+    return probe
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,9 @@ class MeasureEstimate:
     """A Monte Carlo estimate with its sampling standard error.
 
     ``estimate`` is a probability for cap measures and a nonnegative density
-    for kernel estimates.  ``wide_interval`` marks zero-hit density estimates,
-    whose ``std_error`` is then a rule-of-three upper bound rather than an
-    empirical standard error.
+    for kernel estimates.  ``wide_interval`` marks zero-hit estimates, whose
+    ``std_error`` is the rule-of-three bound ``3 / walkers_used`` (over the cap
+    area for a density) rather than an empirical standard error.
     """
 
     estimate: float
@@ -157,7 +157,7 @@ def run_walks(
     own row, so the blocks give the bits of one call over all of them.
     """
     x = as_point(x, domain.dim, name="x")
-    if not domain.contains(x):
+    if not domain._rho_values(x[None, :])[0] < 0.0:
         raise InvalidInputError(f"walk origin {x.tolist()} is not strictly inside the domain")
     if truncation_radius is not None:
         truncation_radius = _positive(truncation_radius, "truncation_radius")
@@ -289,8 +289,8 @@ def _cap_estimates(
     for center in centers:
         hits = (~truncated) & (_distances(feet, center) < radius)
         p = float(hits.sum()) / n
-        se = math.sqrt(p * (1.0 - p) / n)
-        out.append(MeasureEstimate(estimate=p, std_error=se, walkers_used=n, truncated_walks=n_trunc))
+        se = math.sqrt(p * (1.0 - p) / n) if p > 0.0 else 3.0 / n  # no hits: a rule-of-three upper bound
+        out.append(MeasureEstimate(p, se, n, n_trunc, wide_interval=p == 0.0))
     return out
 
 
@@ -305,8 +305,9 @@ def estimate_cap_measure(
     """Harmonic measure of the chordal boundary cap ``{|tau - center| < radius}``.
 
     The estimate is the fraction of all walks exiting inside the cap
-    (truncated walks never count as hits), with binomial standard error.  It
-    is unbiased up to a boundary-layer bias of order ``stop_tolerance``.
+    (truncated walks never count as hits), with binomial standard error, or
+    the rule-of-three bound if none hit.  It is unbiased up to a
+    boundary-layer bias of order ``stop_tolerance``.
     """
     center = as_point(cap_center, domain.dim, name="cap_center")
     _check_cap_centers(domain, center[None, :], "cap_center", single=True)
@@ -397,8 +398,6 @@ def _ellipse_cap_arc_length(domain: Ellipse, center: np.ndarray, c: float) -> fl
 
 
 def _density_from_cap(cap: MeasureEstimate, area: float) -> MeasureEstimate:
-    if cap.estimate == 0.0:  # a rule-of-three upper bound stands in for the standard error
-        return replace(cap, std_error=(3.0 / cap.walkers_used) / area, wide_interval=True)
     return replace(cap, estimate=cap.estimate / area, std_error=cap.std_error / area)
 
 

@@ -103,14 +103,14 @@ class TransferredDefiningFunction:
     @property
     def gradient_at_zero(self) -> np.ndarray:
         """Exact chain-rule gradient at the origin, ``Q grad rho(P) / g = -e_d``."""
-        g = self.domain.rho_grad(self.frame.base)
+        g = self.domain._grad_values(self.frame.base[None, :])[0]
         return self.frame.rotation @ g / self.gradient_scale
 
 
 def transfer_defining_function(frame: BoundaryFrame, domain: Domain) -> TransferredDefiningFunction:
     """Transfer the domain's defining function into frame coordinates."""
     inward_normal(domain, frame.base)  # rejects a base off the boundary or with a degenerate gradient
-    gn = float(np.linalg.norm(domain.rho_grad(frame.base)))
+    gn = float(np.linalg.norm(domain._grad_values(frame.base[None, :])[0]))
     return TransferredDefiningFunction(frame=frame, domain=domain, gradient_scale=gn)
 
 
@@ -201,8 +201,8 @@ def kernel_pullback(frame: BoundaryFrame, scaled_kernel: KernelEvaluator, x, tau
     """
     x = as_point(x, frame.dim, name="x")
     tau = as_point(tau, frame.dim, name="tau")
-    s_x = phi_eps(frame, x)
-    s_tau = phi_eps(frame, tau)
+    (s_x,), _ = _frame_map(frame, x, "x")
+    (s_tau,), _ = _frame_map(frame, tau, "tau")
     return float(frame.epsilon ** (-(frame.dim - 1)) * scaled_kernel(s_x, s_tau))
 
 
@@ -214,7 +214,7 @@ def scaled_model_kernel(domain: Domain, frame: BoundaryFrame) -> KernelEvaluator
     kernels.
     """
     if isinstance(domain, Ball):
-        center = phi_eps(frame, domain.center)
+        (center,), _ = _frame_map(frame, domain.center, "center")
         return ball_kernel(center, domain.radius / frame.epsilon)
     if isinstance(domain, Halfspace):
         return halfspace_kernel(domain.dim)

@@ -144,6 +144,27 @@ def test_wos_density_unavailable_reports_why(specs, capsys):
     assert "d = 4" in result["density_unavailable"]
 
 
+def test_wos_on_the_readme_implicit_domain(tmp_path, capsys):
+    # The README's implicit ellipse x^2/4 + y^2 - 1: its cap measure agrees with
+    # the exact-distance Ellipse on an independent seed, and it has no cap area.
+    spec = tmp_path / "implicit.json"
+    spec.write_text(json.dumps({"kind": "implicit_polynomial", "dim": 2,
+                                "coefficients": {"2,0": 0.25, "0,2": 1.0, "0,0": -1.0},
+                                "bounding_box": [[-2.5, -1.5], [2.5, 1.5]], "interior_point": [0.0, 0.0]}))
+    code = main(["wos", "--domain", str(spec), "--x", "0.5,0.2", "--cap-center", "2,0", "--cap-radius", "0.3",
+                 "--walkers", "5000", "--seed", "5", "--stop-tol", "1e-3"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["density"] is None
+    assert "not available for ImplicitPolynomial domains" in result["density_unavailable"]
+    cap = result["cap_measure"]
+    assert cap["walkers"] == 5000 and cap["truncated"] == 0
+    want = pk.estimate_cap_measure(pk.Ellipse([2.0, 1.0]), [0.5, 0.2], [2.0, 0.0], 0.3,
+                                   pk.WosConfig(walkers=5000, seed=6, stop_tolerance=1e-3))
+    assert 0.0 < want.estimate < 1.0
+    assert abs(cap["estimate"] - want.estimate) <= 3.0 * math.hypot(cap["std_error"], want.std_error)
+
+
 def test_wos_checks_its_cap_center_once(specs, capsys, monkeypatch):
     # The cap estimate and the density's cap area share one check of --cap-center.
     centers = []

@@ -137,12 +137,24 @@ def test_load_domain_spec_round_trip(tmp_path):
         pk.load_domain_spec(tmp_path / "absent.json")
 
 
+ROUND_TRIP_SPECS = [
+    {"kind": "ball", "dim": 3, "radius": 2.0, "center": [1.0, 0.0, 0.0]},
+    {"kind": "halfspace", "dim": 3},
+    {"kind": "ellipse", "semi_axes": [1.0, 3.0]},
+    {"kind": "implicit_polynomial", "dim": 2, "coefficients": {"2,0": 0.25, "0,2": 1.0, "0,0": -1.0},
+     "bounding_box": [[-2.5, -1.5], [2.5, 1.5]], "interior_point": [0.0, 0.0]},
+]
+
+
 def test_parsed_domain_descriptor_round_trips():
-    spec = {"kind": "ball", "dim": 3, "radius": 2.0, "center": [1.0, 0.0, 0.0]}
-    d = pk.parse_domain_spec(json.dumps(spec))
-    desc = d.descriptor()
-    again = pk.parse_domain_spec(json.dumps(desc))
-    assert again.descriptor() == desc
+    # Every kind's descriptor is a spec the parser reads back to the same domain.
+    for spec in ROUND_TRIP_SPECS:
+        d = pk.parse_domain_spec(json.dumps(spec))
+        desc = d.descriptor()
+        assert desc["kind"] == spec["kind"]
+        again = pk.parse_domain_spec(json.dumps(desc))
+        assert type(again) is type(d)
+        assert again.descriptor() == desc
 
 
 @pytest.mark.parametrize("value, got", [

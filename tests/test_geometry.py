@@ -673,12 +673,24 @@ def test_off_boundary_base_is_named_by_every_normal_caller():
          ["interior_point [3.0, 0.0]", "bounding box [[-2.0, -2.0], [2.0, 2.0]]"]),
         (lambda: pk.ImplicitPolynomial({(2, 0): 1.0, (0, 2, 0): 1.0, (0, 0): -1.0}, [[-2, -2], [2, 2]], [0, 0]),
          ["lengths [2, 3]"]),
+        # Points that the blow-up maps or steps to are named as the caller's argument.
+        (lambda: pk.kernel_pullback(pk.boundary_frame(pk.Halfspace(2), [0, 0], 1e-3), pk.halfspace_kernel(2),
+                                    [0, 1e-4], [1e306, 0]),
+         ["tau = [1e+306, 0.0] maps to non-finite coordinates [inf, 0.0]"]),
+        (lambda: pk.scaled_model_kernel(pk.Ball(2), pk.BoundaryFrame([1, 0], [-1, 0], pk.rotation_to_last_axis([-1, 0]),
+                                                                     1e-310)),
+         ["center = [0.0, 0.0] maps to non-finite coordinates"]),
+        (lambda: pk.derivative_report(pk.Ball(2), pk.model_kernel(pk.Ball(2)), [1, 0], 2.5, [0.1]),
+         ["probe_height = 2.5 steps outside the domain from base [1.0, 0.0]"]),
+        (lambda: pk.derivative_report(pk.Halfspace(2), pk.model_kernel(pk.Halfspace(2)), [1e308, 0], 0.1, [1e308]),
+         ["targets[0] has non-finite coordinates: [inf, 0.0]"]),
     ],
     ids=["harmonic_extend", "kernel_ratio", "derivative_ratio", "truncation_tail",
          "surrogate", "halfspace_rule", "ball_gradient", "normal_sweep_disc", "normal_sweep_ellipse",
          "derivative_ratio_stencil_exit", "derivative_report_stencil_exit", "derivative_ratio_target_near",
          "derivative_report_target_near", "spec_bounding_box", "interior_point_outside_box",
-         "exponent_lengths"],
+         "exponent_lengths", "pullback_tau", "scaled_ball_center", "derivative_report_probe_height",
+         "derivative_report_offset_overflow"],
 )
 def test_errors_name_the_rejected_input(call, named):
     with pytest.raises(pk.InvalidInputError) as info:
@@ -921,3 +933,6 @@ def test_non_finite_rows_are_rejected_by_name(kind, bad):
     for query in (domain.rho_batch, domain.signed_distance_batch, domain.project_batch):
         with pytest.raises(pk.InvalidInputError, match=named):
             query(X)
+    # a one-point query prints the point in the same list format
+    with pytest.raises(pk.InvalidInputError, match=re.escape(f"point has non-finite coordinates: {X[1].tolist()}")):
+        domain.rho(X[1])

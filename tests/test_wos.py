@@ -1,5 +1,6 @@
 """Walk-on-spheres exit sampling, cap measures, and kernel-density estimates."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 import poisskern as pk
 from poisskern import _rng, geometry, harmonic_measure
+from poisskern.cli import main
 
 
 def _cfg(**kw):
@@ -534,6 +536,27 @@ def test_pooled_walks_equal_the_reference_loop_and_their_subsets(kind, walkers):
         assert g[subset].tobytes() == p.tobytes()
 
 
+def test_plain_implicit_walks_equal_the_polynomial_walks(monkeypatch):
+    # A plain Implicit takes its jump radii from two callable calls per step
+    # (Implicit._rho_and_grad), the polynomial from one pass over its tables:
+    # wrapped as a plain Implicit, the README polynomial walks bit for bit the same.
+    poly = _readme_implicit_ellipse()
+    plain = pk.Implicit(poly.rho_batch, poly.rho_grad_batch,
+                        lambda X: np.array([poly.rho_hess(x) for x in X]).reshape(-1, 2, 2),
+                        poly.bounding_box, poly.interior_point, poly.hess_bound)
+    passes = []
+    rho_and_grad = pk.Implicit._rho_and_grad
+    monkeypatch.setattr(pk.Implicit, "_rho_and_grad", lambda self, X: passes.append(len(X)) or rho_and_grad(self, X))
+    cfg = _cfg(walkers=3000, seed=4, stop_tolerance=1e-4)
+    got = pk.run_walks(plain, [0.5, 0.2], cfg)
+    steps = len(passes)
+    assert steps > 10  # one pass per walk step
+    want = pk.run_walks(poly, [0.5, 0.2], cfg)
+    assert len(passes) == steps  # the polynomial's own one-pass evaluation
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_pooled_implicit_walks_equal_the_reference_loop_and_their_subsets():
     # The README implicit ellipse over two refills of the pool: with every
     # walk settled, its walkers are projected in three blocks, whose feet must
@@ -771,14 +794,27 @@ def test_kernel_density_matches_exact_kernel():
     assert abs(est.estimate - exact) <= 3 * est.std_error
 
 
-def test_zero_hit_cap_reports_wide_interval():
+def test_zero_hit_cap_reports_wide_interval(tmp_path, capsys):
     d = pk.Ball(2)
-    est = pk.estimate_kernel_density(
-        d, np.array([-0.95, 0.0]), np.array([1.0, 0.0]), 0.01, _cfg(walkers=2000, seed=5)
-    )
+    x, y, cfg = np.array([-0.95, 0.0]), np.array([1.0, 0.0]), _cfg(walkers=2000, seed=5)
+    est = pk.estimate_kernel_density(d, x, y, 0.01, cfg)
     assert est.estimate == 0.0
     assert est.wide_interval
     assert est.std_error > 0.0
+    # One rule for a cap no walk hit: the cap measure reports the rule-of-three
+    # bound 3 / n, and the density is that estimate over the cap area.
+    cap = pk.estimate_cap_measure(d, x, y, 0.01, cfg)
+    assert (cap.estimate, cap.std_error, cap.wide_interval) == (0.0, 3.0 / 2000, True)
+    assert est.std_error == cap.std_error / pk.cap_surface_measure(d, y, 0.01)
+    # and so does the command line's cap-measure record
+    spec = tmp_path / "disc.json"
+    spec.write_text('{"kind": "ball", "dim": 2}')
+    assert main(["wos", "--domain", str(spec), "--x=-0.95,0", "--cap-center", "1,0", "--cap-radius", "0.01",
+                 "--walkers", "2000", "--seed", "5", "--stop-tol", "1e-4"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["cap_measure"] == {"estimate": 0.0, "std_error": 3.0 / 2000, "walkers": 2000, "truncated": 0,
+                                     "wide_interval": True}
+    assert result["density"]["std_error"] == est.std_error and result["density"]["wide_interval"]
 
 
 def test_mostly_truncated_run_raises():
@@ -841,7 +877,7 @@ def test_wos_kernel_computes_each_cap_area_once(monkeypatch):
 
 
 def test_wos_kernel_checks_its_targets_in_one_batch_query(monkeypatch):
-    # The ellipse's walks never call rho except on the walk origin.
+    # The targets are checked in one batch, and nothing calls the public one-point rho.
     e = pk.Ellipse([2.0, 1.0])
     T = np.array([e.boundary_point(th) for th in (0.3, 1.2, 2.5, 4.0)])
     kern = pk.WosKernel(e, _cfg(walkers=200), cap_radius=0.1)
@@ -853,7 +889,7 @@ def test_wos_kernel_checks_its_targets_in_one_batch_query(monkeypatch):
     for _ in range(2):  # the first query also computes the cap areas
         kern.estimate([0.5, 0.3], T)
     assert batches == [T.shape, T.shape]
-    assert points == [[0.5, 0.3], [0.5, 0.3]]  # the walk origin's contains check
+    assert points == []  # the walk origin is checked through the primitive
 
 
 def test_wos_kernel_descriptor_and_validation():
