@@ -80,16 +80,16 @@ def _point(text: str) -> tuple:
     try:
         values = tuple(float(p) for p in text.split(","))
     except ValueError as exc:
-        raise InvalidInputError(f"bad coordinate list '{text}'") from exc
+        raise argparse.ArgumentTypeError(f"bad coordinate list '{text}'") from exc
     if len(values) < 2:
-        raise InvalidInputError(f"coordinate list '{text}' needs at least two entries")
+        raise argparse.ArgumentTypeError(f"coordinate list '{text}' needs at least two entries")
     return values
 
 
 def _points(text: str) -> tuple:
     points = tuple(_point(part) for part in text.split(";") if part.strip())
     if not points:
-        raise InvalidInputError(f"point list '{text}' holds no point")
+        raise argparse.ArgumentTypeError(f"point list '{text}' holds no point")
     return points
 
 
@@ -97,7 +97,7 @@ def _floats(text: str) -> tuple:
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
-        raise InvalidInputError(f"bad number list '{text}'") from exc
+        raise argparse.ArgumentTypeError(f"bad number list '{text}'") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

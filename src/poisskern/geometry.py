@@ -1016,15 +1016,21 @@ def inward_normal(domain: Domain, base) -> np.ndarray:
     Raises :class:`InvalidInputError` naming ``base`` if it is off the
     boundary (|rho| > 1e-10) or the gradient there is degenerate.
     """
+    g, gn = _base_gradient(domain, base)
+    return -g / gn
+
+
+def _base_gradient(domain: Domain, base) -> tuple[np.ndarray, float]:
+    """``grad rho`` at the boundary point ``base`` and its norm, with the checks of :func:`inward_normal`."""
     base = as_point(base, domain.dim, name="base")
     rho = float(domain._rho_values(base[None, :])[0])
     if abs(rho) > _BOUNDARY_TOL:
         raise InvalidInputError(f"base point {base.tolist()} is not on the boundary (rho = {rho:.3e})")
     g = domain._grad_values(base[None, :])[0]
-    gn = np.linalg.norm(g)
+    gn = float(np.linalg.norm(g))
     if gn < 1e-12:
         raise InvalidInputError(f"degenerate gradient at the base point {base.tolist()}")
-    return -g / gn
+    return g, gn
 
 
 def boundary_distance_batch(domain: Domain, X) -> np.ndarray:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 
+from . import _rng
 from .errors import DomainUnsupportedError, InvalidInputError
 from .geometry import (
-    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _distances, _positive, as_point, inward_normal,
+    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _base_gradient, _positive, as_point,
 )
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
@@ -109,70 +109,33 @@ class TransferredDefiningFunction:
 
 def transfer_defining_function(frame: BoundaryFrame, domain: Domain) -> TransferredDefiningFunction:
     """Transfer the domain's defining function into frame coordinates."""
-    inward_normal(domain, frame.base)  # rejects a base off the boundary or with a degenerate gradient
-    gn = float(np.linalg.norm(domain._grad_values(frame.base[None, :])[0]))
+    _, gn = _base_gradient(domain, frame.base)  # rejects a base off the boundary or with a degenerate gradient
     return TransferredDefiningFunction(frame=frame, domain=domain, gradient_scale=gn)
-
-
-def _primes(count: int) -> list[int]:
-    """The first ``count`` primes, by trial division."""
-    primes: list[int] = []
-    k = 2
-    while len(primes) < count:
-        if all(k % p for p in primes if p * p <= k):
-            primes.append(k)
-        k += 1
-    return primes
-
-
-def _halton(n: int, dim: int) -> np.ndarray:
-    """First ``n`` points of the unscrambled Halton sequence in ``[0, 1)^dim``.
-
-    Column ``j`` is the radical inverse of ``0 .. n-1`` in the ``j``-th prime
-    base (Halton, Numer. Math. 2, 1960); row 0 is the origin.
-    """
-    out = np.zeros((n, dim))
-    for j, base in enumerate(_primes(dim)):
-        digits = np.arange(n)
-        scale = 1.0 / base
-        while np.any(digits):
-            out[:, j] += (digits % base) * scale
-            digits //= base
-            scale /= base
-    return out
-
-
-def _unit_directions(u: np.ndarray) -> np.ndarray:
-    """Rows of ``(0, 1)^d`` mapped to unit vectors through the normal quantile."""
-    inv_cdf = NormalDist().inv_cdf
-    g = np.array([inv_cdf(v) for v in u.ravel()]).reshape(u.shape)
-    norms = _distances(g)
-    norms[norms < 1e-14] = 1.0
-    return g / norms[:, None]
 
 
 @lru_cache(maxsize=32)
 def _gap_grid(dim: int, radius: float) -> np.ndarray:
-    """Deterministic low-discrepancy sample of the closed ball |s| <= radius.
+    """Deterministic read-only sample of the closed ball |s| <= radius.
 
-    4096 points total: 3584 interior points from an unscrambled Halton
-    sequence, generated by radical inverses (inverse-Gaussian directions,
-    radii ~ u^{1/d} for uniformity in volume), plus 512 points exactly on the
-    bounding sphere, where curvature-dominated gaps attain their supremum.
+    4096 points drawn from the walk streams of seed 0: each row ``i`` takes
+    its direction from draw 0 of stream ``i`` (:func:`_rng.sphere_directions`).
+    The first 3584 rows are interior points at radius ``radius * u**(1/d)``,
+    uniform in volume, with ``u`` the next uniform draw of the same stream.
+    The last 512 lie exactly on the bounding sphere, where curvature-dominated
+    gaps attain their supremum: in 2-D at the exactly spaced angles
+    ``2 pi k / 512``, in higher dimensions along their streams' directions.
     """
     inner = _GRID_SIZE - _GRID_SHELL
-    raw = _halton(inner + 64, dim + 1)
-    good = raw[np.all((raw > 0.0) & (raw < 1.0), axis=1)]
-    radii = radius * good[:inner, dim] ** (1.0 / dim)
-    interior = _unit_directions(good[:inner, :dim]) * radii[:, None]
-
+    keys = _rng.stream_keys(0, np.arange(_GRID_SIZE))
+    dirs = _rng.sphere_directions(keys, 0, dim)
+    u = _rng.uniform(keys[:inner], _rng.draws_per_step(dim))
+    interior = dirs[:inner] * (radius * u ** (1.0 / dim))[:, None]
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(_GRID_SHELL) / _GRID_SHELL
         shell_dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        shell_dirs = _unit_directions(good[:_GRID_SHELL, :dim])
-    shell = radius * shell_dirs
-    grid = np.concatenate([interior, shell], axis=0)
+        shell_dirs = dirs[inner:]
+    grid = np.concatenate([interior, radius * shell_dirs], axis=0)
     grid.setflags(write=False)
     return grid
 
@@ -180,11 +143,12 @@ def _gap_grid(dim: int, radius: float) -> np.ndarray:
 def linearization_gap(tdf: TransferredDefiningFunction, radius: float) -> float:
     """Sup-norm distance of ``rho_eps`` from its flat limit ``-s_d``.
 
-    Returns ``max |rho_eps(s) + s_d|`` over a fixed deterministic 4096-point
-    low-discrepancy grid of the ball ``|s| <= radius`` (the reported value is
-    the grid maximum, chosen for bit-reproducibility over randomized sup
-    estimation).  Decays like O(eps) for C^2 boundaries and vanishes
-    identically when the boundary is already flat.
+    Returns ``max |rho_eps(s) + s_d|`` over a fixed 4096-point grid of the
+    ball ``|s| <= radius``, drawn once from the seed-0 walk streams, with its
+    512 shell points on the sphere (exactly spaced angles in 2-D).  The
+    reported value is the grid maximum, chosen for bit-reproducibility over
+    randomized sup estimation.  Decays like O(eps) for C^2 boundaries and
+    vanishes identically when the boundary is already flat.
     """
     S = _gap_grid(tdf.frame.dim, _positive(radius, "radius"))
     vals = tdf(S)

@@ -245,6 +245,31 @@ def test_bad_coordinate_string_exits_one(specs, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--x", "0.5", "--t", "1,0"], "argument --x: coordinate list '0.5' needs at least two entries"),
+    (["kernel", "--x", "a,b", "--t", "1,0"], "argument --x: bad coordinate list 'a,b'"),
+    (["ratio", "--base", "1,0", "--deltas", "0.1,x"], "argument --deltas: bad number list '0.1,x'"),
+    (["ratio", "--base", "1,0", "--deltas", "0.1", "--targets", ";"],
+     "argument --targets: point list ';' holds no point"),
+], ids=["one-coordinate", "non-numeric-point", "non-numeric-delta", "no-target"])
+def test_list_option_errors_name_the_reason(specs, capsys, argv, message):
+    # argparse turns a ValueError from a type function into "invalid <function> value";
+    # the reason has to reach the user instead.
+    code = main([argv[0], "--domain", specs["disc"], *argv[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == f"poisskern: error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("coord:x", "bad boundary data spec 'coord:x'"),
+    ("foo", "unknown boundary data 'foo' (expected 'one' or 'coord:K')"),
+], ids=["non-integer-index", "unknown-kind"])
+def test_extend_bad_data_spec_exits_one(specs, capsys, spec, message):
+    code = main(["extend", "--domain", specs["disc"], "--x", "0.3,0.1", "--data", spec])
+    assert code == 1
+    assert capsys.readouterr().err == f"poisskern: error: {message}\n"
+
+
 @pytest.mark.parametrize("option", ["--targets=", "--targets=;", "--deltas="])
 def test_ratio_empty_list_exits_one_naming_the_option(specs, capsys, option):
     # An empty --targets list used to exit 0 and sweep the base point instead.
@@ -369,6 +394,18 @@ def test_missing_output_directory_exits_one(specs, tmp_path, capsys):
     assert "output directory does not exist" in capsys.readouterr().err
 
 
+def test_failed_rename_removes_the_temporary_file(specs, tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code = main(["kernel", "--domain", specs["disc"], "--x", "0,0", "--t", "1,0",
+                 "--out", str(tmp_path / "k.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "poisskern: error: rename refused\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in specs.values())
+
+
 def test_derivative_point_mode(specs, capsys):
     code = main(["derivative", "--domain", specs["halfplane"], "--x", "0,0.3",
                  "--y", "0.3,0", "--direction", "1,0", "--order", "1"])
@@ -409,11 +446,12 @@ def test_derivative_mode_validation(specs, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: a fresh interpreter that imports the
-    # package and its CLI must not pull in any scipy module.
+    # numpy is the one run-time dependency: a fresh interpreter that imports
+    # the package and its CLI must not pull in scipy or mpmath (test-only
+    # reference libraries) or the standard library's statistics module.
     code = (
         "import sys, poisskern, poisskern.cli\n"
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'statistics', 'mpmath')])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pk.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -626,8 +626,11 @@ def test_off_boundary_base_is_named_by_every_normal_caller():
         interior_point=[0.0, 0.0],
         hess_bound=452.0,  # bounds 6 (r^2 - 1)^2 + 24 (r^2 - 1) r^2 over the box (r^2 <= 4.5)
     )
-    with pytest.raises(pk.InvalidInputError, match=re.escape("degenerate gradient at the base point [1.0, 0.0]")):
-        inward_normal(cubed, [1.0, 0.0])
+    on_cubed = pk.BoundaryFrame(base=np.array([1.0, 0.0]), inward_normal=np.array([-1.0, 0.0]),
+                                rotation=pk.rotation_to_last_axis(np.array([-1.0, 0.0])), epsilon=0.1)
+    for call in (lambda: inward_normal(cubed, [1.0, 0.0]), lambda: pk.transfer_defining_function(on_cubed, cubed)):
+        with pytest.raises(pk.InvalidInputError, match=re.escape("degenerate gradient at the base point [1.0, 0.0]")):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -797,6 +800,8 @@ def test_quadrature_resolution_floor_and_unsupported_domains():
         pk.boundary_quadrature(_ellipse_implicit(), 64)
     with pytest.raises(pk.DomainUnsupportedError):
         pk.boundary_quadrature(pk.Ball(4), 16)
+    with pytest.raises(pk.DomainUnsupportedError, match="halfspace boundary quadrature .* got d = 4"):
+        pk.boundary_quadrature(pk.Halfspace(4), 16, truncation=1.0)
 
 
 @pytest.mark.parametrize("n", [8, 9, 64, 65, 1024, 1025, 2048])

@@ -280,6 +280,9 @@ def test_halfspace_truncation_tail():
     bound = pk.halfspace_truncation_tail(3, x3, 30.0)
     assert bound >= true_tail3
     assert bound <= 2.0 * true_tail3
+    assert pk.halfspace_truncation_tail(3, [5.0, 0.0, 1.0], 2.0) == 1.0  # the disc misses x's foot
+    with pytest.raises(pk.DomainUnsupportedError, match="got d = 4"):
+        pk.halfspace_truncation_tail(4, [0.0, 0.0, 0.0, 1.0], 2.0)
 
 
 # ---------------------------------------------------------------------------

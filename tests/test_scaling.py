@@ -1,5 +1,6 @@
 """Boundary dilation, transferred defining functions, and the pullback identity."""
 
+import json
 import math
 
 import numpy as np
@@ -81,6 +82,30 @@ def test_transferred_defining_function_validates_its_batch_once(monkeypatch):
     monkeypatch.undo()
     assert sum(rows) == 1000
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_frame_and_its_transfer_each_evaluate_the_base_gradient_once():
+    rows = {"rho": 0, "grad": 0}
+
+    def counted(name, f):
+        def call(X):
+            rows[name] += len(X)
+            return f(X)
+        return call
+
+    domain = pk.Implicit(  # the README ellipse x^2/4 + y^2 < 1
+        rho=counted("rho", lambda X: X[:, 0] ** 2 / 4.0 + X[:, 1] ** 2 - 1.0),
+        grad=counted("grad", lambda X: np.column_stack([X[:, 0] / 2.0, 2.0 * X[:, 1]])),
+        hess=lambda X: np.broadcast_to(np.diag([0.5, 2.0]), (len(X), 2, 2)),
+        bounding_box=[[-2.5, -1.5], [2.5, 1.5]], interior_point=[0.0, 0.0], hess_bound=2.0,
+    )
+    rows.update(rho=0, grad=0)
+    frame = pk.boundary_frame(domain, [2.0, 0.0], 0.1)
+    assert rows == {"rho": 2, "grad": 1}  # the base, then the interior probe
+    rows.update(rho=0, grad=0)
+    tdf = pk.transfer_defining_function(frame, domain)
+    assert rows == {"rho": 1, "grad": 1}
+    assert tdf.gradient_scale == 1.0
 
 
 def test_transferred_defining_function_names_an_overflowing_point():
@@ -203,41 +228,31 @@ def test_linearization_gap_halves_on_ellipse_at_every_base():
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_halton_equals_scipy_unscrambled_halton(dim):
-    qmc = pytest.importorskip("scipy.stats").qmc
-    reference = qmc.Halton(d=dim, scramble=False).random(3700)
-    np.testing.assert_array_equal(scaling._halton(3700, dim), reference)
-
-
-def _scipy_gap_grid(dim, radius):
-    """The gap grid as built with scipy's Halton sequence and normal quantile."""
-    qmc = pytest.importorskip("scipy.stats").qmc
-    ndtri = pytest.importorskip("scipy.special").ndtri
-
-    def directions(n, d):
-        raw = qmc.Halton(d=d, scramble=False).random(n + 64)
-        good = raw[np.all((raw > 0.0) & (raw < 1.0), axis=1)][:n]
-        g = ndtri(good[:, :dim])
-        return g / np.linalg.norm(g, axis=1)[:, None], good
-
-    dirs, good = directions(3584, dim + 1)
-    interior = dirs * (radius * good[:, dim] ** (1.0 / dim))[:, None]
+def test_gap_grid_fills_the_ball_and_its_sphere(dim):
+    radius = 0.75
+    grid = scaling._gap_grid(dim, radius)
+    assert grid.shape == (4096, dim)
+    assert not grid.flags.writeable
+    norms = np.linalg.norm(grid, axis=1)
+    assert np.all(norms[:3584] <= radius)
+    np.testing.assert_allclose(norms[3584:], radius, rtol=1e-15, atol=0.0)
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(512) / 512
-        shell_dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        shell_dirs, _ = directions(512, dim)
-    return np.concatenate([interior, radius * shell_dirs], axis=0)
+        np.testing.assert_array_equal(grid[3584:], radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
-def test_gap_grid_matches_scipy_construction(dim, radius):
-    grid = scaling._gap_grid(dim, radius)
-    reference = _scipy_gap_grid(dim, radius)
-    assert grid.shape == reference.shape == (4096, dim)
-    assert np.abs(grid - reference).max() <= 1e-15
-    assert not grid.flags.writeable
+def test_linearization_gap_nears_the_exact_sup_on_an_ellipsoid():
+    # rho = x^2/4 + y^2 + z^2/2.25 - 1 at (0, 0, 1.5): |grad rho| = 4/3, and
+    # rho_eps(s) + s_d = (3/4) eps (s_x^2/4 + s_y^2 + s_z^2/2.25) up to the
+    # frame's rotation of the tangent plane, whose sup over |s| <= 1 is 0.75 eps.
+    spec = {"kind": "implicit_polynomial", "dim": 3,
+            "coefficients": {"2,0,0": 0.25, "0,2,0": 1.0, "0,0,2": 1 / 2.25, "0,0,0": -1.0},
+            "bounding_box": [[-2.5, -1.5, -2.0], [2.5, 1.5, 2.0]], "interior_point": [0.0, 0.0, 0.0]}
+    domain = pk.parse_domain_spec(json.dumps(spec))
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        tdf = pk.transfer_defining_function(pk.boundary_frame(domain, [0.0, 0.0, 1.5], eps), domain)
+        gap = pk.linearization_gap(tdf, 1.0)
+        assert 0.75 * eps * (1.0 - 2e-3) <= gap <= 0.75 * eps
 
 
 def test_linearization_gap_input_validation():
@@ -307,6 +322,9 @@ def test_scaled_model_kernel_geometry():
     # kernel at the scaled center equals the uniform density on that circle
     val = sk(center_image, center_image + np.array([1 / 0.3, 0.0]))
     assert val == pytest.approx(1.0 / (2 * np.pi / 0.3), rel=1e-12)
+    ellipse = pk.Ellipse([2.0, 1.0])
+    with pytest.raises(pk.DomainUnsupportedError, match="Ellipse domain has no closed-form kernel"):
+        pk.scaled_model_kernel(ellipse, pk.boundary_frame(ellipse, [2.0, 0.0], 0.1))
 
 
 def test_halfspace_surrogate_exact_on_halfspace():
