@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (
     _BOUNDARY_TOL, Domain, _as_points, _callable_values, _direction, _finite, _integer, _interior_probe, _positive,
-    _row_norms, as_point, boundary_distance, boundary_distance_batch, inward_normal, rotation_to_last_axis,
+    _base_normal, _row_norms, as_point, boundary_distance, boundary_distance_batch, rotation_to_last_axis,
 )
 
 __all__ = [
@@ -180,10 +180,12 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     the inward unit normal at ``base``); each boundary target contributes one
     :class:`RatioRecord`.  The report's ``c1_hat``/``c2_hat`` are the observed
     extremes over the whole grid, including far-field records.  The kernel is
-    called once per source point, with all targets as one batch.
+    called once per source point, with all targets as one batch.  A ``delta``
+    past a focal or medial point of the base, where ``x`` lies nearer the
+    boundary than ``delta``, raises :class:`InvalidInputError` naming it.
     """
     base = as_point(base, domain.dim, name="base")
-    nu = inward_normal(domain, base)
+    nu, gn = _base_normal(domain, base)
     deltas = [_positive(d, f"deltas[{k}]") for k, d in enumerate(deltas)]
     target_pts = [as_point(t, domain.dim, name=f"targets[{j}]") for j, t in enumerate(targets)]
     if not deltas:
@@ -194,9 +196,9 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     T = np.stack(target_pts)
     ys = [tuple(y) for y in T.tolist()]
     X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
-    dist = boundary_distance_batch(domain, X)
+    dist = _probe_distances(domain, X, deltas, [f"deltas[{k}]" for k in range(len(deltas))], gn)
     records = []
-    for x, delta in zip(X, dist.tolist()):
+    for x, delta in zip(X, dist):
         records.extend(_ratio_records(domain, kernel, x, delta, T, ys))
     ratios = [rec.ratio for rec in records]
     return SweepReport(
@@ -211,6 +213,19 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
             "far_field_rule": f"separation > {FAR_FIELD_SEPARATION_FACTOR:g} * delta",
         },
     )
+
+
+def _probe_distances(domain: Domain, X: np.ndarray, heights: list, labels: list, grad_norm: float) -> list:
+    """Boundary distances of the probes ``x = base + h * nu``, refusing (by ``h``'s label) one nearer the boundary
+    than ``h``: the normal passes a focal or medial point of the base first.  The slack is the base's own tolerance,
+    ``1e-10 / |grad rho|`` in length, plus the distance solves' 1e-12 relative tolerance."""
+    distances = boundary_distance_batch(domain, X).tolist()
+    for x, h, dist, label in zip(X, heights, distances, labels):
+        if h - dist > _BOUNDARY_TOL / grad_norm + 1e-12 * max(1.0, float(np.abs(x).max())):
+            raise InvalidInputError(f"{label} = {h!r} reaches past a focal or medial point of the base's normal: "
+                                    f"x = {x.tolist()} lies at boundary distance {dist!r}, so the base is not "
+                                    "its nearest boundary point")
+    return distances
 
 
 def directional_derivative(kernel, x, y, order: int, direction, step: float) -> float:
@@ -359,7 +374,8 @@ def derivative_report(
     each tangential offset (exact boundary points on flat boundaries).  For
     every target, each tangent direction and the normal direction contribute
     one record per requested order.  A Monte Carlo kernel (with an
-    ``estimate`` method) raises :class:`InvalidInputError`.
+    ``estimate`` method) raises :class:`InvalidInputError`, and so does a
+    probe height past a focal or medial point of the base.
     """
     base = as_point(base, domain.dim, name="base")
     h = _positive(probe_height, "probe_height")
@@ -369,7 +385,7 @@ def derivative_report(
     for i, order in enumerate(orders):
         if order in orders[:i]:
             raise InvalidInputError(f"derivative order {order!r} is requested more than once")
-    nu = inward_normal(domain, base)
+    nu, gn = _base_normal(domain, base)
     x = _interior_probe(domain, base, nu, h, "probe_height")
     tangents = list(rotation_to_last_axis(nu)[:-1])
 
@@ -383,7 +399,7 @@ def derivative_report(
     if not np.all(on):
         Y[~on] = domain._project(Y[~on], None)[0]
     directions = [(t, "tangential") for t in tangents] + [(nu, "normal")]
-    delta = -float(domain._signed_distances(x[None, :])[0])
+    (delta,) = _probe_distances(domain, x[None, :], [h], ["probe_height"], gn)
     records = _derivative_records(domain, kernel, x, delta, Y, directions, orders, max(1e-6, 1e-4 * h), "targets")
 
     normal_first = [
@@ -391,8 +407,7 @@ def derivative_report(
     ]
     flag = False
     if len(normal_first) >= 2:
-        by_sep = sorted(normal_first, key=lambda r: r.separation)
-        nearest = by_sep[0].ratio
+        nearest = min(normal_first, key=lambda r: r.separation).ratio
         largest = max(r.ratio for r in normal_first)
         flag = largest > 3.0 * nearest if nearest > 0.0 else largest > 0.0
     return DerivativeReport(

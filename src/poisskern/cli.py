@@ -341,14 +341,7 @@ def _cmd_ratio(config: argparse.Namespace, domain: Domain):
         kernel = WosKernel(domain, _wos_config(config, domain), config.cap_radius, config.truncation)
     else:
         kernel = model_kernel(domain)
-    targets = config.targets or (config.base,)
-    report = normal_sweep(
-        domain,
-        kernel,
-        np.asarray(config.base),
-        list(config.deltas),
-        [np.asarray(t) for t in targets],
-    )
+    report = normal_sweep(domain, kernel, config.base, config.deltas, config.targets or (config.base,))
     _emit(_csv_report(config, report.to_csv_text()), config.output)
     if config.summary_output is not None:
         summary = report.to_json_summary(seed=config.seed)
@@ -361,26 +354,12 @@ def _cmd_derivative(config: argparse.Namespace, domain: Domain):
     if sweep_mode:
         if config.probe_height is None or config.offsets is None:
             raise InvalidInputError("sweep mode requires --probe-height and --offsets")
-        report = derivative_report(
-            domain,
-            kernel,
-            np.asarray(config.base),
-            config.probe_height,
-            list(config.offsets),
-            orders=(config.order,),
-        )
+        report = derivative_report(domain, kernel, config.base, config.probe_height, config.offsets, (config.order,))
         _emit(_json_report(config, report.to_json_summary()), config.output)
         return
     if config.x is None or config.y is None or config.direction is None:
         raise InvalidInputError("point mode requires --x, --y and --direction")
-    ratio = derivative_ratio(
-        domain,
-        kernel,
-        np.asarray(config.x),
-        np.asarray(config.y),
-        config.order,
-        np.asarray(config.direction),
-    )
+    ratio = derivative_ratio(domain, kernel, config.x, config.y, config.order, config.direction)
     _emit(_json_report(config, {"ratio": ratio, "order": config.order}), config.output)
 
 

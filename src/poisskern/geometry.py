@@ -628,7 +628,8 @@ class Implicit(Domain):
     at construction.  ``hess_bound`` is a size that bounds the spectral norm
     of the Hessian of ``rho`` over the bounding box; walks take their jump
     radii from it (:func:`_inscribed_radii`, clipped to the distance from the
-    box edge, where the bound stops holding), with no nearest-point solve.
+    box edge, where the bound stops holding), with no nearest-point solve; that
+    distance is a running ``np.minimum`` over the columns, exact like ``min``.
 
     Signed distance and projection solve the nearest-point conditions
     ``y - x + lam * grad(y) = 0, rho(y) = 0`` with a damped Newton iteration
@@ -684,18 +685,16 @@ class Implicit(Domain):
         return self._hess_values(as_point(x, self.dim)[None, :])[0]
 
     # -- walk primitives ----------------------------------------------------
-    def _rho_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``rho`` and its gradient at each row of the already validated batch ``X``."""
-        return self._rho_values(X), self._grad_values(X)
-
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
-        """Inscribed radii from ``hess_bound``, clipped to the distance from the bounding-box edge."""
+        """Inscribed radii from ``hess_bound``, clipped to the distance from the bounding-box edge, a running
+        ``np.minimum`` over the columns: exact as an axis-1 ``np.min`` is, which numpy runs row by row."""
+        edge, w = np.full(len(X), np.inf), np.empty(len(X))
+        for column, lo, hi in zip(X.T, *self.bounding_box):
+            np.minimum(edge, np.subtract(column, lo, out=w), out=edge)
+            np.minimum(edge, np.subtract(hi, column, out=w), out=edge)
         X = np.ascontiguousarray(X)  # the user's callables see C-order rows, whatever the walk's layout
-        lo, hi = self.bounding_box
-        edge = np.minimum(np.min(X - lo, axis=1), np.min(hi - X, axis=1))
-        rho, grad = self._rho_and_grad(X)
-        radii = _inscribed_radii(rho, _distances(grad), self.hess_bound)
-        return np.minimum(radii, np.maximum(edge, 0.0), out=radii)
+        radii = _inscribed_radii(self._rho_values(X), _distances(self._grad_values(X)), self.hess_bound)
+        return np.minimum(radii, np.maximum(edge, 0.0, out=edge), out=radii)
 
     def _settled_feet(self, X: np.ndarray) -> np.ndarray:
         """One Newton solve from each settled point itself, which lies next to
@@ -912,11 +911,6 @@ class ImplicitPolynomial(Implicit):
             hess_bound=hess_bound,
         )
 
-    def _rho_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``rho`` and its gradient from one pass over the first ``1 + d`` tables."""
-        values = self._evaluate(X, slice(0, 1 + self.dim))
-        return values[:, 0], values[:, 1:]
-
     def _evaluate(self, X: np.ndarray, tables: slice) -> np.ndarray:
         """The selected rows of the polynomial tables at each point of ``X``: ``(n, rows)``."""
         powers = np.empty(X.shape + (self._degree + 1,))
@@ -1016,12 +1010,11 @@ def inward_normal(domain: Domain, base) -> np.ndarray:
     Raises :class:`InvalidInputError` naming ``base`` if it is off the
     boundary (|rho| > 1e-10) or the gradient there is degenerate.
     """
-    g, gn = _base_gradient(domain, base)
-    return -g / gn
+    return _base_normal(domain, base)[0]
 
 
-def _base_gradient(domain: Domain, base) -> tuple[np.ndarray, float]:
-    """``grad rho`` at the boundary point ``base`` and its norm, with the checks of :func:`inward_normal`."""
+def _base_normal(domain: Domain, base) -> tuple[np.ndarray, float]:
+    """:func:`inward_normal` at the boundary point ``base``, with ``|grad rho|`` there."""
     base = as_point(base, domain.dim, name="base")
     rho = float(domain._rho_values(base[None, :])[0])
     if abs(rho) > _BOUNDARY_TOL:
@@ -1030,7 +1023,7 @@ def _base_gradient(domain: Domain, base) -> tuple[np.ndarray, float]:
     gn = float(np.linalg.norm(g))
     if gn < 1e-12:
         raise InvalidInputError(f"degenerate gradient at the base point {base.tolist()}")
-    return g, gn
+    return -g / gn, gn
 
 
 def boundary_distance_batch(domain: Domain, X) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from . import _rng
 from .errors import DomainUnsupportedError, InvalidInputError
 from .geometry import (
-    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _base_gradient, _positive, as_point,
+    Ball, BoundaryFrame, Domain, Halfspace, _as_points, _base_normal, _positive, as_point,
 )
 from .model_kernels import KernelEvaluator, ball_kernel, halfspace_kernel, poisson_halfspace
 
@@ -109,7 +109,7 @@ class TransferredDefiningFunction:
 
 def transfer_defining_function(frame: BoundaryFrame, domain: Domain) -> TransferredDefiningFunction:
     """Transfer the domain's defining function into frame coordinates."""
-    _, gn = _base_gradient(domain, frame.base)  # rejects a base off the boundary or with a degenerate gradient
+    _, gn = _base_normal(domain, frame.base)  # rejects a base off the boundary or with a degenerate gradient
     return TransferredDefiningFunction(frame=frame, domain=domain, gradient_scale=gn)
 
 
@@ -182,9 +182,7 @@ def scaled_model_kernel(domain: Domain, frame: BoundaryFrame) -> KernelEvaluator
         return ball_kernel(center, domain.radius / frame.epsilon)
     if isinstance(domain, Halfspace):
         return halfspace_kernel(domain.dim)
-    raise DomainUnsupportedError(
-        f"the dilated image of a {type(domain).__name__} domain has no closed-form kernel"
-    )
+    raise DomainUnsupportedError(f"{type(domain).__name__} domain has no closed-form kernel for its dilated image")
 
 
 def halfspace_surrogate(frame: BoundaryFrame, x, tau) -> float:

@@ -615,3 +615,39 @@ def test_sweep_errors_name_the_offending_target():
         pk.normal_sweep(d, k, base, [0.1], [base, np.array([np.inf, 0.0])])
     with pytest.raises(pk.InvalidInputError, match=r"t\[1\] = \[0\.0, 0\.5\] is off the sphere"):
         pk.normal_sweep(d, k, base, [0.1], [base, np.array([0.0, 0.5])])
+
+
+# A probe past the base's focal or medial distance has another nearest
+# boundary point, so its boundary distance is not the requested height.
+_SHORT_PROBES = {
+    "disc_through_center": (pk.Ball(2), [1.0, 0.0], [0.1, 1.5, 1.9], 1, [-0.5, 0.0], 0.5),
+    "ellipse_vertex_focal": (pk.Ellipse([2.0, 1.0]), [2.0, 0.0], [0.4, 0.6, 1.0], 1, [1.4, 0.0], 0.5887840577551898),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHORT_PROBES))
+def test_sweep_refuses_a_delta_past_the_focal_distance(case):
+    d, base, deltas, k, x, dist = _SHORT_PROBES[case]
+    kernel = lambda x, T: np.ones(len(T))  # noqa: E731  never called
+    message = (f"deltas[{k}] = {deltas[k]!r} reaches past a focal or medial point of the base's normal: "
+               f"x = {x!r} lies at boundary distance {dist!r}, so the base is not its nearest boundary point")
+    with pytest.raises(pk.InvalidInputError) as exc:
+        pk.normal_sweep(d, kernel, base, deltas, [[0.0, 1.0]])
+    assert str(exc.value) == message
+    probe = (f"probe_height = {deltas[k]!r} reaches past a focal or medial point of the base's normal: "
+             f"x = {x!r} lies at boundary distance {dist!r}, so the base is not its nearest boundary point")
+    with pytest.raises(pk.InvalidInputError) as exc:
+        pk.derivative_report(d, kernel, base, deltas[k], [0.0, 0.1])
+    assert str(exc.value) == probe
+
+
+def test_sweep_keeps_a_delta_that_rounds_short():
+    # x = (1 - 1e-12, 0) rounds to a point 2.2e-17 nearer the circle: that is rounding, not a mismatch.
+    d = pk.Ball(2)
+    report = pk.normal_sweep(d, pk.model_kernel(d), [1.0, 0.0], [1e-12], [[0.0, 1.0]])
+    assert report.records[0].delta == 9.999778782798785e-13
+    # A base accepted off the circle (|rho| <= 1e-10) keeps its sweep too.
+    base = [1.0 + 5e-11, 0.0]
+    report = pk.normal_sweep(d, pk.model_kernel(d), base, [0.1], [[0.0, 1.0]])
+    assert report.records[0].delta == pytest.approx(0.1 - 5e-11, abs=1e-16)
+    assert pk.derivative_report(d, pk.model_kernel(d), base, 0.1, [0.0, 0.1]).records[0].delta == report.records[0].delta

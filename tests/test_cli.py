@@ -483,3 +483,18 @@ def test_kernel_at_a_point_with_negative_coordinates(specs, capsys):
     assert code == 0
     value = json.loads(capsys.readouterr().out)["result"]["value"]
     assert value == pk.poisson_ball(2, [-0.5, 0.2], [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("argv, label, x, dist", [
+    (["ratio", "--deltas", "1.5,1.9", "--targets", "0,1"], "deltas[0] = 1.5", [-0.5, 0.0], 0.5),
+    (["derivative", "--probe-height", "1.5", "--offsets", "0,0.1"], "probe_height = 1.5", [-0.5, 0.0], 0.5),
+], ids=["ratio", "derivative"])
+def test_a_probe_past_the_center_exits_one_naming_its_height(specs, capsys, tmp_path, argv, label, x, dist):
+    # These used to exit 0, recording delta = 0.5 for the requested 1.5.
+    out = tmp_path / "out"
+    code = main([argv[0], "--domain", specs["disc"], "--base", "1,0", *argv[1:], "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"poisskern: error: {label} reaches past a focal or medial point of the base's normal: "
+        f"x = {x} lies at boundary distance {dist}, so the base is not its nearest boundary point\n"
+    )

@@ -419,6 +419,42 @@ def test_jump_radii_are_inscribed_and_tend_to_the_distance(kind):
     assert np.all((radii[80:] <= depth * (1.0 + 1e-6)) & (radii[80:] >= depth * (1.0 - 1e-2)))
 
 
+def _two_reduction_jump_radii(domain, X):
+    """Implicit jump radii with the bounding-box distance as two axis-1 ``np.min`` reductions."""
+    X = np.ascontiguousarray(X)
+    lo, hi = domain.bounding_box
+    edge = np.minimum(np.min(X - lo, axis=1), np.min(hi - X, axis=1))
+    radii = geometry._inscribed_radii(domain.rho_batch(X), _distances(domain.rho_grad_batch(X)), domain.hess_bound)
+    return np.minimum(radii, np.maximum(edge, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["readme_ellipse", "cut_box_ellipse", "ellipsoid3"])
+def test_implicit_jump_radii_equal_the_two_reduction_clip(kind):
+    ellipse = {(2, 0): 0.25, (0, 2): 1.0, (0, 0): -1.0}
+    domain = {
+        "readme_ellipse": _ellipse_implicit(),
+        # A box that cuts the domain: near its x edges the clip binds.
+        "cut_box_ellipse": pk.ImplicitPolynomial(ellipse, [[-1.5, -1.5], [1.5, 1.5]], [0.0, 0.0]),
+        "ellipsoid3": pk.ImplicitPolynomial({(2, 0, 0): 0.25, (0, 2, 0): 1.0, (0, 0, 2): 1 / 2.25, (0, 0, 0): -1.0},
+                                            [[-2.5, -1.5, -2.0], [2.5, 1.5, 2.0]], [0.0, 0.0, 0.0]),
+    }[kind]
+    lo, hi = domain.bounding_box
+    rng = np.random.default_rng(7)
+    X = rng.uniform(1.1 * lo, 1.1 * hi, size=(3000, domain.dim))  # rows inside and outside the box
+    rows = rng.integers(0, 3000, 400)
+    X[rows[:200], rows[:200] % domain.dim] = lo[rows[:200] % domain.dim]  # rows on the box's edge
+    X[rows[200:], rows[200:] % domain.dim] = hi[rows[200:] % domain.dim]
+    outside = np.any((X < lo) | (X > hi), axis=1)
+    assert outside.any() and not outside.all()
+    want = _two_reduction_jump_radii(domain, X)
+    for layout in (X, np.ascontiguousarray(X.T).T):  # the walk hands over a coordinate-major pool
+        got = domain._jump_radii(layout)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.any(want[~outside] > 0.0) and np.all(want[outside] == 0.0)
+    unclipped = geometry._inscribed_radii(domain.rho_batch(X), _distances(domain.rho_grad_batch(X)), domain.hess_bound)
+    assert np.any(want < unclipped) == (kind == "cut_box_ellipse")  # inside a box, a valid bound never needs it
+
+
 def test_implicit_polynomial_gradient_and_hessian_are_exact():
     imp = _ellipse_implicit()
     x = np.array([0.7, -0.3])

@@ -327,6 +327,16 @@ def test_scaled_model_kernel_geometry():
         pk.scaled_model_kernel(ellipse, pk.boundary_frame(ellipse, [2.0, 0.0], 0.1))
 
 
+def test_scaled_model_kernel_refusal_names_the_class():
+    ellipse = pk.Ellipse([2.0, 1.0])
+    implicit = pk.ImplicitPolynomial({(2, 0): 0.25, (0, 2): 1.0, (0, 0): -1.0},
+                                     bounding_box=[[-2.5, -1.5], [2.5, 1.5]], interior_point=[0.0, 0.0])
+    for domain, name in ((ellipse, "Ellipse"), (implicit, "ImplicitPolynomial")):
+        with pytest.raises(pk.DomainUnsupportedError) as exc:
+            pk.scaled_model_kernel(domain, pk.boundary_frame(domain, [2.0, 0.0], 0.1))
+        assert str(exc.value) == f"{name} domain has no closed-form kernel for its dilated image"
+
+
 def test_halfspace_surrogate_exact_on_halfspace():
     h = pk.Halfspace(2)
     kh = pk.model_kernel(h)
