@@ -51,6 +51,11 @@ _SEED_LIMIT = 1 << 64
 _INDEX_LIMIT = 1 << 63  # walker indices are carried as int64
 _TRUNCATION_FAILURE_FRACTION = 0.5  # estimation fails above this share of truncated walks
 _POOL = 16384  # walker slots, refilled in place: a step's (dim, slots) temporaries stay cache-sized
+# Walkers per run_walks call of an estimator, whose results are all it holds
+# per walker.  Each call ends in a drain of the pool, passes over ever fewer
+# walkers: at 16 pool fills these cost no measurable time on a 2e6-walker disc
+# estimate, at 8 about 10%.
+_CHUNK = 16 * _POOL
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,29 @@ class MeasureEstimate:
     wide_interval: bool = False
 
 
-def _walker_indices(walker_indices) -> np.ndarray:
-    """Validated stream indices: a 1-D sequence of integers in ``[0, 2**63)``, bools excluded."""
+def _walker_indices(walker_indices) -> "np.ndarray | range":
+    """Validated stream indices: a 1-D sequence of integers in ``[0, 2**63)``, bools excluded.
+
+    A range whose ends lie in bounds is kept as it is, not copied; a 1-D
+    integer ndarray is checked in bulk; anything else entry by entry, as a
+    range out of bounds is.  An error names the first offending entry.
+    """
+    if isinstance(walker_indices, range):
+        ends = (walker_indices[0], walker_indices[-1]) if walker_indices else (0, 0)
+        if 0 <= min(ends) and max(ends) < _INDEX_LIMIT:
+            return walker_indices  # monotone, so its ends bound every entry
+    if isinstance(walker_indices, np.ndarray) and walker_indices.ndim == 1 and walker_indices.dtype.kind in "iu":
+        if walker_indices.dtype.kind == "i":
+            bad = np.flatnonzero(walker_indices < 0)
+            if bad.size:
+                raise InvalidInputError(f"walker index {walker_indices[bad[0]]} is negative")
+        elif walker_indices.dtype.itemsize == 8:
+            bad = np.flatnonzero(walker_indices >= np.uint64(_INDEX_LIMIT))
+            if bad.size:
+                raise InvalidInputError(
+                    f"walker index {walker_indices[bad[0]]} is too large: indices must be below 2**63"
+                )
+        return walker_indices.astype(np.int64, copy=False)
     entries = np.asarray(walker_indices, dtype=object)  # keeps each entry's own type
     if entries.ndim != 1:
         raise InvalidInputError(f"walker_indices must be a 1-D sequence, got shape {entries.shape}")
@@ -140,7 +166,12 @@ def run_walks(
 
     ``walker_indices`` selects which counter-based streams to run (default
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
-    full batch would produce for those indices.
+    full batch would produce for those indices.  A ``range`` is kept as it is
+    rather than copied into an array.
+
+    The three results are the only arrays held per walker, ``8 d + 9`` bytes:
+    stream keys are derived a pool's worth ahead of the queue, so memory
+    beyond the results does not grow with the walker count.
 
     Walkers step in a pool of at most ``_POOL`` (16384) slots, so each step's
     temporaries stay cache-sized; a freed slot is refilled in place by the
@@ -176,11 +207,24 @@ def run_walks(
             f"stop_tolerance {stop!r} is not below the jump radius {origin_radius!r} at the walk "
             f"origin x = {x.tolist()}: every walker would settle where it starts"
         )
-    indices = np.arange(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
-    n = indices.size
+    # glibc's malloc trims the top of its heap once more than twice its mmap
+    # threshold lies free there, and raises that threshold from 128 KiB only
+    # when a block above it is freed.  Until then a pass's temporaries, a few
+    # pool-sized arrays, are trimmed and faulted back in on every pass: 11.6k
+    # minor faults in a process's first 1e5-walker disc estimate against 1.0k.
+    # Freeing one untouched block of eight pool rows first keeps them on the heap.
+    np.empty(8 * _POOL)
+    indices = range(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
+    n = len(indices)
     dim = domain.dim
     draws = _rng.draws_per_step(dim)
-    queue_keys = _rng.stream_keys(config.seed, indices)
+
+    def queue_keys(lo: int, hi: int) -> np.ndarray:
+        """Stream keys of queued walkers ``lo .. hi - 1``."""
+        block = indices[lo:hi]
+        if isinstance(block, range):
+            block = np.arange(block.start, block.stop, block.step)
+        return _rng.stream_keys(config.seed, block)
 
     final = np.empty((n, dim))
     truncated = np.zeros(n, dtype=bool)
@@ -188,10 +232,12 @@ def run_walks(
 
     # The pool: output row, stream key, position (a column of the coordinate-major
     # pos) and jumps made of each walker in flight, in fixed slots that stay
-    # aligned across the four arrays.
+    # aligned across the four arrays.  The keys of the next walkers to queue
+    # up, at most a pool's worth, wait in ``ahead``.
     admitted = min(n, _POOL)
     rows = np.arange(admitted)
-    keys = queue_keys[:admitted].copy()
+    keys = queue_keys(0, admitted)
+    ahead = keys[:0]
     pos = np.repeat(x[:, None], admitted, axis=1)
     jumps = np.zeros(admitted, dtype=np.int64)
     while rows.size:
@@ -211,8 +257,12 @@ def run_walks(
             steps[idx] = jumps[out]
             # Queued walkers take the freed slots at x, no jumps made, and jump in this pass.
             slots = out[: n - admitted]
+            if ahead.size < slots.size:
+                queued = admitted + ahead.size
+                ahead = np.concatenate((ahead, queue_keys(queued, min(n, queued + _POOL))))
             rows[slots] = np.arange(admitted, admitted + slots.size)
-            keys[slots] = queue_keys[admitted : admitted + slots.size]
+            keys[slots] = ahead[: slots.size]
+            ahead = ahead[slots.size :]
             pos[:, slots] = x[:, None]
             jumps[slots] = 0
             radius[slots] = origin_radius
@@ -228,11 +278,22 @@ def run_walks(
         pos += directions
         jumps += 1
 
-    settled = np.flatnonzero(~truncated)
-    for lo in range(0, settled.size, _POOL):
-        block = settled[lo : lo + _POOL]
+    for block in _settled_blocks(truncated):
         final[block] = domain._settled_feet(final.take(block, axis=0))
     return final, truncated, steps
+
+
+def _settled_blocks(truncated: np.ndarray):
+    """Rows of the settled walkers in order, in blocks of ``_POOL`` (the last may be
+    shorter), from a scan of ``truncated`` a pool's worth at a time."""
+    held = np.empty(0, dtype=np.intp)
+    for lo in range(0, truncated.size, _POOL):
+        held = np.concatenate((held, lo + np.flatnonzero(~truncated[lo : lo + _POOL])))
+        if held.size >= _POOL:
+            yield held[:_POOL]
+            held = held[_POOL:]
+    if held.size:
+        yield held
 
 
 def wos_exit(
@@ -276,19 +337,35 @@ def _check_cap_centers(domain: Domain, T: np.ndarray, name: str, single: bool) -
 
 
 def _cap_estimates(
-    feet: np.ndarray, truncated: np.ndarray, centers, radius: float
+    domain: Domain, x, config: WosConfig, truncation_radius: float | None, centers, radius: float
 ) -> list[MeasureEstimate]:
-    """Cap-measure estimate for each cap center from one set of walks."""
-    n = feet.shape[0]
-    n_trunc = int(truncated.sum())
+    """Cap-measure estimate for each cap center from one run of ``config.walkers`` walks.
+
+    The walks run in consecutive index chunks of ``_CHUNK`` walkers, and each
+    chunk's feet are counted against every center a pool's worth of rows at a
+    time, so only the integer hit and truncation counts outlive a chunk.  The
+    counts, hence every estimate, are those of one run over all walkers.
+    """
+    n = config.walkers
+    hits = [0] * len(centers)
+    n_trunc = 0
+    for lo in range(0, n, _CHUNK):
+        # A lone chunk is the default run: a caller keying walks by their indices copies none.
+        chunk = None if n <= _CHUNK else range(lo, min(n, lo + _CHUNK))
+        feet, truncated = run_walks(domain, x, config, truncation_radius, walker_indices=chunk)[:2]
+        n_trunc += int(np.count_nonzero(truncated))
+        for b in range(0, truncated.size, _POOL):
+            settled = ~truncated[b : b + _POOL]
+            for j, center in enumerate(centers):
+                hits[j] += int(np.count_nonzero(settled & (_distances(feet[b : b + _POOL], center) < radius)))
+        del feet, truncated  # before the next chunk's results are made
     if n_trunc / n > _TRUNCATION_FAILURE_FRACTION:
         raise EstimationFailureError(
             f"{n_trunc} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%})"
         )
     out = []
-    for center in centers:
-        hits = (~truncated) & (_distances(feet, center) < radius)
-        p = float(hits.sum()) / n
+    for count in hits:
+        p = float(count) / n
         se = math.sqrt(p * (1.0 - p) / n) if p > 0.0 else 3.0 / n  # no hits: a rule-of-three upper bound
         out.append(MeasureEstimate(p, se, n, n_trunc, wide_interval=p == 0.0))
     return out
@@ -307,13 +384,15 @@ def estimate_cap_measure(
     The estimate is the fraction of all walks exiting inside the cap
     (truncated walks never count as hits), with binomial standard error, or
     the rule-of-three bound if none hit.  It is unbiased up to a
-    boundary-layer bias of order ``stop_tolerance``.
+    boundary-layer bias of order ``stop_tolerance``.  Walks run ``_CHUNK``
+    walkers at a time and only hit counts are kept, so memory does not grow
+    with ``config.walkers``; the counts, hence the bits, do not depend on the
+    chunking.
     """
     center = as_point(cap_center, domain.dim, name="cap_center")
     _check_cap_centers(domain, center[None, :], "cap_center", single=True)
     radius = _positive(cap_radius, "cap_radius")
-    feet, truncated, _ = run_walks(domain, x, config, truncation_radius=truncation_radius)
-    return _cap_estimates(feet, truncated, [center], radius)[0]
+    return _cap_estimates(domain, x, config, truncation_radius, [center], radius)[0]
 
 
 def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
@@ -429,7 +508,10 @@ class WosKernel:
     an ``x`` walks again and reproduces the same exits.  Estimates sharing a
     query are therefore correlated across targets; estimates for different
     ``x`` are independent.  The cap area of each target is computed once per
-    kernel and reused by later queries.
+    kernel and reused by later queries.  A query walks ``_CHUNK`` walkers at a
+    time and keeps only each target's hit count, so its memory does not grow
+    with the walker count, and its estimates are those of one run over all
+    walkers, bit for bit.
 
     Targets are a single boundary point or an ``(m, d)`` batch.  Calling the
     object returns the density estimate as a float for one point and an array
@@ -463,10 +545,7 @@ class WosKernel:
         Y, single = _as_points(y, self.domain.dim, name="y")
         _check_cap_centers(self.domain, Y, "y", single)
         areas = [self._area(center) for center in Y]
-        feet, truncated, _ = run_walks(
-            self.domain, x, self.config, truncation_radius=self.truncation_radius
-        )
-        caps = _cap_estimates(feet, truncated, Y, self.cap_radius)
+        caps = _cap_estimates(self.domain, x, self.config, self.truncation_radius, Y, self.cap_radius)
         out = [_density_from_cap(cap, area) for cap, area in zip(caps, areas)]
         return out[0] if single else out
 

@@ -369,6 +369,43 @@ def test_walker_indices_beyond_int64_are_rejected():
     assert np.array_equal(feet[0], pk.wos_exit(d, x, _cfg(), np.uint64(2**63 - 1)))
 
 
+def _index_outcome(indices):
+    """The validated int64 indices, or the error text."""
+    try:
+        return harmonic_measure._walker_indices(indices)
+    except pk.InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("entries, dtypes", [
+    ([0, 5, 3, 2**40], (np.int64, np.uint64)),
+    ([7, 0, 200], (np.int16, np.int32, np.uint8, np.uint16, np.uint32)),
+    ([], (np.int64, np.uint64)),
+    ([4, -3, 2, -9], (np.int8, np.int64)),
+    ([1, 2**63, 3, 2**64 - 1], (np.uint64,)),
+    ([True, False], (bool,)),
+])
+def test_walker_index_arrays_and_lists_agree(entries, dtypes):
+    # Integer arrays are checked in bulk and lists entry by entry: both give
+    # the same indices, or the same error naming the first bad entry.
+    want = _index_outcome(entries)
+    for dtype in dtypes:
+        got = _index_outcome(np.array(entries, dtype=dtype))
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+    # a range keeps its entries lazily when its ends are in bounds, and names
+    # its first bad entry like a list when they are not
+    for r in (range(0), range(3, 40, 7), range(39, 2, -7), range(-2, 5), range(2**63 - 2, 2**63 + 1)):
+        got, want = _index_outcome(r), _index_outcome(list(r))
+        assert got == want if isinstance(want, str) else list(got) == want.tolist()
+    d, x = pk.Ball(2), [0.3, 0.1]
+    walks = [pk.run_walks(d, x, _cfg(), walker_indices=ix) for ix in (range(39, 2, -7), list(range(39, 2, -7)))]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*walks))
+
+
 def test_truncation_radius_validation():
     # A bad radius used to truncate every walk (or, for NaN and inf, none).
     h, x = pk.Halfspace(2), np.array([0.0, 1.0])
@@ -593,22 +630,133 @@ def test_settled_walkers_are_projected_in_pool_sized_blocks(kind, monkeypatch):
     assert settle(domain, np.concatenate(batches)).tobytes() == feet[~truncated].tobytes()
 
 
-@pytest.mark.parametrize("kind, limit_mb", [
-    ("disc", 10), ("ball3", 10), ("ellipse", 10), ("implicit_ellipse", 25),
-])
-def test_a_walk_allocates_little_beyond_its_results(kind, limit_mb):
-    # The walk's temporaries are pool-sized, the settle's included: the
-    # allocation peak of 1e5 walkers stays within a few results' worth.
-    domain, x, _ = SETTLE_CASES[kind]
-    cfg = _cfg(walkers=100_000, stop_tolerance=1e-4)
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
     try:
-        feet, truncated, _ = pk.run_walks(domain, x, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _result_bytes(dim, walkers):
+    """What run_walks holds per walker: a float foot, a truncation flag and an int64 step count."""
+    return (8 * dim + 9) * walkers
+
+
+# What a walk allocates beyond its results, whatever its walker count: the
+# pool, its temporaries and the settle's.  Measured at 2.4-2.8 MB on the exact
+# domains and 11.0 MB on the implicit ellipse, whose Newton solves hold more per row.
+POOL_ALLOWANCE_MB = {"disc": 3.2, "ball3": 3.2, "ellipse": 3.2, "implicit_ellipse": 12}
+
+
+@pytest.mark.parametrize("kind", list(POOL_ALLOWANCE_MB))
+def test_a_walk_allocates_little_beyond_its_results(kind):
+    # The walk's temporaries are pool-sized, the settle's and the stream keys'
+    # included: 1e5 walkers allocate their results and the pool allowance.
+    domain, x, _ = SETTLE_CASES[kind]
+    cfg = _cfg(walkers=100_000, stop_tolerance=1e-4)
+    (feet, truncated, _), peak = _traced_peak(lambda: pk.run_walks(domain, x, cfg))
     assert not truncated.any()
-    assert peak < limit_mb * 1e6, f"{peak / 1e6:.1f} MB"
+    limit = _result_bytes(domain.dim, cfg.walkers) + POOL_ALLOWANCE_MB[kind] * 1e6
+    assert peak < limit, f"{peak / 1e6:.2f} MB against {limit / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball3", "ellipse"])
+def test_a_walk_holds_only_its_results_per_walker(kind):
+    # Stream keys are derived a pool's worth ahead of the queue, so 1e5 more
+    # walkers add their results and nothing else: no index or key array per
+    # walker, and no temporaries of the key derivation over all of them.
+    domain, x, _ = SETTLE_CASES[kind]
+    peaks = [_traced_peak(lambda: pk.run_walks(domain, x, _cfg(walkers=n)))[1] for n in (100_000, 200_000)]
+    per_walker = (peaks[1] - peaks[0]) / 100_000
+    assert per_walker <= 1.1 * _result_bytes(domain.dim, 1), f"{per_walker:.1f} B per walker"
+
+
+CHUNK = harmonic_measure._CHUNK
+
+
+def test_an_estimate_holds_one_chunk_whatever_its_walker_count():
+    # The estimators walk _CHUNK walkers at a time and keep only counts, so
+    # four chunks peak where one does.
+    domain, x, _ = SETTLE_CASES["disc"]
+    peaks = [
+        _traced_peak(lambda: pk.estimate_cap_measure(domain, x, [1.0, 0.0], 0.3, _cfg(walkers=n)))[1]
+        for n in (CHUNK, 4 * CHUNK)
+    ]
+    assert peaks[1] - peaks[0] <= 1.5e6, [f"{p / 1e6:.2f} MB" for p in peaks]
+
+
+CHUNK_CASES = {
+    "disc": (pk.Ball(2), [0.1, 0.55], [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]], 0.3, None),
+    "ball3": (pk.Ball(3), [0.1, 0.3, -0.2], [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [1.0, 0.0, 0.0]], 0.5, None),
+    "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.3],
+                [pk.Ellipse([2.0, 1.0]).boundary_point(t) for t in (0.4, 1.5, 3.0)], 0.3, None),
+    # R = 20 truncates some walks
+    "halfplane": (pk.Halfspace(2), [0.2, 0.7], [[0.0, 0.0], [1.0, 0.0], [-3.0, 0.0]], 0.5, 20.0),
+}
+
+
+def _one_run_estimates(domain, x, centers, radius, cfg, truncation):
+    """Cap estimates from one run_walks over all walkers, by the estimators' rule."""
+    feet, truncated, _ = pk.run_walks(domain, x, cfg, truncation_radius=truncation)
+    n, n_trunc = cfg.walkers, int(truncated.sum())
+    out = []
+    for center in np.asarray(centers, dtype=float):
+        p = float(((~truncated) & (np.linalg.norm(feet - center, axis=1) < radius)).sum()) / n
+        se = math.sqrt(p * (1.0 - p) / n) if p > 0.0 else 3.0 / n
+        out.append(pk.MeasureEstimate(p, se, n, n_trunc, wide_interval=p == 0.0))
+    return out
+
+
+@pytest.mark.parametrize("kind", list(CHUNK_CASES))
+def test_chunked_estimates_equal_one_run_bit_for_bit(kind, monkeypatch):
+    # 2 * CHUNK + 7 walkers walk in three chunks; the hit and truncation
+    # counts, hence every estimate, are those of one run over all walkers.
+    domain, x, centers, radius, truncation = CHUNK_CASES[kind]
+    cfg = _cfg(walkers=2 * CHUNK + 7, stop_tolerance=1e-3)
+    want = _one_run_estimates(domain, x, centers, radius, cfg, truncation)
+    assert truncation is None or want[0].truncated_walks > 0
+    chunks, walk = [], harmonic_measure.run_walks
+    monkeypatch.setattr(harmonic_measure, "run_walks",
+                        lambda *a, walker_indices, **kw: chunks.append(walker_indices) or walk(*a, walker_indices=walker_indices, **kw))
+    cap = pk.estimate_cap_measure(domain, x, centers[0], radius, cfg, truncation_radius=truncation)
+    assert chunks == [range(0, CHUNK), range(CHUNK, 2 * CHUNK), range(2 * CHUNK, 2 * CHUNK + 7)]
+    assert cap == want[0]
+    areas = [pk.cap_surface_measure(domain, c, radius) for c in centers]
+    densities = [harmonic_measure._density_from_cap(w, a) for w, a in zip(want, areas)]
+    assert pk.estimate_kernel_density(domain, x, centers[0], radius, cfg, truncation) == densities[0]
+    kern = pk.WosKernel(domain, cfg, radius, truncation)
+    assert kern.estimate(x, np.asarray(centers, dtype=float)) == densities
+
+
+def test_chunked_estimates_fail_on_truncation_like_one_run():
+    # Every walk makes its one allowed jump and truncates: the failure counts
+    # all chunks together and names the total.
+    d, x = pk.Ball(2), [0.5, 0.0]
+    cfg = _cfg(walkers=2 * CHUNK + 7, max_steps=1, stop_tolerance=1e-9)
+    _, truncated, _ = pk.run_walks(d, x, cfg)
+    named = re.escape(f"{int(truncated.sum())} of {cfg.walkers} walks truncated (limit 50%)")
+    with pytest.raises(pk.EstimationFailureError, match=f"^{named}$"):
+        pk.estimate_cap_measure(d, x, [1.0, 0.0], 0.3, cfg)
+    with pytest.raises(pk.EstimationFailureError, match=f"^{named}$"):
+        pk.WosKernel(d, cfg, 0.3).estimate(x, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_chunked_cli_wos_report_equals_the_library(tmp_path, capsys):
+    spec = tmp_path / "disc.json"
+    spec.write_text('{"kind": "ball", "dim": 2}')
+    n = 2 * CHUNK + 7
+    assert main(["wos", "--domain", str(spec), "--x", "0.1,0.55", "--cap-center", "1,0", "--cap-radius", "0.3",
+                 "--walkers", str(n), "--seed", "7", "--stop-tol", "1e-3"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    d, cfg = pk.Ball(2), _cfg(walkers=n, stop_tolerance=1e-3)
+    cap = pk.estimate_cap_measure(d, [0.1, 0.55], [1.0, 0.0], 0.3, cfg)
+    density = pk.estimate_kernel_density(d, [0.1, 0.55], [1.0, 0.0], 0.3, cfg)
+    for record, est in ((result["cap_measure"], cap), (result["density"], density)):
+        assert record == {"estimate": est.estimate, "std_error": est.std_error, "walkers": n,
+                          "truncated": est.truncated_walks, "wide_interval": est.wide_interval}
 
 
 @pytest.mark.parametrize("kind", list(POOL_CASES))
