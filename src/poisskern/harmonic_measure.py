@@ -109,26 +109,18 @@ class MeasureEstimate:
 def _walker_indices(walker_indices) -> "np.ndarray | range":
     """Validated stream indices: a 1-D sequence of integers in ``[0, 2**63)``, bools excluded.
 
-    A range whose ends lie in bounds is kept as it is, not copied; a 1-D
-    integer ndarray is checked in bulk; anything else entry by entry, as a
-    range out of bounds is.  An error names the first offending entry.
+    A range whose ends lie in bounds is kept as a range, not copied; anything
+    else is checked entry by entry, as a range out of bounds is.  An error
+    names the first offending entry.
     """
     if isinstance(walker_indices, range):
         ends = (walker_indices[0], walker_indices[-1]) if walker_indices else (0, 0)
         if 0 <= min(ends) and max(ends) < _INDEX_LIMIT:
-            return walker_indices  # monotone, so its ends bound every entry
-    if isinstance(walker_indices, np.ndarray) and walker_indices.ndim == 1 and walker_indices.dtype.kind in "iu":
-        if walker_indices.dtype.kind == "i":
-            bad = np.flatnonzero(walker_indices < 0)
-            if bad.size:
-                raise InvalidInputError(f"walker index {walker_indices[bad[0]]} is negative")
-        elif walker_indices.dtype.itemsize == 8:
-            bad = np.flatnonzero(walker_indices >= np.uint64(_INDEX_LIMIT))
-            if bad.size:
-                raise InvalidInputError(
-                    f"walker index {walker_indices[bad[0]]} is too large: indices must be below 2**63"
-                )
-        return walker_indices.astype(np.int64, copy=False)
+            # Monotone, so its ends bound every entry.  Its step fits int64 once
+            # it spans two entries; a shorter range gets step 1.
+            if len(walker_indices) < 2:
+                return range(ends[0], ends[0] + len(walker_indices))
+            return walker_indices
     entries = np.asarray(walker_indices, dtype=object)  # keeps each entry's own type
     if entries.ndim != 1:
         raise InvalidInputError(f"walker_indices must be a 1-D sequence, got shape {entries.shape}")
@@ -223,7 +215,8 @@ def run_walks(
         """Stream keys of queued walkers ``lo .. hi - 1``."""
         block = indices[lo:hi]
         if isinstance(block, range):
-            block = np.arange(block.start, block.stop, block.step)
+            # Built in int64: np.arange would promote a stop of 2**63 to float64.
+            block = block.start + block.step * np.arange(len(block), dtype=np.int64)
         return _rng.stream_keys(config.seed, block)
 
     final = np.empty((n, dim))

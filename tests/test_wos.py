@@ -386,8 +386,8 @@ def _index_outcome(indices):
     ([True, False], (bool,)),
 ])
 def test_walker_index_arrays_and_lists_agree(entries, dtypes):
-    # Integer arrays are checked in bulk and lists entry by entry: both give
-    # the same indices, or the same error naming the first bad entry.
+    # Integer arrays and lists give the same indices, or the same error
+    # naming the first bad entry.
     want = _index_outcome(entries)
     for dtype in dtypes:
         got = _index_outcome(np.array(entries, dtype=dtype))
@@ -398,12 +398,16 @@ def test_walker_index_arrays_and_lists_agree(entries, dtypes):
             assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
     # a range keeps its entries lazily when its ends are in bounds, and names
     # its first bad entry like a list when they are not
-    for r in (range(0), range(3, 40, 7), range(39, 2, -7), range(-2, 5), range(2**63 - 2, 2**63 + 1)):
+    top = range(2**63 - 3, 2**63)  # its stop does not fit int64
+    for r in (range(0), range(3, 40, 7), range(39, 2, -7), range(5, 6, 2**70), top, range(-2, 5),
+              range(2**63 - 2, 2**63 + 1)):
         got, want = _index_outcome(r), _index_outcome(list(r))
         assert got == want if isinstance(want, str) else list(got) == want.tolist()
     d, x = pk.Ball(2), [0.3, 0.1]
-    walks = [pk.run_walks(d, x, _cfg(), walker_indices=ix) for ix in (range(39, 2, -7), list(range(39, 2, -7)))]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(*walks))
+    for r in (range(39, 2, -7), range(5, 6, 2**70), top):
+        walks = [pk.run_walks(d, x, _cfg(), walker_indices=ix) for ix in (r, list(r))]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*walks))
+    assert len({tuple(foot) for foot in walks[0][0]}) == 3
 
 
 def test_truncation_radius_validation():
@@ -674,18 +678,26 @@ def test_a_walk_holds_only_its_results_per_walker(kind):
     assert per_walker <= 1.1 * _result_bytes(domain.dim, 1), f"{per_walker:.1f} B per walker"
 
 
-CHUNK = harmonic_measure._CHUNK
-
-
 def test_an_estimate_holds_one_chunk_whatever_its_walker_count():
     # The estimators walk _CHUNK walkers at a time and keep only counts, so
     # four chunks peak where one does.
     domain, x, _ = SETTLE_CASES["disc"]
+    chunk = harmonic_measure._CHUNK
     peaks = [
         _traced_peak(lambda: pk.estimate_cap_measure(domain, x, [1.0, 0.0], 0.3, _cfg(walkers=n)))[1]
-        for n in (CHUNK, 4 * CHUNK)
+        for n in (chunk, 4 * chunk)
     ]
     assert peaks[1] - peaks[0] <= 1.5e6, [f"{p / 1e6:.2f} MB" for p in peaks]
+
+
+# The chunk arithmetic does not depend on the chunk size: a small chunk that is
+# not a whole number of pools puts chunk ends mid-pool and keeps the tests quick.
+CHUNK = POOL + 5
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(harmonic_measure, "_CHUNK", CHUNK)
 
 
 CHUNK_CASES = {
@@ -711,7 +723,7 @@ def _one_run_estimates(domain, x, centers, radius, cfg, truncation):
 
 
 @pytest.mark.parametrize("kind", list(CHUNK_CASES))
-def test_chunked_estimates_equal_one_run_bit_for_bit(kind, monkeypatch):
+def test_chunked_estimates_equal_one_run_bit_for_bit(kind, small_chunk, monkeypatch):
     # 2 * CHUNK + 7 walkers walk in three chunks; the hit and truncation
     # counts, hence every estimate, are those of one run over all walkers.
     domain, x, centers, radius, truncation = CHUNK_CASES[kind]
@@ -731,7 +743,7 @@ def test_chunked_estimates_equal_one_run_bit_for_bit(kind, monkeypatch):
     assert kern.estimate(x, np.asarray(centers, dtype=float)) == densities
 
 
-def test_chunked_estimates_fail_on_truncation_like_one_run():
+def test_chunked_estimates_fail_on_truncation_like_one_run(small_chunk):
     # Every walk makes its one allowed jump and truncates: the failure counts
     # all chunks together and names the total.
     d, x = pk.Ball(2), [0.5, 0.0]
@@ -744,7 +756,7 @@ def test_chunked_estimates_fail_on_truncation_like_one_run():
         pk.WosKernel(d, cfg, 0.3).estimate(x, [[1.0, 0.0], [0.0, 1.0]])
 
 
-def test_chunked_cli_wos_report_equals_the_library(tmp_path, capsys):
+def test_chunked_cli_wos_report_equals_the_library(tmp_path, capsys, small_chunk):
     spec = tmp_path / "disc.json"
     spec.write_text('{"kind": "ball", "dim": 2}')
     n = 2 * CHUNK + 7
