@@ -67,27 +67,45 @@ _COS_SIN = _cos_sin_table()
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (xor-shift-multiply avalanche) on uint64 arrays."""
+    """splitmix64 finalizer (xor-shift-multiply avalanche) on a uint64 array,
+    in place: ``z`` is overwritten with the result and returned, and one shift
+    buffer is all it allocates."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_1
-        z = (z ^ (z >> np.uint64(27))) * _MIX_2
-        return z ^ (z >> np.uint64(31))
+        shifted = z >> np.uint64(30)
+        z ^= shifted
+        z *= _MIX_1
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= _MIX_2
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def stream_keys(seed: int, walker_indices) -> np.ndarray:
     """Independent uint64 stream key for each walker index under one seed."""
     w = np.atleast_1d(np.asarray(walker_indices, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        return _mix(np.uint64(seed & _U64_MASK) ^ _mix((w + np.uint64(1)) * _GOLDEN))
+        z = _mix((w + np.uint64(1)) * _GOLDEN)
+        z ^= np.uint64(seed & _U64_MASK)
+        return _mix(z)
 
 
 def _bits(keys: np.ndarray, draw_index) -> np.ndarray:
-    """The 53-bit integer of draw ``draw_index`` of each stream (an int, or one per stream)."""
+    """The 53-bit integer of draw ``draw_index`` of each stream (an int, or one
+    per stream), in a fresh uint64 array.  With one int the counter
+    ``keys + (draw_index + 1) * golden`` is a single add over the keys."""
     keys = np.asarray(keys, dtype=np.uint64)
     idx = np.asarray(draw_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix(keys + (idx + np.uint64(1)) * _GOLDEN)
-    return z >> np.uint64(11)
+    z >>= np.uint64(11)
+    return z
+
+
+def key_step(draws: int) -> np.uint64:
+    """What ``draws`` draws add to a stream key, modulo 2**64: draw ``i`` of
+    ``key + key_step(k)`` is draw ``k + i`` of ``key``, bit for bit, since a
+    draw's counter is the key plus a multiple of the golden step."""
+    return np.uint64(draws * int(_GOLDEN) & _U64_MASK)
 
 
 def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
@@ -96,7 +114,10 @@ def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
     ``draw_index`` is one int for all streams or an integer array with one
     index per stream.
     """
-    return _bits(keys, draw_index).astype(np.float64) * _INV_2_53
+    # Below 2**53, so the int64 view converts exactly, and faster than uint64 does.
+    u = _bits(keys, draw_index).view(np.int64).astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def _cos_sin(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -107,7 +128,8 @@ def _cos_sin(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty((2, m.shape[0]))
     i = (m >> np.uint64(_REMAINDER_BITS)).view(np.intp)  # below 2**12, so the view is exact
-    delta = np.multiply(m & _REMAINDER_MASK, _REMAINDER_ANGLE)  # below 2**41, so exact as floats
+    # Below 2**41, so exact as floats; the int64 view converts faster than uint64 does.
+    delta = np.multiply((m & _REMAINDER_MASK).view(np.int64), _REMAINDER_ANGLE)
     d2 = delta * delta
     sin_d = d2 * (1.0 / 120.0)
     np.subtract(1.0 / 6.0, sin_d, out=sin_d)
@@ -162,9 +184,13 @@ def sphere_directions(keys: np.ndarray, base_index, dim: int) -> np.ndarray:
         return _cos_sin(_bits(keys, base_index)).T
     if dim == 3:
         g = np.empty((3, n))
-        c = np.subtract(2.0 * uniform(keys, base_index), 1.0, out=g[2])
+        u = uniform(keys, base_index)
+        u *= 2.0
+        c = np.subtract(u, 1.0, out=g[2])
         _cos_sin(_bits(keys, base_index + 1), g[:2])
-        g[:2] *= np.sqrt(np.maximum(0.0, 1.0 - c * c))
+        s = np.multiply(c, c, out=u)
+        np.subtract(1.0, s, out=s)
+        g[:2] *= np.sqrt(np.maximum(0.0, s, out=s), out=s)
         return g.T
     pairs = (dim + 1) // 2
     g = np.empty((2 * pairs, n))

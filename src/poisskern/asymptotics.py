@@ -11,8 +11,9 @@ possible; on other domains the kernel is estimated by walk-on-spheres.
 Kernels are batch evaluators: ``kernel(x, T)`` takes one interior point and an
 ``(m, d)`` batch of boundary points and returns ``m`` values (an evaluator
 with an ``estimate`` method returns ``m`` Monte Carlo estimates instead).  A
-sweep evaluates each source point once, over all of its targets; a single
-ratio is the same computation with one target.
+sweep evaluates each source point once, over all of its targets, and hands a
+walk-on-spheres kernel all of its source points at once; a single ratio is
+the same computation with one target.
 
 The derivative analogue ``|D^k P(x, y)| |x - y|^{d+k} / delta(x)`` is exposed
 as a direction-resolved *report*, not an assertion: exact halfspace algebra
@@ -32,6 +33,7 @@ from .geometry import (
     _BOUNDARY_TOL, Domain, _as_points, _callable_values, _direction, _finite, _integer, _interior_probe, _positive,
     _base_normal, _row_norms, as_point, boundary_distance, boundary_distance_batch, rotation_to_last_axis,
 )
+from .harmonic_measure import WosKernel
 
 __all__ = [
     "RatioRecord",
@@ -87,37 +89,56 @@ def kernel_ratio(domain: Domain, kernel, x, y) -> RatioRecord:
     x = as_point(x, domain.dim, name="x")
     y = as_point(y, domain.dim, name="y")
     delta = boundary_distance(domain, x)
-    return _ratio_records(domain, kernel, x, delta, y[None, :], [tuple(y.tolist())], name="y")[0]
+    T = y[None, :]
+    separations = _separations(x, T, name="y")
+    values, errors = _kernel_values(kernel, x, T)
+    return _ratio_records(domain, x, delta, [tuple(y.tolist())], separations, values, errors)[0]
 
 
-def _ratio_records(
-    domain: Domain, kernel, x: np.ndarray, delta: float, T: np.ndarray, ys: list, name: str = "targets"
-) -> list:
-    """The records of the interior point ``x`` at boundary distance ``delta``
-    against the validated ``(m, d)`` targets ``T``, whose rows as tuples are
-    ``ys`` (a sweep shares them across its deltas); ``name`` labels ``T``'s rows.
+def _separations(x: np.ndarray, T: np.ndarray, name: str) -> list:
+    """``|x - t|`` for each row of the validated targets ``T``, as Python floats;
+    a target equal to ``x`` is an input error naming it as ``name[j]``.
 
     The separation is the 1-D norm of each difference (``_row_norms``): an
-    axis-1 norm can differ from it in the last bit.  Only an estimator (a
-    kernel with ``estimate``) gives standard errors.  Each record's slots are
-    filled directly from Python floats, at half the cost of the frozen
-    constructor's ``object.__setattr__`` calls, and the ratio is computed as
-    ``value * separation**d / delta``: numpy's power or a regrouped product
-    would move the last bit of some records.
-    """
+    axis-1 norm can differ from it in the last bit."""
     separations = _row_norms(x - T).tolist()
     if 0.0 in separations:
         j = separations.index(0.0)
         raise InvalidInputError(f"x and {name}[{j}] must be distinct: both are {T[j].tolist()}")
+    return separations
+
+
+def _kernel_values(kernel, x: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values at ``x`` against the targets ``T`` and their standard errors,
+    which only an estimator (a kernel with ``estimate``) gives: 0 otherwise."""
     if not hasattr(kernel, "estimate"):
-        values, errors = _callable_values(kernel(x, T), T, "kernel", "target"), np.zeros(len(T))
-    else:
-        ests = kernel.estimate(x, T)
-        if not isinstance(ests, (list, tuple)):
-            raise InvalidInputError(f"kernel.estimate returned {type(ests).__name__} for {len(T)} "
-                                    f"targets; expected {len(T)} estimates")
-        values = _callable_values([e.estimate for e in ests], T, "kernel.estimate", "target")
-        errors = _callable_values([e.std_error for e in ests], T, "kernel.estimate std_error", "target")
+        return _callable_values(kernel(x, T), T, "kernel", "target"), np.zeros(len(T))
+    return _estimate_values(kernel.estimate(x, T), T)
+
+
+def _estimate_values(ests, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values and standard errors of an estimator's estimates for the targets ``T``, checked."""
+    if not isinstance(ests, (list, tuple)):
+        raise InvalidInputError(f"kernel.estimate returned {type(ests).__name__} for {len(T)} "
+                                f"targets; expected {len(T)} estimates")
+    values = _callable_values([e.estimate for e in ests], T, "kernel.estimate", "target")
+    errors = _callable_values([e.std_error for e in ests], T, "kernel.estimate std_error", "target")
+    return values, errors
+
+
+def _ratio_records(
+    domain: Domain, x: np.ndarray, delta: float, ys: list, separations: list, values: np.ndarray,
+    errors: np.ndarray,
+) -> list:
+    """The records of the interior point ``x`` at boundary distance ``delta``
+    against targets whose rows as tuples are ``ys`` (a sweep shares them across
+    its deltas), at the given separations, kernel values and standard errors.
+
+    Each record's slots are filled directly from Python floats, at half the
+    cost of the frozen constructor's ``object.__setattr__`` calls, and the
+    ratio is computed as ``value * separation**d / delta``: numpy's power or a
+    regrouped product would move the last bit of some records.
+    """
     d, delta, new = domain.dim, float(delta), object.__new__
     x_tuple, far = tuple(x.tolist()), FAR_FIELD_SEPARATION_FACTOR * delta
     set_x, set_y, set_delta, set_separation, set_kernel, set_ratio, set_far, set_error = _FIELD_SETTERS
@@ -179,10 +200,15 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     For each ``delta`` the source point is ``x = base + delta * nu`` (``nu``
     the inward unit normal at ``base``); each boundary target contributes one
     :class:`RatioRecord`.  The report's ``c1_hat``/``c2_hat`` are the observed
-    extremes over the whole grid, including far-field records.  The kernel is
-    called once per source point, with all targets as one batch.  A ``delta``
-    past a focal or medial point of the base, where ``x`` lies nearer the
-    boundary than ``delta``, raises :class:`InvalidInputError` naming it.
+    extremes over the whole grid, including far-field records.  A closed-form
+    kernel or an estimator is called once per source point, with all targets
+    as one batch; a :class:`~poisskern.harmonic_measure.WosKernel` gets all
+    source points and all targets in one ``estimate`` call, so their walks
+    share one pool, which drains once per sweep, and each record keeps the
+    bits of a call per source point; every source point is checked against
+    the targets before that call.  A ``delta`` past a focal or medial point
+    of the base, where ``x`` lies nearer the boundary than ``delta``, raises
+    :class:`InvalidInputError` naming it.
     """
     base = as_point(base, domain.dim, name="base")
     nu, gn = _base_normal(domain, base)
@@ -197,9 +223,17 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     ys = [tuple(y) for y in T.tolist()]
     X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
     dist = _probe_distances(domain, X, deltas, [f"deltas[{k}]" for k in range(len(deltas))], gn)
+    if isinstance(kernel, WosKernel):  # every probe is checked before any walk
+        separations = [_separations(x, T, name="targets") for x in X]
+        values = [_estimate_values(ests, T) for ests in kernel.estimate(X, T)]
+    else:
+        separations, values = [], []
+        for x in X:
+            separations.append(_separations(x, T, name="targets"))
+            values.append(_kernel_values(kernel, x, T))
     records = []
-    for x, delta in zip(X, dist):
-        records.extend(_ratio_records(domain, kernel, x, delta, T, ys))
+    for x, delta, seps, (vals, errors) in zip(X, dist, separations, values):
+        records.extend(_ratio_records(domain, x, delta, ys, seps, vals, errors))
     ratios = [rec.ratio for rec in records]
     return SweepReport(
         records=tuple(records),

@@ -186,10 +186,17 @@ def _inscribed_radii(rho: np.ndarray, grad_norm: np.ndarray, hess_bound: float) 
     the point, so it lies inside the domain; ``r`` never exceeds the boundary
     distance and tends to it as ``rho -> 0``.
     """
-    s = np.maximum(-rho, 0.0)
-    denominator = np.sqrt(grad_norm * grad_norm + (2.0 * hess_bound) * s)
+    s = np.negative(rho)
+    np.maximum(s, 0.0, out=s)
+    denominator = np.multiply(s, 2.0 * hess_bound)
+    radii = np.multiply(grad_norm, grad_norm)
+    denominator += radii  # |g|^2 + 2 M s: a sum of two terms rounds alike in either order
+    np.sqrt(denominator, out=denominator)
     denominator += grad_norm
-    return np.divide(s + s, denominator, out=np.zeros_like(s), where=s > 0.0)
+    inside = s > 0.0
+    s += s
+    radii.fill(0.0)
+    return np.divide(s, denominator, out=radii, where=inside)
 
 
 def _direction(vector, dim: int, name: str = "tie_break") -> np.ndarray:
@@ -221,12 +228,16 @@ class Domain:
     A walk asks two more things of a domain: ``_jump_radii``, the radius of a
     ball around each point that lies inside the domain, and ``_settled_feet``,
     the boundary feet of the points where walks settled.  By default they are
-    the boundary distance and ``_project``; the ellipse and implicit
-    domains take a certified radius from a bound on the Hessian of ``rho``
-    instead of a nearest-point solve.  A walk asks both on batches of at
-    most its pool size: ``_jump_radii`` on the walkers in flight and
-    ``_settled_feet`` on settled walkers projected in blocks of at most
-    ``harmonic_measure._POOL`` (16384) rows.
+    the boundary distance and ``_project``'s feet.  Halfspaces read their
+    radius off the last coordinate; the ellipse and implicit domains take a
+    certified radius from a bound on the Hessian of ``rho`` instead of a
+    nearest-point solve.  The ellipse and implicit domains also write their
+    own ``_settled_feet``: the ellipse the feet of ``_project`` bit for bit,
+    with its errors, without the mirror feet and normals; implicit domains a
+    Newton solve from each settled point.  A walk asks both on batches of at
+    most its pool size: ``_jump_radii`` on the walkers in flight, of every
+    source of the walk, and ``_settled_feet`` on settled walkers projected in
+    blocks of at most ``harmonic_measure._POOL`` (16384) rows.
     """
 
     dim: int
@@ -283,7 +294,8 @@ class Domain:
     def _jump_radii(self, X: np.ndarray) -> np.ndarray:
         """Radius of a ball around each row of ``X`` that lies inside the
         domain, 0 where a row is not inside: the boundary distance itself."""
-        return np.maximum(-self._signed_distances(X), 0.0)
+        radii = np.negative(self._signed_distances(X))
+        return np.maximum(radii, 0.0, out=radii)
 
     def _settled_feet(self, X: np.ndarray) -> np.ndarray:
         """Boundary feet of the rows of ``X``, points where walks settled next to the boundary."""
@@ -359,9 +371,11 @@ class Ball(Domain):
         self.center = as_point(np.zeros(dim) if center is None else center, dim, name="center")
         self.dim = self.center.size
         self.radius = _positive(radius, "radius")
+        # Subtracting a zero center leaves every square as it was: skip it.
+        self._offset = self.center if self.center.any() else None
 
     def _rho_values(self, X: np.ndarray) -> np.ndarray:
-        r = _distances(X, self.center)
+        r = _distances(X, self._offset)
         r -= self.radius
         return r
 
@@ -422,6 +436,9 @@ class Halfspace(Domain):
         return G
 
     _signed_distances = _rho_values
+
+    def _jump_radii(self, X: np.ndarray) -> np.ndarray:
+        return np.maximum(X[:, -1], 0.0)  # the boundary distance, -rho, negated twice
 
     def _project(self, X: np.ndarray, tie_break):
         feet = X.copy()
@@ -577,9 +594,48 @@ class Ellipse(Domain):
         solve: ``rho`` is quadratic, so its Hessian bound ``2 / min(a, b)^2``
         is exact everywhere."""
         a, b = self.semi_axes
-        gx = 2.0 * X[:, 0] / (a * a)
-        gy = 2.0 * X[:, 1] / (b * b)
-        return _inscribed_radii(self._rho_values(X), np.sqrt(gx * gx + gy * gy), 2.0 / min(a, b) ** 2)
+        x, y = X[:, 0], X[:, 1]
+        # In place, in the order of rho and of the gradient's norm written out.
+        rho = np.divide(x, a)
+        np.square(rho, out=rho)
+        w = np.divide(y, b)
+        rho += np.square(w, out=w)
+        rho -= 1.0
+        grad_norm = np.multiply(x, 2.0)
+        grad_norm /= a * a
+        np.square(grad_norm, out=grad_norm)
+        np.multiply(y, 2.0, out=w)
+        w /= b * b
+        grad_norm += np.square(w, out=w)
+        return _inscribed_radii(rho, np.sqrt(grad_norm, out=grad_norm), 2.0 / min(a, b) ** 2)
+
+    def _settled_feet(self, X: np.ndarray) -> np.ndarray:
+        """The feet of :meth:`_project`, bit for bit and with its errors, from
+        the quadrant feet alone: no mirror feet, evolute test or normals.
+
+        A tie needs a mirror foot within 1e-8 of the foot's distance, so
+        ``4 q f_y = d_mirror^2 - d^2 < 1e-8 (d_mirror + d)`` in the quadrant
+        frame; with ``q <= f_y`` for a point inside on its foot's normal and
+        ``d <= b``, that puts it within ``sqrt(1e-8 b)`` of the major axis,
+        and inside the evolute, ``a p < a^2 - b^2``.  Only rows within 100
+        times that margin, ``1e-3 sqrt(b)`` (or ``1e-6``), go through
+        :meth:`_project` to raise its tie error.  ``|grad rho| >= 2 / a`` on
+        the boundary, so its degenerate-gradient error needs ``a`` above
+        2e12: from 1e11 on every row takes the full projection.
+        """
+        a, b, swapped = self._major_frame()
+        if a > 1e11:
+            return self._project(X, None)[0]
+        P = X[:, ::-1] if swapped else X
+        p, q = np.abs(P[:, 0]), np.abs(P[:, 1])
+        fx, fy = _ellipse_quadrant_feet(p, q, a, b)
+        near_tie = np.flatnonzero((a * p < a * a - b * b) & (q < max(1e-6, 1e-3 * math.sqrt(b))))
+        if near_tie.size:
+            self._project(X[near_tie], None)
+        # The signs of P, as _ellipse_feet restores them: -0.0 keeps a foot's sign.
+        np.negative(fx, out=fx, where=P[:, 0] < 0.0)
+        np.negative(fy, out=fy, where=P[:, 1] < 0.0)
+        return np.stack([fy, fx] if swapped else [fx, fy], axis=1)
 
     def boundary_point(self, theta: float) -> np.ndarray:
         """Point ``(a cos(theta), b sin(theta))`` on the boundary."""
@@ -889,8 +945,9 @@ class ImplicitPolynomial(Implicit):
         tables += [partial(*tables[1 + j], k) for j in range(d) for k in range(d)]
         self._table_coeffs = np.array([c for c, _ in tables])
         self._table_powers = np.array([e for _, e in tables])
-        self._axes = np.arange(d)
         self._degree = int(E.max())
+        # Row j (degree + 1) + e of _evaluate's power columns holds y_j^e.
+        self._table_columns = self._table_powers + (self._degree + 1) * np.arange(d)
 
         box = _bounding_box(bounding_box)
         if box.shape[1] != d:
@@ -912,13 +969,30 @@ class ImplicitPolynomial(Implicit):
         )
 
     def _evaluate(self, X: np.ndarray, tables: slice) -> np.ndarray:
-        """The selected rows of the polynomial tables at each point of ``X``: ``(n, rows)``."""
-        powers = np.empty(X.shape + (self._degree + 1,))
-        powers[..., 0] = 1.0
+        """The selected rows of the polynomial tables at each point of ``X``: ``(n, rows)``.
+
+        Powers are kept a column of points per axis and exponent, so each
+        term is whole gathered columns, one per axis, multiplied in axis order
+        and then by its coefficient, and the terms are added onto 0.0 in table
+        order, one slice add per term: no ``(n, rows, terms, d)`` table and no
+        reduction run point by point.  Every point gets the same order alone
+        or in a batch.
+        """
+        n, d = X.shape
+        powers = np.empty((d, self._degree + 1, n))
+        powers[:, 0] = 1.0
         for p in range(1, self._degree + 1):
-            powers[..., p] = powers[..., p - 1] * X
-        monomials = np.prod(powers[:, self._axes, self._table_powers[tables]], axis=-1)
-        return np.sum(monomials * self._table_coeffs[tables], axis=-1)
+            np.multiply(powers[:, p - 1], X.T, out=powers[:, p])
+        powers = powers.reshape(-1, n)
+        columns = self._table_columns[tables]
+        terms = powers.take(columns[..., 0], axis=0)
+        for j in range(1, d):
+            terms *= powers.take(columns[..., j], axis=0)
+        terms *= self._table_coeffs[tables][..., None]
+        values = np.add(terms[:, 0], 0.0)
+        for t in range(1, terms.shape[1]):
+            values += terms[:, t]
+        return np.ascontiguousarray(values.T)
 
     def descriptor(self) -> dict:
         desc = super().descriptor()

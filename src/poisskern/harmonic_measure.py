@@ -134,6 +134,51 @@ def _walker_indices(walker_indices) -> "np.ndarray | range":
     return entries.astype(np.int64)
 
 
+def _walk_origins(
+    domain: Domain, x, config: WosConfig, truncation_radius: float | None
+) -> tuple[np.ndarray, float, float | None, np.ndarray]:
+    """The checked walk origins ``x`` as a ``(k, d)`` batch, the stop tolerance,
+    the truncation radius and the origins' jump radii.
+
+    An origin outside the domain or the truncation ball, or whose jump radius
+    is not above the stop tolerance, is an input error naming it: by its
+    coordinates (``x = ...`` in the stop's message) for one point, as
+    ``x[j] = ...`` for a batch.
+    """
+    X, single = _as_points(x, domain.dim, name="x")
+    if not len(X):
+        raise InvalidInputError("x holds no walk origin: a batch of sources needs at least one row")
+
+    def origin(j: int, named: bool = False) -> str:
+        label = "x = " if named else ""
+        return f"{label}{X[j].tolist()}" if single else f"x[{j}] = {X[j].tolist()}"
+
+    outside = np.flatnonzero(~(domain._rho_values(X) < 0.0))
+    if outside.size:
+        raise InvalidInputError(f"walk origin {origin(outside[0])} is not strictly inside the domain")
+    if truncation_radius is not None:
+        truncation_radius = _positive(truncation_radius, "truncation_radius")
+        far = np.flatnonzero(_distances(X) > truncation_radius)
+        if far.size:
+            raise InvalidInputError(
+                f"walk origin {origin(far[0])} lies outside the truncation ball of radius {truncation_radius!r}"
+            )
+    elif not domain.bounded():
+        raise InvalidInputError("unbounded domain: a truncation_radius is required")
+    stop = config.stop_tolerance
+    if stop is None:
+        stop = 1e-4 * (domain.diameter() if domain.bounded() else truncation_radius)
+    origin_radii = domain._jump_radii(X)
+    shallow = np.flatnonzero(~(origin_radii > stop))
+    if shallow.size:
+        j = int(shallow[0])
+        raise InvalidInputError(
+            f"stop_tolerance {stop!r} is not below the jump radius {float(origin_radii[j])!r} at the walk "
+            f"origin {origin(j, named=True)}: every walker would settle where it starts"
+        )
+    return X, stop, truncation_radius, origin_radii
+
+
 def run_walks(
     domain: Domain,
     x,
@@ -143,62 +188,51 @@ def run_walks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run walk-on-spheres walkers from ``x`` until exit or truncation.
 
+    ``x`` is one walk origin or a ``(k, d)`` batch of them, the sources.
     Returns ``(feet, truncated, steps)``: projected boundary exit points (rows
     of truncated walks hold the last interior position instead and must be
     ignored), a truncation mask (not settled after ``config.max_steps`` jumps,
     or left the truncation ball ``|pos| > truncation_radius``), and per-walk
     step counts, the jumps made before settling or truncating.  Settling and
     leaving are checked before every jump and after the last allowed one.  A
-    ``truncation_radius`` is a size under the scalar rule (README), with ``x``
-    inside its ball; unbounded domains require one.
+    ``truncation_radius`` is a size under the scalar rule (README), with every
+    origin inside its ball; unbounded domains require one.
 
-    The walk origin's own jump radius must exceed the stop tolerance, or
-    every walker would settle where it starts: otherwise
-    :class:`InvalidInputError` names both and ``x``.
+    Every origin's own jump radius must exceed the stop tolerance, or every
+    walker would settle where it starts: otherwise
+    :class:`InvalidInputError` names both and the origin (``x``, or ``x[j]``
+    of a batch), as it names an origin outside the domain.
 
     ``walker_indices`` selects which counter-based streams to run (default
     ``0 .. walkers-1``); running any subset reproduces exactly the walks the
     full batch would produce for those indices.  A ``range`` is kept as it is
-    rather than copied into an array.
+    rather than copied into an array.  Every source runs the same streams:
+    results are source-major, so with ``n`` streams rows ``j n .. (j + 1) n``
+    are source ``j``'s walks, bit for bit those of a run from ``x[j]`` alone.
 
     The three results are the only arrays held per walker, ``8 d + 9`` bytes:
     stream keys are derived a pool's worth ahead of the queue, so memory
     beyond the results does not grow with the walker count.
 
-    Walkers step in a pool of at most ``_POOL`` (16384) slots, so each step's
-    temporaries stay cache-sized; a freed slot is refilled in place by the
-    next queued walker, which jumps from ``x`` by the origin's jump radius in
-    that same pass, and the pool shrinks only once the queue is empty.
-    Positions are coordinate-major, ``(d, slots)``, and domains get the
-    ``(slots, d)`` transpose: elementwise arithmetic does not depend on the
-    layout, and row sums from 8 columns on reduce C-order copies.  Each pool
-    row draws its directions at its own jump count, and no row depends on
-    the rows beside it, so the pool size, any subset and :func:`wos_exit`
-    give every walk bit for bit.  Settled walkers are projected onto the
-    boundary in blocks of at most ``_POOL`` rows too, so the settle's
-    temporaries stay as small as a step's; each foot depends only on its
-    own row, so the blocks give the bits of one call over all of them.
+    Walkers of all sources step in one pool of at most ``_POOL`` (16384)
+    slots, so each step's temporaries stay cache-sized and a batch drains
+    the pool once, not once per source.  A freed slot is refilled in place
+    by the next queued walker, which jumps from its own origin by that
+    origin's jump radius in the same pass, and the pool shrinks only once the
+    queue is empty.  Positions are coordinate-major, ``(d, slots)``, and
+    domains get the ``(slots, d)`` transpose: elementwise arithmetic does not
+    depend on the layout, and row sums from 8 columns on reduce C-order
+    copies.  Each slot carries its stream key advanced past the draws its
+    walker has made, so a step draws directions at draw 0 of those keys,
+    which are the walker's own draws at its jump count.  No row depends on
+    the rows beside it, so the pool size, the sources beside a walk, any
+    subset and :func:`wos_exit` give every walk bit for bit.  Settled walkers
+    are projected onto the boundary in blocks of at most ``_POOL`` rows too,
+    so the settle's temporaries stay as small as a step's; each foot depends
+    only on its own row, so the blocks give the bits of one call over all of
+    them.
     """
-    x = as_point(x, domain.dim, name="x")
-    if not domain._rho_values(x[None, :])[0] < 0.0:
-        raise InvalidInputError(f"walk origin {x.tolist()} is not strictly inside the domain")
-    if truncation_radius is not None:
-        truncation_radius = _positive(truncation_radius, "truncation_radius")
-        if _distances(x[None, :])[0] > truncation_radius:
-            raise InvalidInputError(
-                f"walk origin {x.tolist()} lies outside the truncation ball of radius {truncation_radius!r}"
-            )
-    elif not domain.bounded():
-        raise InvalidInputError("unbounded domain: a truncation_radius is required")
-    stop = config.stop_tolerance
-    if stop is None:
-        stop = 1e-4 * (domain.diameter() if domain.bounded() else truncation_radius)
-    origin_radius = float(domain._jump_radii(x[None, :])[0])
-    if not origin_radius > stop:
-        raise InvalidInputError(
-            f"stop_tolerance {stop!r} is not below the jump radius {origin_radius!r} at the walk "
-            f"origin x = {x.tolist()}: every walker would settle where it starts"
-        )
+    X, stop, truncation_radius, origin_radii = _walk_origins(domain, x, config, truncation_radius)
     # glibc's malloc trims the top of its heap once more than twice its mmap
     # threshold lies free there, and raises that threshold from 128 KiB only
     # when a block above it is freed.  Until then a pass's temporaries, a few
@@ -208,68 +242,95 @@ def run_walks(
     np.empty(8 * _POOL)
     indices = range(config.walkers) if walker_indices is None else _walker_indices(walker_indices)
     n = len(indices)
+    total = n * len(X)
     dim = domain.dim
-    draws = _rng.draws_per_step(dim)
+    step = _rng.key_step(_rng.draws_per_step(dim))
+    origins = np.ascontiguousarray(X.T)  # a coordinate per row, as the pool holds positions
 
     def queue_keys(lo: int, hi: int) -> np.ndarray:
-        """Stream keys of queued walkers ``lo .. hi - 1``."""
-        block = indices[lo:hi]
-        if isinstance(block, range):
+        """Stream keys of queued walkers ``lo .. hi - 1``, counted across sources."""
+        if isinstance(indices, range):
             # Built in int64: np.arange would promote a stop of 2**63 to float64.
-            block = block.start + block.step * np.arange(len(block), dtype=np.int64)
+            block = np.arange(lo, hi, dtype=np.int64)
+            if hi > n:
+                block %= n
+            block = indices.start + indices.step * block
+        else:
+            block = indices[lo:hi] if hi <= n else indices.take(np.arange(lo, hi) % n)
         return _rng.stream_keys(config.seed, block)
 
-    final = np.empty((n, dim))
-    truncated = np.zeros(n, dtype=bool)
-    steps = np.zeros(n, dtype=np.int64)
+    def place(slots: np.ndarray, first: int) -> np.ndarray:
+        """Put queued walkers ``first ..`` at their origins in ``slots``; their origins' jump radii."""
+        if len(X) == 1:
+            for c in range(dim):
+                pos[c, slots] = origins[c, 0]
+            return origin_radii[0]
+        sources = np.arange(first, first + slots.size) // n
+        for c in range(dim):
+            pos[c, slots] = origins[c].take(sources)
+        return origin_radii.take(sources)
 
-    # The pool: output row, stream key, position (a column of the coordinate-major
-    # pos) and jumps made of each walker in flight, in fixed slots that stay
-    # aligned across the four arrays.  The keys of the next walkers to queue
-    # up, at most a pool's worth, wait in ``ahead``.
-    admitted = min(n, _POOL)
+    final = np.empty((total, dim))
+    truncated = np.zeros(total, dtype=bool)
+    steps = np.zeros(total, dtype=np.int64)
+
+    # The pool: output row, advanced stream key, position (a column of the
+    # coordinate-major pos) and the pass at which it left its origin, of each
+    # walker in flight, in fixed slots that stay aligned across the four
+    # arrays: at pass ``it`` a walker has made ``it - born`` jumps, and none
+    # can have made ``max_steps`` before pass ``max_steps``.  The keys of the
+    # next walkers to queue up, at most a pool's worth, wait in ``ahead``.
+    admitted = min(total, _POOL)
     rows = np.arange(admitted)
     keys = queue_keys(0, admitted)
     ahead = keys[:0]
-    pos = np.repeat(x[:, None], admitted, axis=1)
-    jumps = np.zeros(admitted, dtype=np.int64)
+    pos = np.empty((dim, admitted))
+    place(rows, 0)
+    born = np.zeros(admitted, dtype=np.int64)
+    it = 0
     while rows.size:
         radius = domain._jump_radii(pos.T)
 
         # Retire walkers that settled, left the truncation ball or made their
         # last allowed jump; settling wins over both other causes.
         settled = radius < stop
-        leave = settled | (jumps == config.max_steps)
+        leave = settled
+        if it >= config.max_steps:
+            leave = leave | (born <= it - config.max_steps)
         if truncation_radius is not None:
-            leave |= _distances(pos.T) > truncation_radius
-        if np.any(leave):
-            out = np.flatnonzero(leave)
+            leave = leave | (_distances(pos.T) > truncation_radius)
+        out = np.flatnonzero(leave)
+        if out.size:
             idx = rows[out]
-            final[idx] = pos[:, out].T
-            truncated[idx] = ~settled[out]
-            steps[idx] = jumps[out]
-            # Queued walkers take the freed slots at x, no jumps made, and jump in this pass.
-            slots = out[: n - admitted]
-            if ahead.size < slots.size:
-                queued = admitted + ahead.size
-                ahead = np.concatenate((ahead, queue_keys(queued, min(n, queued + _POOL))))
-            rows[slots] = np.arange(admitted, admitted + slots.size)
-            keys[slots] = ahead[: slots.size]
-            ahead = ahead[slots.size :]
-            pos[:, slots] = x[:, None]
-            jumps[slots] = 0
-            radius[slots] = origin_radius
-            admitted += slots.size
+            for c in range(dim):
+                final[idx, c] = pos[c, out]
+            if leave is not settled:  # else every leaver settled: truncated holds False already
+                truncated[idx] = ~settled[out]
+            steps[idx] = it - born[out]
+            # Queued walkers take the freed slots at their origins, no jumps made,
+            # and jump in this pass.
+            slots = out[: total - admitted]
+            if slots.size:
+                if ahead.size < slots.size:
+                    queued = admitted + ahead.size
+                    ahead = np.concatenate((ahead, queue_keys(queued, min(total, queued + _POOL))))
+                rows[slots] = np.arange(admitted, admitted + slots.size)
+                keys[slots] = ahead[: slots.size]
+                ahead = ahead[slots.size :]
+                radius[slots] = place(slots, admitted)
+                born[slots] = it
+                admitted += slots.size
             if slots.size < out.size:  # the queue is empty: drop the slots left free
                 leave[slots] = False
                 stay = np.flatnonzero(~leave)
-                rows, keys, jumps, radius = rows[stay], keys[stay], jumps[stay], radius[stay]
+                rows, keys, born, radius = rows[stay], keys[stay], born[stay], radius[stay]
                 pos = pos.take(stay, axis=1)
 
-        directions = _rng.sphere_directions(keys, jumps * draws, dim).T
+        directions = _rng.sphere_directions(keys, 0, dim).T
         directions *= radius
         pos += directions
-        jumps += 1
+        keys += step
+        it += 1
 
     for block in _settled_blocks(truncated):
         final[block] = domain._settled_feet(final.take(block, axis=0))
@@ -306,7 +367,7 @@ def wos_exit(
     not (use the estimators to count truncated walks instead of failing).
     """
     feet, truncated, steps = run_walks(
-        domain, x, config, truncation_radius=truncation_radius,
+        domain, as_point(x, domain.dim, name="x"), config, truncation_radius=truncation_radius,
         walker_indices=[walker_index],
     )
     if truncated[0]:
@@ -329,39 +390,67 @@ def _check_cap_centers(domain: Domain, T: np.ndarray, name: str, single: bool) -
         raise InvalidInputError(f"{label} = {T[j].tolist()} is not on the boundary (rho = {rho[j]:.3e})")
 
 
+def _walk_chunks(sources: int, n: int):
+    """The ``run_walks`` calls of an estimate over ``sources`` sources of ``n``
+    walkers each, none holding more than ``_CHUNK`` rows: ``(j0, j1, indices)``
+    runs sources ``j0 .. j1 - 1`` on ``indices`` (None for all ``n`` walkers).
+    While a source fits in a chunk, whole sources share one call, so one pool
+    walks them all; a larger source walks alone, in consecutive index ranges."""
+    if n <= _CHUNK:
+        per = _CHUNK // n
+        for j0 in range(0, sources, per):
+            yield j0, min(sources, j0 + per), None
+        return
+    for j in range(sources):
+        for lo in range(0, n, _CHUNK):
+            yield j, j + 1, range(lo, min(n, lo + _CHUNK))
+
+
 def _cap_estimates(
     domain: Domain, x, config: WosConfig, truncation_radius: float | None, centers, radius: float
-) -> list[MeasureEstimate]:
-    """Cap-measure estimate for each cap center from one run of ``config.walkers`` walks.
+) -> list[list[MeasureEstimate]]:
+    """Cap-measure estimates for each source of ``x`` (one point, or a batch of
+    source rows) and each cap center, each source from one run of
+    ``config.walkers`` walks.  Every origin is checked, and named as
+    :func:`run_walks` names it, before any walk.
 
-    The walks run in consecutive index chunks of ``_CHUNK`` walkers, and each
-    chunk's feet are counted against every center a pool's worth of rows at a
-    time, so only the integer hit and truncation counts outlive a chunk.  The
-    counts, hence every estimate, are those of one run over all walkers.
+    The walks run in the calls of :func:`_walk_chunks`, at most ``_CHUNK``
+    rows each across the sources they hold, and each call's feet are counted
+    against every center a pool's worth of rows at a time, so only the integer
+    hit and truncation counts outlive a call.  The counts, hence every
+    estimate, are those of one run per source over all its walkers.  A source
+    with more than half of its walks truncated fails the estimate, naming its
+    count, once all sources have walked.
     """
+    X = _walk_origins(domain, x, config, truncation_radius)[0]
     n = config.walkers
-    hits = [0] * len(centers)
-    n_trunc = 0
-    for lo in range(0, n, _CHUNK):
-        # A lone chunk is the default run: a caller keying walks by their indices copies none.
-        chunk = None if n <= _CHUNK else range(lo, min(n, lo + _CHUNK))
-        feet, truncated = run_walks(domain, x, config, truncation_radius, walker_indices=chunk)[:2]
-        n_trunc += int(np.count_nonzero(truncated))
-        for b in range(0, truncated.size, _POOL):
-            settled = ~truncated[b : b + _POOL]
-            for j, center in enumerate(centers):
-                hits[j] += int(np.count_nonzero(settled & (_distances(feet[b : b + _POOL], center) < radius)))
-        del feet, truncated  # before the next chunk's results are made
-    if n_trunc / n > _TRUNCATION_FAILURE_FRACTION:
-        raise EstimationFailureError(
-            f"{n_trunc} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%})"
-        )
-    out = []
-    for count in hits:
-        p = float(count) / n
-        se = math.sqrt(p * (1.0 - p) / n) if p > 0.0 else 3.0 / n  # no hits: a rule-of-three upper bound
-        out.append(MeasureEstimate(p, se, n, n_trunc, wide_interval=p == 0.0))
-    return out
+    hits = [[0] * len(centers) for _ in X]
+    n_trunc = [0] * len(X)
+    for j0, j1, chunk in _walk_chunks(len(X), n):
+        feet, truncated = run_walks(domain, X[j0:j1], config, truncation_radius, walker_indices=chunk)[:2]
+        m = n if chunk is None else len(chunk)
+        for j in range(j0, j1):
+            rows = slice((j - j0) * m, (j - j0 + 1) * m)
+            n_trunc[j] += int(np.count_nonzero(truncated[rows]))
+            for b in range(rows.start, rows.stop, _POOL):
+                block = slice(b, min(rows.stop, b + _POOL))
+                settled = ~truncated[block]
+                for i, center in enumerate(centers):
+                    hits[j][i] += int(np.count_nonzero(settled & (_distances(feet[block], center) < radius)))
+        del feet, truncated  # before the next call's results are made
+    for count in n_trunc:
+        if count / n > _TRUNCATION_FAILURE_FRACTION:
+            raise EstimationFailureError(
+                f"{count} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%})"
+            )
+    return [[_cap_estimate(count, n, trunc) for count in counts] for counts, trunc in zip(hits, n_trunc)]
+
+
+def _cap_estimate(count: int, n: int, n_trunc: int) -> MeasureEstimate:
+    """The estimate of ``count`` hits in ``n`` walks: binomial, or the rule of three without a hit."""
+    p = float(count) / n
+    se = math.sqrt(p * (1.0 - p) / n) if p > 0.0 else 3.0 / n  # no hits: a rule-of-three upper bound
+    return MeasureEstimate(p, se, n, n_trunc, wide_interval=p == 0.0)
 
 
 def estimate_cap_measure(
@@ -385,7 +474,8 @@ def estimate_cap_measure(
     center = as_point(cap_center, domain.dim, name="cap_center")
     _check_cap_centers(domain, center[None, :], "cap_center", single=True)
     radius = _positive(cap_radius, "cap_radius")
-    return _cap_estimates(domain, x, config, truncation_radius, [center], radius)[0]
+    x = as_point(x, domain.dim, name="x")
+    return _cap_estimates(domain, x, config, truncation_radius, [center], radius)[0][0]
 
 
 def cap_surface_measure(domain: Domain, cap_center, cap_radius: float) -> float:
@@ -488,28 +578,38 @@ def estimate_kernel_density(
     O(stop_tolerance) boundary layer.  Zero-hit results return estimate 0
     flagged ``wide_interval`` with a rule-of-three interval scale.
     """
-    y = as_point(y, domain.dim, name="y")  # one target, so one estimate comes back
-    return WosKernel(domain, config, cap_radius, truncation_radius).estimate(x, y)
+    y = as_point(y, domain.dim, name="y")
+    kernel = WosKernel(domain, config, cap_radius, truncation_radius)
+    return kernel.estimate(as_point(x, domain.dim, name="x"), y)  # one source, one target: one estimate
 
 
 class WosKernel:
     """Kernel evaluator backed by walk-on-spheres exits.
 
-    Each query walks once from its source point ``x`` and estimates every
+    Each query walks once from each source point ``x`` and estimates every
     target from that one batch of walker paths, so a ratio sweep over many
     boundary targets costs one Monte Carlo run per source point.  Re-querying
     an ``x`` walks again and reproduces the same exits.  Estimates sharing a
-    query are therefore correlated across targets; estimates for different
-    ``x`` are independent.  The cap area of each target is computed once per
-    kernel and reused by later queries.  A query walks ``_CHUNK`` walkers at a
-    time and keeps only each target's hit count, so its memory does not grow
-    with the walker count, and its estimates are those of one run over all
-    walkers, bit for bit.
+    source are therefore correlated across targets; estimates for different
+    sources are independent in distribution, though every source runs the
+    same walker streams.  The cap area of each target is computed once per
+    kernel and reused by later queries.
+
+    Sources are a single interior point or a ``(k, d)`` batch, and the
+    sources of one query share one walker pool (see :func:`run_walks`), which
+    drains once per query, not once per source: :func:`normal_sweep` hands
+    its probes over in one query.  A query walks at most ``_CHUNK`` walker
+    rows at a time, counted across its sources, and keeps only each target's
+    hit count, so its memory does not grow with the walker or source count,
+    and each source's estimates are those of one run over all its walkers,
+    bit for bit, whatever sources share its query.
 
     Targets are a single boundary point or an ``(m, d)`` batch.  Calling the
     object returns the density estimate as a float for one point and an array
     of ``m`` estimates for a batch; :meth:`estimate` returns the full
-    :class:`MeasureEstimate` (a list of ``m`` for a batch).
+    :class:`MeasureEstimate` (a list of ``m`` for a batch).  A source batch
+    gives a list of ``k`` such results (a ``(k,)`` or ``(k, m)`` array when
+    called), row ``j`` being the result for ``x[j]`` alone.
     """
 
     def __init__(
@@ -533,20 +633,23 @@ class WosKernel:
             self._areas[key] = _cap_area(self.domain, center, self.cap_radius)
         return self._areas[key]
 
-    def estimate(self, x, y) -> "MeasureEstimate | list[MeasureEstimate]":
-        x = as_point(x, self.domain.dim, name="x")
+    def estimate(self, x, y) -> "MeasureEstimate | list":
+        X, one_source = _as_points(x, self.domain.dim, name="x")
         Y, single = _as_points(y, self.domain.dim, name="y")
         _check_cap_centers(self.domain, Y, "y", single)
         areas = [self._area(center) for center in Y]
-        caps = _cap_estimates(self.domain, x, self.config, self.truncation_radius, Y, self.cap_radius)
-        out = [_density_from_cap(cap, area) for cap, area in zip(caps, areas)]
-        return out[0] if single else out
+        out = []
+        for caps in _cap_estimates(self.domain, X[0] if one_source else X, self.config, self.truncation_radius,
+                                   Y, self.cap_radius):
+            densities = [_density_from_cap(cap, area) for cap, area in zip(caps, areas)]
+            out.append(densities[0] if single else densities)
+        return out[0] if one_source else out
 
     def __call__(self, x, y) -> "float | np.ndarray":
         est = self.estimate(x, y)
         if isinstance(est, MeasureEstimate):
             return est.estimate
-        return np.array([e.estimate for e in est])
+        return np.array([[e.estimate for e in row] if isinstance(row, list) else row.estimate for row in est])
 
     def descriptor(self) -> dict:
         return {

@@ -502,16 +502,18 @@ def test_sweep_makes_one_kernel_call_per_source_point():
     assert len(report.records) == 15
     assert k.shapes == [(5, 2)] * 3  # one call per delta, not one per record
 
+    # A walk-on-spheres kernel gets every source point in one call, so the
+    # sweep's walks share one pool.
     class CountingWos(pk.WosKernel):
-        calls = 0
+        shapes = []
 
         def estimate(self, x, y):
-            CountingWos.calls += 1
+            CountingWos.shapes.append((np.shape(x), np.shape(y)))
             return super().estimate(x, y)
 
     kern = CountingWos(d, pk.WosConfig(walkers=500, seed=1, stop_tolerance=1e-4), cap_radius=0.1)
     pk.normal_sweep(d, kern, _circle(0.0), [0.2, 0.1], targets[:3])
-    assert CountingWos.calls == 2
+    assert CountingWos.shapes == [((2, 2), (3, 2))]
 
 
 def test_derivative_report_batches_its_stencils():

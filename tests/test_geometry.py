@@ -465,6 +465,53 @@ def test_implicit_polynomial_gradient_and_hessian_are_exact():
     )
 
 
+def _polynomial_tables_written_out(imp, X, rows):
+    """Each table row at each point: the sum over its terms, left to right
+    from 0.0, of the coefficient times the powers multiplied in axis order."""
+    out = np.empty((len(X), len(rows)))
+    for i, x in enumerate(X.tolist()):
+        for r, row in enumerate(rows):
+            total = 0.0
+            for c, e in zip(imp._table_coeffs[row].tolist(), imp._table_powers[row].tolist()):
+                monomial = 1.0
+                for xj, ej in zip(x, e):
+                    power = 1.0
+                    for _ in range(ej):
+                        power = power * xj
+                    monomial = monomial * power
+                total = total + monomial * c
+            out[i, r] = total
+    return out
+
+
+@pytest.mark.parametrize("terms", ["readme_ellipse", "fifteen_terms", "ellipsoid_3d"])
+def test_polynomial_tables_are_summed_in_table_order_alone_or_in_a_batch(terms):
+    # From 8 terms on, numpy's sum over the term axis of the old monomial
+    # table was pairwise for one point and in order for a batch, so a point
+    # alone could differ from its batch row in the last bit.
+    rng = np.random.default_rng(8)
+    if terms == "readme_ellipse":
+        imp = _ellipse_implicit()
+    elif terms == "fifteen_terms":
+        coefficients = {(i, j): float(rng.standard_normal()) * 0.01 for i in range(5) for j in range(5 - i)}
+        coefficients.update({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+        imp = pk.ImplicitPolynomial(coefficients, [[-2.0, -2.0], [2.0, 2.0]], [0.0, 0.0])
+    else:
+        imp = pk.ImplicitPolynomial({(2, 0, 0): 0.25, (0, 2, 0): 1.0, (0, 0, 2): 0.5, (1, 1, 0): 0.1, (0, 0, 0): -1.0},
+                                    [[-2.5, -1.5, -2.0], [2.5, 1.5, 2.0]], [0.0, 0.0, 0.0])
+    d = imp.dim
+    X = rng.uniform(-1.0, 1.0, (200, d))
+    X[0] = -0.0
+    for rows in (slice(0, 1), slice(1, 1 + d), slice(1 + d, None)):
+        batch = imp._evaluate(X, rows)
+        assert batch.flags.c_contiguous
+        want = _polynomial_tables_written_out(imp, X, range(len(imp._table_coeffs))[rows])
+        assert batch.tobytes() == want.tobytes()
+        alone = np.concatenate([imp._evaluate(x[None, :], rows) for x in X])
+        assert alone.tobytes() == batch.tobytes()
+    assert np.array([imp.rho(x) for x in X]).tobytes() == imp.rho_batch(X).tobytes()
+
+
 def test_implicit_seed_grid_is_flowed_once_and_read_only():
     imp = _ellipse_implicit()
     x = np.array([0.4, 0.2])

@@ -1084,3 +1084,251 @@ def test_wos_kernel_names_the_offending_target():
         kern.estimate([0.0, 0.0], [[1.0, 0.0], [0.5, 0.0]])
     with pytest.raises(pk.InvalidInputError, match=r"y\[0\] has non-finite"):
         kern([0.0, 0.0], [[np.nan, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# several sources in one pool
+
+
+SOURCE_CASES = {
+    "disc": (pk.Ball(2), [[0.1, 0.55], [-0.6, 0.2], [0.0, -0.3]], None),
+    "ball3": (pk.Ball(3), [[0.1, 0.3, -0.2], [0.5, 0.0, 0.4], [-0.2, -0.2, 0.0]], None),
+    "ball5": (pk.Ball(5), [[0.1, 0.3, -0.2, 0.1, 0.0], [0.0, 0.0, 0.5, 0.0, -0.3]], None),
+    "ellipse": (pk.Ellipse([2.0, 1.0]), [[0.5, 0.3], [-1.5, 0.1], [0.0, -0.8]], None),
+    "swapped_ellipse": (pk.Ellipse([1.0, 2.0]), [[0.3, 0.5], [0.1, -1.5]], None),
+    "halfplane": (pk.Halfspace(2), [[0.2, 0.7], [3.0, 0.1], [-1.0, 2.0]], 20.0),
+    "implicit_ellipse": (_readme_implicit_ellipse(), [[0.5, 0.2], [-1.2, -0.3]], None),
+}
+
+
+def _source_rows(out, j, n):
+    return [a[j * n : (j + 1) * n] for a in out]
+
+
+@pytest.mark.parametrize("kind", list(SOURCE_CASES))
+def test_pooled_sources_equal_separate_runs_bit_for_bit(kind):
+    # The sources' walkers share one pool, refilled from the queue across
+    # source boundaries; rows j n .. (j + 1) n are source j's walks, bit for
+    # bit those of its own run, for every choice of streams and budget.
+    domain, X, radius = SOURCE_CASES[kind]
+    X = np.array(X)
+    n = 3000 if kind == "implicit_ellipse" else POOL // 2 + 7  # three or more sources fill more than a pool
+    stop = 1e-3 if kind == "implicit_ellipse" else 1e-4
+    runs = [
+        (_cfg(walkers=n, stop_tolerance=stop), None),
+        (_cfg(walkers=n, stop_tolerance=stop), range(n + 5, 20, -7)),
+        (_cfg(walkers=n, stop_tolerance=stop), np.r_[n - 1 : 0 : -5, 0]),
+        (_cfg(walkers=n, max_steps=6, stop_tolerance=stop), None),
+    ]
+    for cfg, indices in runs:
+        pooled = pk.run_walks(domain, X, cfg, truncation_radius=radius, walker_indices=indices)
+        m = n if indices is None else len(indices)
+        assert all(len(a) == len(X) * m for a in pooled)
+        for j, x in enumerate(X):
+            alone = pk.run_walks(domain, x, cfg, truncation_radius=radius, walker_indices=indices)
+            for p, a in zip(_source_rows(pooled, j, m), alone):
+                assert p.dtype == a.dtype and p.tobytes() == a.tobytes()
+        if cfg.max_steps == 6:
+            assert (pooled[1] & (pooled[2] == 6)).any()
+    if radius is not None:
+        assert (pooled[1] & (pooled[2] < 6)).any()  # some walks left the truncation ball
+
+
+def test_a_batch_of_one_source_walks_as_its_point():
+    domain, X, _ = SOURCE_CASES["ellipse"]
+    cfg = _cfg(walkers=POOL + 9)
+    for p, a in zip(pk.run_walks(domain, [X[0]], cfg), pk.run_walks(domain, X[0], cfg)):
+        assert p.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["disc", "ball3", "ellipse", "halfplane", "implicit_ellipse"])
+def test_each_walker_step_draws_one_traced_direction(kind, monkeypatch):
+    # CI counts rng.directions against walker steps in traced benchmark
+    # rounds; here every row _rng.sphere_directions returns is counted the
+    # same way, for one source, several sources and a pooled WosKernel sweep.
+    domain, X, radius = SOURCE_CASES[kind]
+    rows, draw = [], _rng.sphere_directions
+    monkeypatch.setattr(_rng, "sphere_directions", lambda *a: rows.append(len(a[0])) or draw(*a))
+    cfg = _cfg(walkers=3000 if kind == "implicit_ellipse" else 20_000, stop_tolerance=1e-3)
+    for x in (X[0], X):
+        rows.clear()
+        _, _, steps = pk.run_walks(domain, x, cfg, truncation_radius=radius)
+        assert sum(rows) == steps.sum() > 0
+
+
+def test_a_pooled_sweep_draws_one_direction_per_walker_step(monkeypatch):
+    e = pk.Ellipse([2.0, 1.0])
+    rows, steps, draw, walk = [], [], _rng.sphere_directions, harmonic_measure.run_walks
+    monkeypatch.setattr(_rng, "sphere_directions", lambda *a: rows.append(len(a[0])) or draw(*a))
+
+    def counted(*a, **kw):
+        out = walk(*a, **kw)
+        steps.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(harmonic_measure, "run_walks", counted)
+    kern = pk.WosKernel(e, _cfg(walkers=20_000, seed=3), cap_radius=0.05)
+    pk.normal_sweep(e, kern, [0.0, 1.0], [0.2, 0.1, 0.05], [e.boundary_point(t) for t in (1.2, 1.5, 1.9)])
+    assert len(steps) == 1  # one walk for all three probes
+    assert sum(rows) == steps[0] > 0
+
+
+@pytest.mark.parametrize("kind", ["disc", "ellipse", "halfplane"])
+def test_wos_kernel_source_batches_equal_per_source_estimates(kind):
+    domain, X, radius = SOURCE_CASES[kind]
+    X = np.array(X)
+    centers, cap = CHUNK_CASES[kind][2], CHUNK_CASES[kind][3]
+    T = np.asarray(centers, dtype=float)
+    kern = pk.WosKernel(domain, _cfg(walkers=4000, stop_tolerance=1e-3), cap, radius)
+    pooled = kern.estimate(X, T)
+    assert pooled == [kern.estimate(x, T) for x in X]
+    assert kern.estimate(X, T[0]) == [kern.estimate(x, T[0]) for x in X]
+    values = kern(X, T)
+    assert values.shape == (len(X), len(T)) and values.tolist() == [[e.estimate for e in row] for row in pooled]
+    assert kern(X, T[0]).tolist() == [row[0].estimate for row in pooled]
+
+
+@pytest.mark.parametrize("walkers, calls", [
+    (5000, [(3, None), (3, None), (1, None)]),  # whole sources share a chunk of CHUNK rows
+    (CHUNK + 9, [(1, range(0, CHUNK)), (1, range(CHUNK, CHUNK + 9))] * 2),  # a source fills chunks alone
+])
+def test_chunks_hold_whole_sources_and_equal_per_source_runs(walkers, calls, small_chunk, monkeypatch):
+    # An estimate walks at most CHUNK rows per run_walks call, counted across
+    # the sources of the call, and each source's estimate equals one run of
+    # its own.
+    domain, _, centers, radius, _ = CHUNK_CASES["disc"]
+    k = 7 if walkers < CHUNK else 2
+    X = np.array([[0.1 * j - 0.3, 0.05 * j] for j in range(k)])
+    cfg = _cfg(walkers=walkers, stop_tolerance=1e-3)
+    want = [_one_run_estimates(domain, x, centers, radius, cfg, None) for x in X]
+    made, walk = [], harmonic_measure.run_walks
+
+    def recorded(domain, x, *a, walker_indices, **kw):
+        made.append((len(x), walker_indices))
+        return walk(domain, x, *a, walker_indices=walker_indices, **kw)
+
+    monkeypatch.setattr(harmonic_measure, "run_walks", recorded)
+    got = harmonic_measure._cap_estimates(domain, X, cfg, None, np.asarray(centers, dtype=float), radius)
+    assert made == calls
+    assert all(rows * (walkers if chunk is None else len(chunk)) <= CHUNK for rows, chunk in made)
+    assert got == want
+
+
+def test_a_source_batch_estimate_holds_one_chunk(monkeypatch):
+    # Four sources of half a chunk each walk in two calls of one chunk: the
+    # traced peak is that of one source walking one chunk.
+    domain, _, _ = SETTLE_CASES["disc"]
+    chunk = harmonic_measure._CHUNK
+    kern = lambda n: pk.WosKernel(domain, _cfg(walkers=n), cap_radius=0.3)
+    one = _traced_peak(lambda: kern(chunk).estimate([0.1, 0.55], [1.0, 0.0]))[1]
+    X = [[0.1, 0.55], [-0.2, 0.3], [0.0, -0.5], [0.4, 0.4]]
+    four = _traced_peak(lambda: kern(chunk // 2).estimate(X, [1.0, 0.0]))[1]
+    assert four - one <= 1.5e6, f"{four / 1e6:.2f} MB against {one / 1e6:.2f} MB"
+
+
+REFUSED_ORIGINS = {
+    "outside": (pk.Ball(2), [[0.1, 0.2], [1.5, 0.0]], None, 1e-3,
+                "walk origin x[1] = [1.5, 0.0] is not strictly inside the domain"),
+    "below_stop": (pk.Ball(2), [[0.1, 0.2], [0.0, 0.9999]], None, 1e-3,
+                   "stop_tolerance 0.001 is not below the jump radius 9.999999999998899e-05 at the walk origin "
+                   "x[1] = [0.0, 0.9999]: every walker would settle where it starts"),
+    "beyond_truncation": (pk.Halfspace(2), [[0.1, 0.2], [0.0, 1.0]], 0.5, 1e-3,
+                          "walk origin x[1] = [0.0, 1.0] lies outside the truncation ball of radius 0.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_ORIGINS))
+def test_pooled_origins_are_refused_by_name(case):
+    domain, X, radius, stop, named = REFUSED_ORIGINS[case]
+    cfg = _cfg(walkers=10, stop_tolerance=stop)
+    with pytest.raises(pk.InvalidInputError, match=f"^{re.escape(named)}$"):
+        pk.run_walks(domain, X, cfg, truncation_radius=radius)
+    target = [1.0, 0.0] if isinstance(domain, pk.Ball) else [0.0, 0.0]
+    with pytest.raises(pk.InvalidInputError, match=f"^{re.escape(named)}$"):
+        pk.WosKernel(domain, cfg, 0.1, radius).estimate(X, target)
+    with pytest.raises(pk.InvalidInputError, match="x holds no walk origin"):
+        pk.run_walks(domain, np.empty((0, 2)), cfg, truncation_radius=radius)
+
+
+def test_an_estimate_checks_every_source_before_it_walks(small_chunk, monkeypatch):
+    # Source 5 would walk in the second call of three: it is named by its
+    # place in the batch, and nothing walks first.
+    X = [[0.1 * j - 0.3, 0.05 * j] for j in range(7)]
+    X[5] = [0.0, 0.99999]
+    walked = []
+    monkeypatch.setattr(harmonic_measure, "run_walks", lambda *a, **kw: walked.append(a))
+    kern = pk.WosKernel(pk.Ball(2), _cfg(walkers=5000, stop_tolerance=1e-3), cap_radius=0.1)
+    with pytest.raises(pk.InvalidInputError, match=re.escape("at the walk origin x[5] = [0.0, 0.99999]")):
+        kern.estimate(X, [1.0, 0.0])
+    with pytest.raises(pk.InvalidInputError, match=re.escape("at the walk origin x = [0.0, 0.99999]")):
+        kern.estimate(X[5], [1.0, 0.0])
+    with pytest.raises(pk.InvalidInputError, match=re.escape("walk origin [1.5, 0.0] is not strictly inside")):
+        pk.estimate_cap_measure(pk.Ball(2), [1.5, 0.0], [1.0, 0.0], 0.1, _cfg())
+    assert walked == []
+
+
+def test_a_sweep_names_its_probe_below_the_stop():
+    d = pk.Ball(2)
+    kern = pk.WosKernel(d, _cfg(walkers=10, stop_tolerance=1e-3), cap_radius=0.1)
+    with pytest.raises(pk.InvalidInputError, match=re.escape("at the walk origin x[2] = [0.0, 0.9995]")):
+        pk.normal_sweep(d, kern, [0.0, 1.0], [0.1, 0.01, 5e-4], [[1.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# the ellipse's settled feet
+
+
+def _ellipse_probe_points(a, b, rng):
+    """Points near the boundary, deep inside, on and near both axes, and a few outside."""
+    t = rng.uniform(0.0, 2.0 * math.pi, 4000)
+    boundary = np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
+    near = boundary * (1.0 - rng.uniform(0.0, 1e-3, 4000))[:, None]
+    deep = boundary * rng.uniform(0.0, 1.0, 4000)[:, None]
+    axes = np.array([[s * a * f, 0.0] for s in (1.0, -1.0) for f in (0.999, 0.99, 0.5, 0.0)]
+                    + [[0.0, s * b * f] for s in (1.0, -1.0) for f in (0.999, 0.5)]
+                    + [[-0.0, 0.3 * b], [0.2 * a, -0.0], [0.9 * a, 1e-9], [0.3 * a, -1e-5]])
+    outside = boundary[:50] * 1.01
+    return np.concatenate([near, deep, axes, outside])
+
+
+@pytest.mark.parametrize("axes", [[2.0, 1.0], [1.0, 2.0], [3.0, 0.4], [1.0, 1.01]])
+def test_ellipse_settled_feet_equal_the_projection(axes):
+    # Away from ties the settled feet are the projection's feet bit for bit,
+    # and a row that ties raises the projection's error.
+    e, rng = pk.Ellipse(axes), np.random.default_rng(17)
+    P = _ellipse_probe_points(*axes, rng)
+    for X in np.array_split(P, 40):
+        try:
+            want = e.project_batch(X)[0]
+        except pk.ProjectionAmbiguityError as exc:
+            with pytest.raises(pk.ProjectionAmbiguityError, match=f"^{re.escape(str(exc))}$"):
+                e._settled_feet(X)
+        else:
+            assert e._settled_feet(X).tobytes() == want.tobytes()
+
+
+def test_ellipse_settled_feet_raise_the_projection_errors():
+    e = pk.Ellipse([2.0, 1.0])
+    for X in ([[0.5, 0.2], [1.4, 0.0]], [[1.0, 1e-9]], [[0.0, 0.5], [-1.2, -0.0]]):
+        with pytest.raises(pk.ProjectionAmbiguityError) as want:
+            e.project_batch(X)
+        with pytest.raises(pk.ProjectionAmbiguityError, match=f"^{re.escape(str(want.value))}$"):
+            e._settled_feet(np.array(X))
+    # A walk with its stop above the curvature radius b^2 / a = 0.5 settles
+    # deep inside, where the projection's tie test applies.
+    cfg = _cfg(walkers=4000, max_steps=3, stop_tolerance=0.9)
+    got = pk.run_walks(e, [0.0, 0.0], cfg)
+    want = _reference_walks(e, [0.0, 0.0], cfg)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_huge_ellipses_settle_through_the_full_projection(monkeypatch):
+    # Past a = 1e11 a foot's gradient may be degenerate, which only the
+    # projection names: every row takes it.
+    e = pk.Ellipse([4e12, 1.0])
+    X = np.array([[1e12, 0.5], [0.0, 0.5]])
+    calls, project = [], pk.Ellipse._project
+    monkeypatch.setattr(pk.Ellipse, "_project", lambda self, X, t: calls.append(len(X)) or project(self, X, t))
+    assert e._settled_feet(X).tobytes() == project(e, X, None)[0].tobytes()
+    assert calls == [2]
