@@ -205,10 +205,12 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     as one batch; a :class:`~poisskern.harmonic_measure.WosKernel` gets all
     source points and all targets in one ``estimate`` call, so their walks
     share one pool, which drains once per sweep, and each record keeps the
-    bits of a call per source point; every source point is checked against
-    the targets before that call.  A ``delta`` past a focal or medial point
-    of the base, where ``x`` lies nearer the boundary than ``delta``, raises
-    :class:`InvalidInputError` naming it.
+    bits of a call per source point; too many truncated walks fail it naming
+    their source point as ``x[k]``, ``k`` its delta's index.  Every source
+    point is checked against the targets before any kernel call.  A
+    ``delta`` past a focal or medial point of the base, where ``x`` lies
+    nearer the boundary than ``delta``, raises :class:`InvalidInputError`
+    naming it.
     """
     base = as_point(base, domain.dim, name="base")
     nu, gn = _base_normal(domain, base)
@@ -223,14 +225,11 @@ def normal_sweep(domain: Domain, kernel, base, deltas, targets) -> SweepReport:
     ys = [tuple(y) for y in T.tolist()]
     X = base[None, :] + np.array(deltas)[:, None] * nu[None, :]
     dist = _probe_distances(domain, X, deltas, [f"deltas[{k}]" for k in range(len(deltas))], gn)
-    if isinstance(kernel, WosKernel):  # every probe is checked before any walk
-        separations = [_separations(x, T, name="targets") for x in X]
+    separations = [_separations(x, T, name="targets") for x in X]  # every probe is checked before any call
+    if isinstance(kernel, WosKernel):
         values = [_estimate_values(ests, T) for ests in kernel.estimate(X, T)]
     else:
-        separations, values = [], []
-        for x in X:
-            separations.append(_separations(x, T, name="targets"))
-            values.append(_kernel_values(kernel, x, T))
+        values = [_kernel_values(kernel, x, T) for x in X]
     records = []
     for x, delta, seps, (vals, errors) in zip(X, dist, separations, values):
         records.extend(_ratio_records(domain, x, delta, ys, seps, vals, errors))

@@ -769,10 +769,13 @@ class Implicit(Domain):
         Rows with a vanishing gradient stay put; non-finite rows are dropped,
         and so are rows that round to the same 1e-6 cell as an earlier one.
         The grid does not depend on the query point, so it is computed once
-        per domain and kept read-only.
+        per domain and kept read-only.  It has the most points per axis, at
+        most 16, that keep it within 4096 rows: 16 in d = 2 and 3, 8 in
+        d = 4, down to 2 in d = 12.  From d = 13 on, the 2**d box corners
+        alone exceed 4096 rows.
         """
         lo, hi = self.bounding_box
-        m = max(6, min(16, int(round(4096 ** (1.0 / self.dim)))))
+        m = next((k for k in range(16, 1, -1) if k**self.dim <= 4096), 2)
         axes = [np.linspace(lo[j], hi[j], m) for j in range(self.dim)]
         y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):

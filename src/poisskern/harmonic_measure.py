@@ -249,15 +249,10 @@ def run_walks(
 
     def queue_keys(lo: int, hi: int) -> np.ndarray:
         """Stream keys of queued walkers ``lo .. hi - 1``, counted across sources."""
+        block = np.arange(lo, hi, dtype=np.int64) % n  # int64: np.arange would promote a stop of 2**63 to float64
         if isinstance(indices, range):
-            # Built in int64: np.arange would promote a stop of 2**63 to float64.
-            block = np.arange(lo, hi, dtype=np.int64)
-            if hi > n:
-                block %= n
-            block = indices.start + indices.step * block
-        else:
-            block = indices[lo:hi] if hi <= n else indices.take(np.arange(lo, hi) % n)
-        return _rng.stream_keys(config.seed, block)
+            return _rng.stream_keys(config.seed, indices.start + indices.step * block)
+        return _rng.stream_keys(config.seed, indices.take(block))
 
     def place(slots: np.ndarray, first: int) -> np.ndarray:
         """Put queued walkers ``first ..`` at their origins in ``slots``; their origins' jump radii."""
@@ -393,17 +388,14 @@ def _check_cap_centers(domain: Domain, T: np.ndarray, name: str, single: bool) -
 def _walk_chunks(sources: int, n: int):
     """The ``run_walks`` calls of an estimate over ``sources`` sources of ``n``
     walkers each, none holding more than ``_CHUNK`` rows: ``(j0, j1, indices)``
-    runs sources ``j0 .. j1 - 1`` on ``indices`` (None for all ``n`` walkers).
-    While a source fits in a chunk, whole sources share one call, so one pool
-    walks them all; a larger source walks alone, in consecutive index ranges."""
-    if n <= _CHUNK:
-        per = _CHUNK // n
-        for j0 in range(0, sources, per):
-            yield j0, min(sources, j0 + per), None
-        return
-    for j in range(sources):
+    runs sources ``j0 .. j1 - 1`` on ``indices``.  One plan: a call takes
+    ``max(1, _CHUNK // n)`` whole sources, which one pool walks, and their
+    walkers in index ranges of ``_CHUNK``; ``indices`` is None, all ``n``
+    walkers, when one range would hold them all."""
+    per = max(1, _CHUNK // n)
+    for j0 in range(0, sources, per):
         for lo in range(0, n, _CHUNK):
-            yield j, j + 1, range(lo, min(n, lo + _CHUNK))
+            yield j0, min(sources, j0 + per), None if n <= _CHUNK else range(lo, min(n, lo + _CHUNK))
 
 
 def _cap_estimates(
@@ -420,7 +412,8 @@ def _cap_estimates(
     hit and truncation counts outlive a call.  The counts, hence every
     estimate, are those of one run per source over all its walkers.  A source
     with more than half of its walks truncated fails the estimate, naming its
-    count, once all sources have walked.
+    count, and for a batch of sources the source as ``x[j] = ...``, once all
+    sources have walked.
     """
     X = _walk_origins(domain, x, config, truncation_radius)[0]
     n = config.walkers
@@ -438,10 +431,11 @@ def _cap_estimates(
                 for i, center in enumerate(centers):
                     hits[j][i] += int(np.count_nonzero(settled & (_distances(feet[block], center) < radius)))
         del feet, truncated  # before the next call's results are made
-    for count in n_trunc:
+    for j, count in enumerate(n_trunc):
         if count / n > _TRUNCATION_FAILURE_FRACTION:
+            source = "" if np.ndim(x) == 1 else f" from x[{j}] = {X[j].tolist()}"
             raise EstimationFailureError(
-                f"{count} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%})"
+                f"{count} of {n} walks truncated (limit {_TRUNCATION_FAILURE_FRACTION:.0%}){source}"
             )
     return [[_cap_estimate(count, n, trunc) for count in counts] for counts, trunc in zip(hits, n_trunc)]
 
@@ -592,8 +586,8 @@ class WosKernel:
     an ``x`` walks again and reproduces the same exits.  Estimates sharing a
     source are therefore correlated across targets; estimates for different
     sources are independent in distribution, though every source runs the
-    same walker streams.  The cap area of each target is computed once per
-    kernel and reused by later queries.
+    same walker streams.  The kernel keeps nothing between calls: each query
+    computes its targets' cap areas, which costs little beside its walks.
 
     Sources are a single interior point or a ``(k, d)`` batch, and the
     sources of one query share one walker pool (see :func:`run_walks`), which
@@ -625,19 +619,12 @@ class WosKernel:
         self.truncation_radius = (
             None if truncation_radius is None else _positive(truncation_radius, "truncation_radius")
         )
-        self._areas: dict[bytes, float] = {}  # cap area per target; the radius is fixed
-
-    def _area(self, center: np.ndarray) -> float:
-        key = center.tobytes()
-        if key not in self._areas:
-            self._areas[key] = _cap_area(self.domain, center, self.cap_radius)
-        return self._areas[key]
 
     def estimate(self, x, y) -> "MeasureEstimate | list":
         X, one_source = _as_points(x, self.domain.dim, name="x")
         Y, single = _as_points(y, self.domain.dim, name="y")
         _check_cap_centers(self.domain, Y, "y", single)
-        areas = [self._area(center) for center in Y]
+        areas = [_cap_area(self.domain, center, self.cap_radius) for center in Y]
         out = []
         for caps in _cap_estimates(self.domain, X[0] if one_source else X, self.config, self.truncation_radius,
                                    Y, self.cap_radius):

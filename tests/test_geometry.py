@@ -397,6 +397,29 @@ def _implicit_polynomial_ball3():
     )
 
 
+def _implicit_sphere(d):
+    coefficients = {tuple(2 * (j == k) for j in range(d)): 1.0 for k in range(d)}
+    coefficients[(0,) * d] = -1.0
+    return pk.ImplicitPolynomial(coefficients, [[-1.5] * d, [1.5] * d], [0.0] * d)
+
+
+def test_implicit_sphere_in_eight_dimensions_projects_from_at_most_4096_seeds():
+    # The seed grid keeps within 4096 rows through d = 12; in d = 8 it is the 256 box corners.
+    for d in range(2, 13):
+        assert _implicit_sphere(d)._flowed_grid.shape[0] <= 4096, d
+    imp = _implicit_sphere(8)
+    assert imp._flowed_grid.shape[0] == 256
+    rng = np.random.default_rng(8)
+    u = rng.normal(size=(20, 8))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = rng.uniform(0.3, 1.4, 20)
+    X = r[:, None] * u
+    assert np.max(np.abs(imp.signed_distance_batch(X) - (r - 1.0))) <= 1e-12
+    feet, normals = imp.project_batch(X)
+    for got, want in ((feet, u), (normals, -u)):  # inward normals
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["ball", "halfspace", "ellipse", "swapped_ellipse", "implicit_polynomial",
                                   "implicit_ball3"])
 def test_jump_radii_are_inscribed_and_tend_to_the_distance(kind):

@@ -1,5 +1,6 @@
 """Walk-on-spheres exit sampling, cap measures, and kernel-density estimates."""
 
+import copy
 import json
 import math
 import re
@@ -741,6 +742,7 @@ def test_chunked_estimates_equal_one_run_bit_for_bit(kind, small_chunk, monkeypa
     assert pk.estimate_kernel_density(domain, x, centers[0], radius, cfg, truncation) == densities[0]
     kern = pk.WosKernel(domain, cfg, radius, truncation)
     assert kern.estimate(x, np.asarray(centers, dtype=float)) == densities
+    assert kern.estimate(x, centers[0]) == densities[0]
 
 
 def test_chunked_estimates_fail_on_truncation_like_one_run(small_chunk):
@@ -754,6 +756,28 @@ def test_chunked_estimates_fail_on_truncation_like_one_run(small_chunk):
         pk.estimate_cap_measure(d, x, [1.0, 0.0], 0.3, cfg)
     with pytest.raises(pk.EstimationFailureError, match=f"^{named}$"):
         pk.WosKernel(d, cfg, 0.3).estimate(x, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_pooled_truncation_failure_names_its_source(tmp_path, capsys):
+    # A sweep's probes walk in one estimate; the failure names the probe whose
+    # walks truncated as x[k], k its delta's index, in the library and on the
+    # command line.  A one-point estimate's message names no source.
+    h, x = pk.Halfspace(2), [0.0, 1.9]
+    cfg = _cfg(walkers=2000, seed=1)
+    kern = pk.WosKernel(h, cfg, 0.1, truncation_radius=2.0)
+    count = int(pk.run_walks(h, x, cfg, truncation_radius=2.0)[1].sum())
+    message = f"{count} of 2000 walks truncated (limit 50%)"
+    with pytest.raises(pk.EstimationFailureError, match=f"^{re.escape(message)}$"):
+        kern.estimate(x, [0.5, 0.0])
+    pooled = f"{message} from x[1] = [0.0, 1.9]"
+    with pytest.raises(pk.EstimationFailureError, match=f"^{re.escape(pooled)}$"):
+        pk.normal_sweep(h, kern, [0, 0], [0.1, 1.9], [[0.5, 0]])
+    spec = tmp_path / "halfplane.json"
+    spec.write_text('{"kind": "halfspace", "dim": 2}')
+    assert main(["ratio", "--domain", str(spec), "--base", "0,0", "--deltas", "0.1,1.9", "--targets", "0.5,0",
+                 "--kernel", "wos", "--walkers", "2000", "--seed", "1", "--stop-tol", "1e-4",
+                 "--cap-radius", "0.1", "--truncation", "2"]) == 2
+    assert capsys.readouterr().err == f"poisskern: numerical failure: {pooled}\n"
 
 
 def test_chunked_cli_wos_report_equals_the_library(tmp_path, capsys, small_chunk):
@@ -983,7 +1007,7 @@ def test_mostly_truncated_run_raises():
 # the WoS-backed kernel evaluator
 
 
-def test_wos_kernel_caches_and_reproduces():
+def test_wos_kernel_reproduces_its_estimates():
     d = pk.Ball(2)
     kern = pk.WosKernel(d, _cfg(walkers=5000, seed=42), cap_radius=0.1)
     x = np.array([0.0, 0.7])
@@ -1007,27 +1031,18 @@ def test_wos_kernel_keeps_only_the_latest_source_point():
     assert [e.estimate for e in again] == [rec.kernel for rec in report.records[:2]]
 
 
-def test_wos_kernel_computes_each_cap_area_once(monkeypatch):
-    from poisskern import harmonic_measure
-
-    calls = []
-    area = harmonic_measure._cap_area
-
-    def counting(*args):
-        calls.append(args)
-        return area(*args)
-
+def test_wos_kernel_keeps_nothing_between_calls():
+    # A kernel holds its domain, config, cap radius and truncation radius, and
+    # no query adds to them: each estimate computes its targets' cap areas.
     e = pk.Ellipse([2.0, 1.0])
-    cfg = _cfg(walkers=200)
-    targets = [e.boundary_point(th) for th in (0.3, 1.2)]
-    expected = [pk.estimate_kernel_density(e, [0.5, 0.3], y, 0.1, cfg) for y in targets]
-    monkeypatch.setattr(harmonic_measure, "_cap_area", counting)
-    kern = pk.WosKernel(e, cfg, cap_radius=0.1)
-    assert [kern.estimate([0.5, 0.3], y) for y in targets] == expected
-    for x in ([0.2, -0.4], [-1.0, 0.1]):
-        for y in targets:
-            kern.estimate(x, y)
-    assert len(calls) == len(targets)
+    kern = pk.WosKernel(e, _cfg(walkers=200), cap_radius=0.1)
+    state = {name: copy.deepcopy(value) for name, value in vars(kern).items() if name != "domain"}
+    for thetas in ((0.3, 1.2), (2.5, 4.0, 5.5)):
+        T = np.array([e.boundary_point(th) for th in thetas])
+        for x in ([0.5, 0.3], [-1.0, 0.1]):
+            kern.estimate(x, T)
+    assert {name: value for name, value in vars(kern).items() if name != "domain"} == state
+    assert kern.domain is e and set(vars(kern)) == {"domain", "config", "cap_radius", "truncation_radius"}
 
 
 def test_wos_kernel_checks_its_targets_in_one_batch_query(monkeypatch):
@@ -1040,7 +1055,7 @@ def test_wos_kernel_checks_its_targets_in_one_batch_query(monkeypatch):
     monkeypatch.setattr(harmonic_measure, "_check_cap_centers",
                         lambda domain, X, *args, **kw: batches.append(np.shape(X)) or check(domain, X, *args, **kw))
     monkeypatch.setattr(e, "rho", lambda x: points.append(list(x)) or rho(x))
-    for _ in range(2):  # the first query also computes the cap areas
+    for _ in range(2):  # each query checks its targets once
         kern.estimate([0.5, 0.3], T)
     assert batches == [T.shape, T.shape]
     assert points == []  # the walk origin is checked through the primitive
