@@ -9,8 +9,9 @@ of a batch may sit at different points of their streams.
 
 The generator is the splitmix64 finalizer applied to a Weyl sequence, a
 standard construction for counter-based streams.  All arithmetic is modulo
-2**64 by design; the ``errstate`` guards silence NumPy's overflow warnings for
-the intentional wraparound.
+2**64 by design, on uint64 arrays, whose arithmetic NumPy wraps silently; the
+one scalar counter, of an int draw index, is reduced in Python integers
+(:func:`key_step`).
 
 Direction angles are ``theta = 2 pi m / 2**53`` for a draw's 53-bit integer
 ``m``.  Their cosine and sine come from a table rotation, not from libm: the
@@ -70,35 +71,47 @@ def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer (xor-shift-multiply avalanche) on a uint64 array,
     in place: ``z`` is overwritten with the result and returned, and one shift
     buffer is all it allocates."""
-    with np.errstate(over="ignore"):
-        shifted = z >> np.uint64(30)
-        z ^= shifted
-        z *= _MIX_1
-        z ^= np.right_shift(z, np.uint64(27), out=shifted)
-        z *= _MIX_2
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= _MIX_1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _MIX_2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
 def stream_keys(seed: int, walker_indices) -> np.ndarray:
     """Independent uint64 stream key for each walker index under one seed."""
     w = np.atleast_1d(np.asarray(walker_indices, dtype=np.uint64))
-    with np.errstate(over="ignore"):
-        z = _mix((w + np.uint64(1)) * _GOLDEN)
-        z ^= np.uint64(seed & _U64_MASK)
-        return _mix(z)
+    z = _mix((w + np.uint64(1)) * _GOLDEN)
+    z ^= np.uint64(seed & _U64_MASK)
+    return _mix(z)
+
+
+def _draw_block(keys: np.ndarray, draw_index, draws: int) -> np.ndarray:
+    """The 53-bit integers of draws ``draw_index + j``, ``j < draws``, of each
+    stream (``draw_index`` an int, or one per stream), as the rows ``j`` of a
+    fresh ``(draws, n)`` uint64 array mixed in one pass.  Row ``j``'s counter
+    is ``keys + (draw_index + j + 1) * golden``: with an int index one add of
+    a :func:`key_step` over the keys, with an array the first row's counter
+    plus ``key_step(j)``, equal modulo 2**64."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if np.ndim(draw_index) == 0:
+        first, start = keys, int(draw_index) + 1
+    else:
+        first, start = keys + (np.asarray(draw_index, dtype=np.uint64) + np.uint64(1)) * _GOLDEN, 0
+    z = np.empty((draws,) + first.shape, dtype=np.uint64)
+    for j in range(draws):
+        np.add(first, key_step(start + j), out=z[j])
+    _mix(z)
+    z >>= np.uint64(11)
+    return z
 
 
 def _bits(keys: np.ndarray, draw_index) -> np.ndarray:
     """The 53-bit integer of draw ``draw_index`` of each stream (an int, or one
-    per stream), in a fresh uint64 array.  With one int the counter
-    ``keys + (draw_index + 1) * golden`` is a single add over the keys."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    idx = np.asarray(draw_index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix(keys + (idx + np.uint64(1)) * _GOLDEN)
-    z >>= np.uint64(11)
-    return z
+    per stream), in a fresh uint64 array: the one row of :func:`_draw_block`."""
+    return _draw_block(keys, draw_index, 1)[0]
 
 
 def key_step(draws: int) -> np.uint64:
@@ -114,8 +127,13 @@ def uniform(keys: np.ndarray, draw_index) -> np.ndarray:
     ``draw_index`` is one int for all streams or an integer array with one
     index per stream.
     """
+    return _unit(_bits(keys, draw_index))
+
+
+def _unit(m: np.ndarray) -> np.ndarray:
+    """``m / 2**53`` of 53-bit integers ``m``, in a fresh float array."""
     # Below 2**53, so the int64 view converts exactly, and faster than uint64 does.
-    u = _bits(keys, draw_index).view(np.int64).astype(np.float64)
+    u = m.view(np.int64).astype(np.float64)
     u *= _INV_2_53
     return u
 
@@ -124,7 +142,11 @@ def _cos_sin(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``cos`` and ``sin`` of the angles ``2 pi m / 2**53`` of 53-bit integers ``m``,
     the two rows of ``out`` (a fresh ``(2, n)`` array if None): the table entry of the
     top bits rotated by the remainder ``delta``, evaluated in buffers reused once
-    their value is spent, in the order of the series written out."""
+    their value is spent, in the order of the series written out.
+
+    The table is read with ``take(..., mode="clip")``, which skips the bounds
+    check of the default mode: an index ``m >> 41`` of a 53-bit ``m`` has 12
+    bits, so it lies in the table and clipping never moves it."""
     if out is None:
         out = np.empty((2, m.shape[0]))
     i = (m >> np.uint64(_REMAINDER_BITS)).view(np.intp)  # below 2**12, so the view is exact
@@ -139,10 +161,10 @@ def _cos_sin(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     vers_d = np.multiply(d2, 1.0 / 24.0, out=delta)
     np.subtract(0.5, vers_d, out=vers_d)
     vers_d *= d2  # 1 - cos delta = d2 (1/2 - d2/24), error below 1e-19
-    c = _COS_SIN[0].take(i, out=d2)
-    s = _COS_SIN[1].take(i, out=out[1])
+    c = _COS_SIN[0].take(i, out=d2, mode="clip")
+    s = _COS_SIN[1].take(i, out=out[1], mode="clip")
     cos = np.multiply(c, vers_d, out=out[0])
-    cos += s * sin_d
+    cos += np.multiply(s, sin_d, out=i.view(np.float64))  # the spent index buffer
     np.subtract(c, cos, out=cos)  # c - (c vers_d + s sin_d)
     sin_d *= c
     vers_d *= s
@@ -169,7 +191,12 @@ def sphere_directions(keys: np.ndarray, base_index, dim: int) -> np.ndarray:
 
     Consumes draws ``base_index .. base_index + draws_per_step(dim) - 1`` of
     each stream: the angle itself in 2-D, (cos polar, azimuth) in 3-D, and
-    Box-Muller normal pairs (then normalization) in higher dimensions.
+    Box-Muller normal pairs (then normalization) in higher dimensions.  From
+    3-D on all of a step's draws come from one ``(draws, n)`` counter block of
+    :func:`_draw_block`, mixed in one pass.  The polar cosine is
+    ``(m - 2**52) * 2**-52`` for the draw's 53-bit ``m``, which is exactly
+    ``2 u - 1`` for its uniform ``u = m / 2**53``, and its sine is
+    ``sqrt(1 - c**2)`` with no clamp, since ``fl(c**2) <= 1``.
     ``base_index`` is one int for all streams or an integer array with one
     index per stream; each row depends only on its own key and index, so a
     row equals the same stream's direction drawn alone.  The cosine and sine
@@ -182,22 +209,22 @@ def sphere_directions(keys: np.ndarray, base_index, dim: int) -> np.ndarray:
     n = keys.shape[0]
     if dim == 2:
         return _cos_sin(_bits(keys, base_index)).T
+    z = _draw_block(keys, base_index, draws_per_step(dim))
     if dim == 3:
         g = np.empty((3, n))
-        u = uniform(keys, base_index)
-        u *= 2.0
-        c = np.subtract(u, 1.0, out=g[2])
-        _cos_sin(_bits(keys, base_index + 1), g[:2])
-        s = np.multiply(c, c, out=u)
+        m = z[0].view(np.int64)
+        m -= 1 << 52  # exact: |m - 2**52| <= 2**52
+        c = np.multiply(m, 2.0**-52, out=g[2])
+        s = np.multiply(c, c, out=z[0].view(np.float64))  # the spent draw's buffer
         np.subtract(1.0, s, out=s)
-        g[:2] *= np.sqrt(np.maximum(0.0, s, out=s), out=s)
+        _cos_sin(z[1], g[:2])
+        g[:2] *= np.sqrt(s, out=s)
         return g.T
-    pairs = (dim + 1) // 2
-    g = np.empty((2 * pairs, n))
-    for j in range(pairs):
-        u1 = uniform(keys, base_index + 2 * j)
-        _cos_sin(_bits(keys, base_index + 2 * j + 1), g[2 * j : 2 * j + 2])
-        g[2 * j : 2 * j + 2] *= np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], so the log is finite
+    g = np.empty(z.shape)
+    for j in range(0, z.shape[0], 2):
+        u1 = _unit(z[j])
+        _cos_sin(z[j + 1], g[j : j + 2])
+        g[j : j + 2] *= np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], so the log is finite
     v = g[:dim]
     norms = _distances(v.T)  # numpy's axis-1 norm bit for bit, C-order from 8 columns on
     # A zero Gaussian vector has probability ~0; fall back to a fixed axis.

@@ -494,14 +494,21 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
     pg, qg = p[generic], q[generic]
 
     shift = a * a - b * b
-    u = b * qg
+    ap, bq = a * pg, b * qg
+    u = bq
     done = np.zeros(u.shape, dtype=bool)
     for _ in range(100):
-        ra = a * pg / (u + shift)
-        rb = b * qg / u
-        F = ra * ra + rb * rb - 1.0
-        dF = -2.0 * (ra * ra / (u + shift) + rb * rb / u)
-        step = F / dF
+        us = u + shift
+        ra2 = np.divide(ap, us)
+        ra2 *= ra2
+        rb2 = np.divide(bq, u)
+        rb2 *= rb2
+        F = ra2 + rb2
+        F -= 1.0  # (a p / us)^2 + (b q / u)^2 - 1
+        ra2 /= us
+        rb2 /= u
+        ra2 += rb2
+        step = np.divide(F, np.multiply(ra2, -2.0, out=ra2), out=rb2)  # F / (-2 (ra^2 / us + rb^2 / u))
         # Monotone increasing sequence; a sub-ulp step means the row is done.
         done |= (np.abs(F) < 1e-13) | (np.abs(step) <= np.finfo(float).eps * u)
         if np.all(done):
@@ -509,7 +516,7 @@ def _ellipse_quadrant_feet(p: np.ndarray, q: np.ndarray, a: float, b: float) -> 
         u = np.where(done, u, u - step)
     else:
         raise ConvergenceError("ellipse nearest-point iteration did not converge")
-    fx[generic] = a * a * pg / (u + shift)
+    fx[generic] = a * a * pg / us  # us = u + shift: the last iteration moved no row
     fy[generic] = b * b * qg / u
     return fx, fy
 

@@ -294,7 +294,7 @@ def run_walks(
             leave = leave | (born <= it - config.max_steps)
         if truncation_radius is not None:
             leave = leave | (_distances(pos.T) > truncation_radius)
-        out = np.flatnonzero(leave)
+        out = leave.nonzero()[0]
         if out.size:
             idx = rows[out]
             for c in range(dim):

@@ -79,13 +79,16 @@ def test_sphere_directions_distinct_draw_indices():
 def test_sphere_directions_take_one_draw_index_per_row(dim):
     # Rows at different points of their streams equal the same streams drawn
     # one at a time, bit for bit.
+    # The int index adds one scalar counter, the array index one per row; both
+    # wrap alike far into a stream too.
     keys = _rng.stream_keys(17, np.arange(300))
-    index = (np.arange(300) % 11) * _rng.draws_per_step(dim)
-    batch = _rng.sphere_directions(keys, index, dim)
-    rows = [_rng.sphere_directions(keys[i : i + 1], int(index[i]), dim) for i in range(300)]
-    assert np.array_equal(batch.view(np.int64), np.concatenate(rows).view(np.int64))
-    assert np.array_equal(_rng.uniform(keys, index), np.concatenate(
-        [_rng.uniform(keys[i : i + 1], int(index[i])) for i in range(300)]))
+    near = (np.arange(300) % 11) * _rng.draws_per_step(dim)
+    for index in (near, near + 2**40):
+        batch = _rng.sphere_directions(keys, index, dim)
+        rows = [_rng.sphere_directions(keys[i : i + 1], int(index[i]), dim) for i in range(300)]
+        assert np.array_equal(batch.view(np.int64), np.concatenate(rows).view(np.int64))
+        assert np.array_equal(_rng.uniform(keys, index), np.concatenate(
+            [_rng.uniform(keys[i : i + 1], int(index[i])) for i in range(300)]))
 
 
 def test_plane_directions_match_the_exact_angle():
@@ -158,7 +161,8 @@ def test_sphere_directions_equal_a_row_major_reference_bit_for_bit(dim):
     # same formulas stacked into a C-order (n, dim) array, with numpy's own
     # axis-1 norm of that array (pairwise from 8 columns on).
     keys = _rng.stream_keys(23, np.arange(4000))
-    for base in (5 * _rng.draws_per_step(dim), (np.arange(4000) % 9) * _rng.draws_per_step(dim)):
+    # Base 0 is the index every walk pass draws at.
+    for base in (0, 5 * _rng.draws_per_step(dim), (np.arange(4000) % 9) * _rng.draws_per_step(dim)):
         def angle(k):
             return _rng._cos_sin(_rng._bits(keys, base + k))
 

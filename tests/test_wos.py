@@ -1,6 +1,7 @@
 """Walk-on-spheres exit sampling, cap measures, and kernel-density estimates."""
 
 import copy
+import hashlib
 import json
 import math
 import re
@@ -536,6 +537,61 @@ def test_run_walks_equal_the_plain_reference_loop_bit_for_bit(kind, x, radius, c
         assert radius is None or (truncated & (steps < cfg.max_steps)).any()
     if cfg.stop_tolerance > 0.01:
         assert (~truncated & (np.linalg.norm(feet, axis=1) > radius + cfg.stop_tolerance)).any()
+
+
+PINNED_WALKS = {
+    "disc": (pk.Ball(2), [0.5, 0.2], None),
+    "ball3": (pk.Ball(3), [0.5, 0.2, 0.1], None),
+    "halfplane": (pk.Halfspace(2), [0.5, 0.2], 20.0),
+    "ellipse": (pk.Ellipse([2.0, 1.0]), [0.5, 0.2], None),
+}
+PINNED_DIGESTS = {
+    # sha256 of run_walks' (feet, truncated, steps) bytes, 2e4 walkers, seed 1, stop 1e-4
+    "disc": "51ee9940ae678ec2fbd0db313e3503a3df4cfbb7520eb457a21701100f3901bf",
+    "disc max_steps=9": "370a494da6ddb9b7895badeebf3dbe4d952a6c96ddc7f186e411222c97ac928e",
+    "ball3": "eb71c9d8d6a54c57cd8b65475b97b274b753024e7611a8521ebc515f55f64801",
+    "ball3 max_steps=9": "812ddb4486f12b4b77fbf076f76ae82dd0c8c8940b68a127a06d38858f66d73b",
+    "halfplane": "353a3d9e2a876ea61f760091d056fc376954735895005cd88c35f84e1d134bff",
+    "halfplane max_steps=9": "d9bcf4581f2ba826b36db3532036b936041439a2a54bad6b114e74e7baeb6937",
+    "ellipse": "fe46c161f1edb0a06644cc3b4ab413489d13d0fe90e745e65ca23f5e700b1f95",
+    "ellipse max_steps=9": "bb610c4c57ec610263f8122a6e027396a5819e4297e91deab8c6baceda64be3c",
+    # sha256 of sphere_directions' bytes on 4096 streams of seed 1
+    "directions d=2 index 0": "b8bec211b4520e401d7c797953abc3f5b5d9d9f0fc04858be2bf7c4aabf1a34d",
+    "directions d=2 per-row": "b5a9c022dc093771233ad7ab56262c7899dd0b5a2e2ad61940df67f149c3801c",
+    "directions d=3 index 0": "ae2dc1a7c35bfdd0c0201bfbdf48d24966eaf466081de58f10fd19199589d47a",
+    "directions d=3 per-row": "322dcb16cb3b1a6040d6323eccd211086fb91968f9b2b0a99f360ab07539ab31",
+}
+
+
+def _walk_bit_digests() -> dict:
+    digests = {}
+    for kind, (domain, x, radius) in PINNED_WALKS.items():
+        for label, extra in ((kind, {}), (f"{kind} max_steps=9", {"max_steps": 9})):
+            cfg = _cfg(walkers=20_000, seed=1, **extra)
+            walks = pk.run_walks(domain, x, cfg, truncation_radius=radius)
+            digests[label] = hashlib.sha256(b"".join(a.tobytes() for a in walks)).hexdigest()
+    keys = _rng.stream_keys(1, np.arange(4096))
+    for dim in (2, 3):
+        per_row = (np.arange(4096) % 13) * _rng.draws_per_step(dim)
+        for label, base in (("index 0", 0), ("per-row", per_row)):
+            directions = _rng.sphere_directions(keys, base, dim)
+            digests[f"directions d={dim} {label}"] = hashlib.sha256(directions.tobytes()).hexdigest()
+    return digests
+
+
+def test_walk_bits_match_the_digests_pinned_at_530d64c():
+    """Walk and direction bits equal those of commit 530d64c.
+
+    The other reference tests compare two code paths of one commit; these
+    digests hold the bits fixed across commits.  They cover d <= 3 on the
+    disc, the 3-D ball, the truncated halfplane and the ellipse, whose walks
+    use only +, -, *, /, sqrt and the import-time ``math.cos``/``math.sin``
+    table, so they do not depend on a CPU's SIMD paths (d >= 4 draws through
+    ``log1p``, implicit domains solve through LAPACK).  A change that moves
+    walk bits re-pins these digests and declares the change, as ROADMAP aim 1
+    asks of a speedup that changes report bytes.
+    """
+    assert _walk_bit_digests() == PINNED_DIGESTS
 
 
 POOL = harmonic_measure._POOL
